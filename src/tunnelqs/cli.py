@@ -533,9 +533,10 @@ def _write_polar_csv(path: Path, dist, comments) -> None:
     lines.append("# columns: p, phi, density; phi from +x axis; "
                  "density rescaled so sum P p dp dphi = ionized probability")
     lines.append("p,phi,density")
-    for i, pv in enumerate(dist.p):
-        for j, phiv in enumerate(dist.phi):
-            lines.append(f"{pv!r},{phiv!r},{dist.density[i, j]!r}")
+    phis = dist.phi.tolist()   # Python floats: repr is a plain literal
+    for pv, row in zip(dist.p.tolist(), dist.density.tolist()):
+        for phiv, val in zip(phis, row):
+            lines.append(f"{pv!r},{phiv!r},{val!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -543,8 +544,8 @@ def _write_angular_csv(path: Path, ang, comments) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append("# columns: phi, P; theta measured from -y toward +x; tau = theta/omega")
     lines.append("phi,P")
-    for phiv, val in zip(ang.phi, ang.values):
-        lines.append(f"{phiv!r},{float(val)!r}")
+    for phiv, val in zip(ang.phi.tolist(), ang.values.tolist()):
+        lines.append(f"{phiv!r},{val!r}")
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -70,7 +70,6 @@ class IntermediateState:
     zeta: float
     tau_imed: float
     d_imed: float
-    x_exit_imed: float
     band_inverted: bool
 
 
@@ -81,12 +80,10 @@ def intermediate(system: AtomicSystem, f: float, zeta: float) -> IntermediateSta
         raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
     geom = barrier_geometry(system, f)
     delays = delay_set(system, f)
-    d_imed = (1.0 - zeta) * geom.x_top + zeta * geom.d_b
     return IntermediateState(
         zeta=zeta,
         tau_imed=delays.tau_dion + zeta * delays.tau_db,
-        d_imed=d_imed,
-        x_exit_imed=d_imed,
+        d_imed=(1.0 - zeta) * geom.x_top + zeta * geom.d_b,
         band_inverted=geom.d_b < geom.x_top,
     )
 

@@ -8,10 +8,11 @@ the total norm is sum_lm integral |u_lm|^2 dr.  The field couples only
 the polarization plane.
 
 Propagation uses the implicit midpoint (Crank-Nicolson) step.  The
-field-free part is inverted exactly per channel (tridiagonal solves);
-the channel-coupling interaction is folded in by fixed-point iteration
-with a per-step defect tolerance, which keeps the step unitary to that
-tolerance for any dt.
+field-free part is inverted exactly by one LU-factored tridiagonal solve
+over all channels, whose off-diagonal is cut at each channel edge; the
+channel-coupling interaction, two sparse matrices assembled once, is
+folded in by fixed-point iteration with a per-step defect tolerance,
+which keeps the step unitary to that tolerance for any dt.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.sparse import csr_matrix
 
 __all__ = [
-    "ChannelCouplings",
     "PropagationError",
     "Propagator",
     "PulseParams",
@@ -35,6 +37,7 @@ __all__ = [
     "build_ground_state",
     "channel_index",
     "channel_list",
+    "coupling_operators",
     "cusp_correction",
     "envelope",
     "load_checkpoint",
@@ -57,6 +60,12 @@ DESK_POINTS = 10000
 
 class TdseConfigError(ValueError):
     """Invalid or oversized solver configuration."""
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise TdseConfigError(f"{name} must be finite, got {value}")
 
 
 class PropagationError(RuntimeError):
@@ -90,6 +99,7 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self):
+        _require_finite(dr=self.dr, r_max=self.r_max)
         if not self.dr > 0.0:
             raise ValueError(f"dr must be positive, got {self.dr}")
         if not self.r_max > self.dr:
@@ -134,6 +144,8 @@ class PulseParams:
     carrier_phase: float = 0.0
 
     def __post_init__(self):
+        _require_finite(F0=self.F0, omega=self.omega, ellipticity=self.ellipticity,
+                        carrier_phase=self.carrier_phase)
         if self.F0 < 0.0:
             raise ValueError(f"F0 must be >= 0, got {self.F0}")
         if not self.omega > 0.0:
@@ -270,55 +282,56 @@ def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[Wavefuncti
     return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(w[0])
 
 
-class ChannelCouplings:
-    """Angular coupling tables of A . p in the channel basis.
+def coupling_operators(l_max: int):
+    """Angular coupling of A . p as two sparse matrices (D+, D-).
 
     The operator splits into raising/lowering parts in m:
     H_int = -(i/2) [conj(Atilde) D+ + Atilde D-], Atilde = A_x + i A_y,
     where D+- move m by +-1 and l by +-1 and act radially as
-    (d/dr - (l+1)/r) going up in l and (d/dr + l/r) going down.  The
-    tables below hold, per edge family, source/destination channel
-    indices, the Clebsch-Gordan prefactor and the 1/r coefficient; with
-    the antisymmetric first-derivative stencil the assembled operator is
-    exactly Hermitian.
+    (d/dr - (l+1)/r) going up in l and (d/dr + l/r) going down.  Each
+    matrix has shape (n_channels, 2 n_channels) and acts on the stacked
+    radial array [du/dr ; u/r]: the left half holds the Clebsch-Gordan
+    prefactor of each edge, the right half that prefactor times the
+    edge's 1/r coefficient.  With the antisymmetric first-derivative
+    stencil the assembled operator is exactly Hermitian.
     """
-
-    def __init__(self, l_max: int):
-        self.l_max = l_max
-        fams = {"up+": [], "down+": [], "up-": [], "down-": []}
-        for l in range(l_max + 1):
-            for m in range(-l, l + 1):
-                src = channel_index(l, m)
-                if l + 1 <= l_max:
-                    c = -math.sqrt((l + m + 1) * (l + m + 2)
-                                   / ((2 * l + 1) * (2 * l + 3)))
-                    fams["up+"].append((src, channel_index(l + 1, m + 1), c, -(l + 1.0)))
-                    c = math.sqrt((l - m + 1) * (l - m + 2)
-                                  / ((2 * l + 1) * (2 * l + 3)))
-                    fams["up-"].append((src, channel_index(l + 1, m - 1), c, -(l + 1.0)))
-                if l >= 1 and abs(m + 1) <= l - 1:
-                    c = math.sqrt((l - m) * (l - m - 1) / ((2 * l - 1) * (2 * l + 1)))
-                    fams["down+"].append((src, channel_index(l - 1, m + 1), c, float(l)))
-                if l >= 1 and abs(m - 1) <= l - 1:
-                    c = -math.sqrt((l + m) * (l + m - 1) / ((2 * l - 1) * (2 * l + 1)))
-                    fams["down-"].append((src, channel_index(l - 1, m - 1), c, float(l)))
-        self.families = {}
-        for name, edges in fams.items():
-            if edges:
-                src, dst, coeff, rcoef = (np.array(col) for col in zip(*edges))
-                self.families[name] = (src.astype(np.intp), dst.astype(np.intp),
-                                       coeff[:, None], rcoef[:, None])
+    nch = (l_max + 1) ** 2
+    entries = {+1: [], -1: []}   # m step -> (row, column, value)
+    for l, m in channel_list(l_max):
+        edges = []               # (l of the destination, m step, prefactor)
+        if l < l_max:
+            norm = (2 * l + 1) * (2 * l + 3)
+            edges.append((l + 1, +1, -math.sqrt((l + m + 1) * (l + m + 2) / norm)))
+            edges.append((l + 1, -1, math.sqrt((l - m + 1) * (l - m + 2) / norm)))
+        norm = (2 * l - 1) * (2 * l + 1)
+        if l >= 1 and abs(m + 1) <= l - 1:
+            edges.append((l - 1, +1, math.sqrt((l - m) * (l - m - 1) / norm)))
+        if l >= 1 and abs(m - 1) <= l - 1:
+            edges.append((l - 1, -1, -math.sqrt((l + m) * (l + m - 1) / norm)))
+        src = channel_index(l, m)
+        for l_dst, dm, prefactor in edges:
+            dst = channel_index(l_dst, m + dm)
+            rcoef = -(l + 1.0) if l_dst > l else float(l)
+            entries[dm] += [(dst, src, prefactor), (dst, nch + src, prefactor * rcoef)]
+    ops = []
+    for dm in (+1, -1):
+        rows, cols, vals = np.array(entries[dm]).reshape(-1, 3).T
+        ops.append(csr_matrix((vals, (rows.astype(np.intp), cols.astype(np.intp))),
+                              shape=(nch, 2 * nch)))
+    return tuple(ops)
 
 
 class Propagator:
-    """Crank-Nicolson stepper with cached per-dt factorization data.
+    """Crank-Nicolson stepper with operators assembled once per dt.
 
-    One instance owns the channel diagonals, the banded (1 + i dt/2 H_atom)
-    matrices and the coupling tables for a fixed (system, grid, l_max, dt).
+    One instance owns the channel diagonals, the LU factors of the
+    block-tridiagonal (1 + i dt/2 H_atom) over all channels and the
+    coupling operators for a fixed (system, grid, l_max, dt).
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+        _require_finite(dt=dt, tol=tol)
         if not dt > 0.0:
             raise TdseConfigError(f"dt must be positive, got {dt}")
         self.system = system
@@ -331,21 +344,17 @@ class Propagator:
         nch = (l_max + 1) ** 2
         self.off = -0.5 / grid.dr ** 2
         self.inv_r = 1.0 / grid.radii()
-        self.couplings = ChannelCouplings(l_max)
+        self.dplus, self.dminus = coupling_operators(l_max)
+        self._stacked = np.empty((2 * nch, n), dtype=np.complex128)
         # per-channel diagonals, broadcast over m within each l
         self.diag = np.empty((nch, n))
-        self.l_groups = []
-        self.banded = []
         for l in range(l_max + 1):
-            d = atomic_diagonal(system.Zeff, grid, l)
-            idx = [channel_index(l, m) for m in range(-l, l + 1)]
-            self.diag[idx] = d
-            self.l_groups.append(np.array(idx, dtype=np.intp))
-            ab = np.zeros((3, n), dtype=np.complex128)
-            ab[0, 1:] = 0.5j * dt * self.off
-            ab[1] = 1.0 + 0.5j * dt * d
-            ab[2, :-1] = 0.5j * dt * self.off
-            self.banded.append(ab)
+            self.diag[channel_index(l, -l):channel_index(l, l) + 1] = \
+                atomic_diagonal(system.Zeff, grid, l)
+        # one tridiagonal over the flattened channels, cut at each channel edge
+        off = np.full(nch * n - 1, 0.5j * dt * self.off)
+        off[n - 1::n] = 0.0
+        self._lu = zgttrf(off, 1.0 + 0.5j * dt * self.diag.ravel(), off)[:5]
 
     def apply_atomic(self, psi: np.ndarray) -> np.ndarray:
         out = self.diag * psi
@@ -357,30 +366,20 @@ class Propagator:
         """A . p applied to the channel array for Atilde = A_x + i A_y."""
         if atilde == 0.0:
             return np.zeros_like(psi)
-        grad = np.empty_like(psi)
+        s = self._stacked
+        grad, over_r = s[:len(psi)], s[len(psi):]
         two_dr = 2.0 * self.grid.dr
-        grad[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / two_dr
+        np.divide(psi[:, 2:] - psi[:, :-2], two_dr, out=grad[:, 1:-1])
         grad[:, 0] = psi[:, 1] / two_dr            # u = 0 at r = 0
         grad[:, -1] = -psi[:, -2] / two_dr         # u = 0 beyond the box
-        over_r = psi * self.inv_r
-        dplus = np.zeros_like(psi)
-        dminus = np.zeros_like(psi)
-        for name, (src, dst, coeff, rcoef) in self.couplings.families.items():
-            contrib = coeff * (grad[src] + rcoef * over_r[src])
-            # destinations are unique within a family, so plain fancy
-            # indexing accumulates correctly
-            if name.endswith("+"):
-                dplus[dst] += contrib
-            else:
-                dminus[dst] += contrib
-        return -0.5j * (np.conj(atilde) * dplus + atilde * dminus)
+        np.multiply(psi, self.inv_r, out=over_r)
+        # combined before the product: one sparse product instead of two
+        h_int = (-0.5j * np.conj(atilde)) * self.dplus + (-0.5j * atilde) * self.dminus
+        return h_int @ s
 
     def _solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs)
-        for l, idx in enumerate(self.l_groups):
-            out[idx] = solve_banded((1, 1), self.banded[l], rhs[idx].T,
-                                    check_finite=False).T
-        return out
+        x, _ = zgttrs(*self._lu, rhs.reshape(-1, 1))
+        return x.reshape(rhs.shape)
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
              step_index: int = 0) -> tuple[int, float]:
@@ -433,6 +432,7 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
             f"{max_channels} channels; raise max_channels explicitly to allow this")
     if dt is None:
         dt = default_dt(system.Zeff)
+    _require_finite(dt=dt)
     if not dt > 0.0:
         raise TdseConfigError(f"dt must be positive, got {dt}")
     n_steps = int(math.ceil(pulse.duration / dt - 1e-12))

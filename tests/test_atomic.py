@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunnelqs import (
@@ -134,6 +134,7 @@ class TestDelays:
         assert d.tau_ad_as == pytest.approx(au_time_as, rel=1e-12)
 
     @given(z=z_st, frac=frac_st)
+    @example(z=81.41952318440543, frac=1.0)  # Ip^2 - 4 z F rounds below 0
     @settings(max_examples=300)
     def test_identities(self, z, frac):
         s = make_system(z)
@@ -143,8 +144,9 @@ class TestDelays:
         assert d.tau_ti * d.tau_ad == pytest.approx(1.0 / (16.0 * z * f),
                                                     rel=1e-11)
         assert d.tau_backr == pytest.approx(d.tau_ti, rel=1e-12)
-        # two algebraic forms of the ionization time
-        delta = math.sqrt(s.Ip * s.Ip - 4.0 * z * f)
+        # two algebraic forms of the ionization time; at F = F_a the
+        # barrier is closed at the top (delta = 0), as in barrier_geometry
+        delta = math.sqrt(max(s.Ip * s.Ip - 4.0 * z * f, 0.0))
         assert d.tau_ti == pytest.approx(0.5 / (s.Ip + delta), rel=1e-11)
 
     @given(z=z_st, frac=frac_st)

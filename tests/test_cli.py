@@ -251,6 +251,13 @@ class TestTdse:
         prows = [ln for ln in pol if ln and not ln.startswith("#") and
                  not ln.startswith("p,")]
         assert len(prows) == 120 * 180
+        # every cell is a plain float literal, not a numpy scalar repr
+        for table, width in ((rows, 2), (prows, 3)):
+            for row in table:
+                cells = row.split(",")
+                assert len(cells) == width
+                for cell in cells:
+                    float(cell)
         out = capsys.readouterr().out
         assert "offset angle theta" in out
         assert "ionized fraction" in out
@@ -275,6 +282,15 @@ class TestTdse:
         assert "numerical failure" in capsys.readouterr().err
         # the crash checkpoint still lands
         assert (tmp_path / "tdse_checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("flags", [["--F", "nan", "--omega", "0.8"],
+                                       ["--F", "0.5", "--omega", "inf"]])
+    def test_non_finite_input_is_config_error(self, flags, capsys):
+        rc = main(["tdse", "--Z", "1", *flags, "--dry-run"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "must be finite" in err
 
     def test_config_file_round_trip(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI_TDSE_CFG)

@@ -35,6 +35,11 @@ class TestRadialGrid:
         assert r[-1] == pytest.approx(60.0)
         assert len(r) == 600
 
+    @pytest.mark.parametrize("dr, r_max", [(math.nan, 10.0), (0.1, math.inf)])
+    def test_non_finite_rejected(self, dr, r_max):
+        with pytest.raises(TdseConfigError, match="finite"):
+            RadialGrid(dr=dr, r_max=r_max)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RadialGrid(dr=0.0, r_max=10.0)
@@ -67,6 +72,16 @@ class TestPulse:
             PulseParams(F0=1.0, omega=0.0)
         with pytest.raises(ValueError):
             PulseParams(F0=1.0, omega=1.0, ellipticity=1.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"F0": math.nan, "omega": 0.8},
+        {"F0": 0.5, "omega": math.inf},
+        {"F0": 0.5, "omega": 0.8, "ellipticity": math.nan},
+        {"F0": 0.5, "omega": 0.8, "carrier_phase": -math.inf},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(TdseConfigError, match="finite"):
+            PulseParams(**kwargs)
 
     def test_duration_two_cycles(self):
         pulse = PulseParams(F0=50.0, omega=3.0)
@@ -214,6 +229,36 @@ class TestInteraction:
         psi = np.ones((25, prop.grid.n_points), dtype=np.complex128)
         assert float(np.abs(prop.apply_interaction(psi, 0.0)).max()) == 0.0
 
+    def test_solve_inverts_atomic_half_step(self, prop):
+        # (1 + i dt/2 H_atom) applied, then solved: any coupling across a
+        # channel edge in the factorization would show at the block ends
+        rng = np.random.default_rng(9)
+        shape = (25, prop.grid.n_points)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        back = prop._solve_implicit(psi + 0.5j * prop.dt * prop.apply_atomic(psi))
+        np.testing.assert_allclose(back, psi, rtol=0.0, atol=1e-12)
+
+    def test_interaction_from_s_channel(self, prop):
+        rng = np.random.default_rng(10)
+        n = prop.grid.n_points
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi = np.zeros((25, n), dtype=np.complex128)
+        psi[channel_index(0, 0)] = u
+        atilde = complex(0.3, -0.8)
+        out = prop.apply_interaction(psi, atilde)
+        # central difference with u = 0 at r = 0 and beyond the box
+        padded = np.concatenate([[0.0], u, [0.0]])
+        radial = ((padded[2:] - padded[:-2]) / (2.0 * prop.grid.dr)
+                  - u / prop.grid.radii())
+        w = math.sqrt(2.0 / 3.0)
+        expect = np.zeros_like(psi)
+        expect[channel_index(1, 1)] = -0.5j * np.conj(atilde) * -w * radial
+        expect[channel_index(1, -1)] = -0.5j * atilde * w * radial
+        np.testing.assert_allclose(out, expect, rtol=0.0,
+                                   atol=1e-13 * np.abs(expect).max())
+        others = np.delete(out, [channel_index(1, 1), channel_index(1, -1)], axis=0)
+        assert float(np.abs(others).max()) == 0.0
+
 
 class TestSelectionRules:
     @pytest.fixture()
@@ -329,6 +374,17 @@ class TestPlanning:
         assert str(DEFAULT_MAX_CHANNELS) in str(exc.value)
         # explicit override admits the same configuration
         plan_run(s, grid, pulse, l_max=200, max_channels=50000)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_step_rejected(self, bad):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=10.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        for call in (lambda: Propagator(s, grid, 1, bad),
+                     lambda: Propagator(s, grid, 1, 0.02, tol=bad),
+                     lambda: plan_run(s, grid, pulse, 1, dt=bad)):
+            with pytest.raises(TdseConfigError, match="finite"):
+                call()
 
     def test_published_scale_warns(self):
         s = make_system(18.0)
