@@ -100,7 +100,7 @@ def resolve_settings(args, file_keys: dict, spec: dict) -> dict:
     """Merge flag values over config-file values over defaults.
 
     ``spec`` maps key -> (type, default); a default of ... marks the key
-    required.  Unknown file keys are rejected by name.
+    required.  Unknown file keys and non-finite float values are rejected.
     """
     unknown = set(file_keys) - set(spec)
     if unknown:
@@ -123,6 +123,9 @@ def resolve_settings(args, file_keys: dict, spec: dict) -> dict:
         if default is ...:
             raise ConfigError(f"missing required setting {key!r} (flag or config file)")
         resolved[key] = default
+    for key, value in resolved.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     return resolved
 
 
@@ -447,7 +450,7 @@ def cmd_tdse(args) -> int:
 
     n_steps, n_channels, warnings = plan_run(
         system, grid, pulse, resolved["l_max"], resolved["dt"],
-        max_channels=resolved["max_channels"])
+        max_channels=resolved["max_channels"], tol=resolved["tol"])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"# peak field = {_intensity_note(pulse.peak_field)}")

@@ -7,12 +7,16 @@ the total norm is sum_lm integral |u_lm|^2 dr.  The field couples only
 (l, m) -> (l +- 1, m +- 1), the signature of circular polarization in
 the polarization plane.
 
-Propagation uses the implicit midpoint (Crank-Nicolson) step.  The
-field-free part is inverted exactly by one LU-factored tridiagonal solve
-over all channels, whose off-diagonal is cut at each channel edge; the
-channel-coupling interaction, two sparse matrices assembled once, is
-folded in by fixed-point iteration with a per-step defect tolerance,
-which keeps the step unitary to that tolerance for any dt.
+Propagation uses the implicit midpoint (Crank-Nicolson) step.  Because
+A . p changes l + m by 0 or +-2, the channels split into two parity
+sectors (l + m even and odd) that never mix; the operators are assembled
+once per sector, and a step propagates only the sectors that hold
+amplitude, so a run from the (0, 0) ground state never touches the odd
+one.  Within a sector the field-free part is inverted exactly by one
+LU-factored tridiagonal solve over its channels, whose off-diagonal is
+cut at each channel edge; the channel-coupling interaction, two sparse
+matrices, is folded in by fixed-point iteration with a per-step defect
+tolerance, which keeps the step unitary to that tolerance for any dt.
 """
 
 from __future__ import annotations
@@ -68,23 +72,33 @@ def _require_finite(**values: float) -> None:
             raise TdseConfigError(f"{name} must be finite, got {value}")
 
 
+def _require_positive(**values: float) -> None:
+    _require_finite(**values)
+    for name, value in values.items():
+        if not value > 0.0:
+            raise TdseConfigError(f"{name} must be positive, got {value}")
+
+
 class PropagationError(RuntimeError):
     """Fixed-point iteration failed to reach the defect tolerance.
 
     The state passed to the failing step is left at the last good time;
-    ``t_last`` records it when the pulse driver re-raises.
+    ``t_last`` records it when the pulse driver re-raises, and
+    ``checkpoint`` the path of the crash checkpoint it wrote, if any.
     """
 
     def __init__(self, defect: float, tol: float, step: int,
-                 t_last: float | None = None):
+                 t_last: float | None = None, checkpoint=None):
         self.defect = defect
         self.tol = tol
         self.step = step
         self.t_last = t_last
+        self.checkpoint = checkpoint
         at = "" if t_last is None else f" (last good time t = {t_last:.6g})"
+        saved = "" if checkpoint is None else f"; crash checkpoint written to {checkpoint}"
         super().__init__(
             f"step {step}: defect {defect:.3e} above tolerance {tol:.1e} "
-            f"after the iteration limit{at}")
+            f"after the iteration limit{at}{saved}")
 
 
 @dataclass(frozen=True)
@@ -321,19 +335,51 @@ def coupling_operators(l_max: int):
     return tuple(ops)
 
 
+class _Sector:
+    """Operators of one l + m parity sector, assembled once per dt.
+
+    ``idx`` lists the sector's channels in the full (l, m) layout; the
+    arrays here are indexed by position in ``idx``.
+    """
+
+    def __init__(self, idx, dplus, dminus, diag, lu):
+        self.idx = idx
+        self.dplus = dplus
+        self.dminus = dminus
+        self.diag = diag
+        self.lu = lu
+        self.stacked = np.empty((2 * len(idx), diag.shape[1]), dtype=np.complex128)
+        self._atilde = None
+        self._h_int = None
+
+    def coupling(self, atilde: complex):
+        """H_int on this sector; rebuilt only when Atilde changes, i.e.
+        once per step rather than once per fixed-point iteration."""
+        if atilde != self._atilde:
+            # combined before the product: one sparse product instead of two
+            self._h_int = ((-0.5j * np.conj(atilde)) * self.dplus
+                           + (-0.5j * atilde) * self.dminus)
+            self._atilde = atilde
+        return self._h_int
+
+
 class Propagator:
     """Crank-Nicolson stepper with operators assembled once per dt.
 
-    One instance owns the channel diagonals, the LU factors of the
-    block-tridiagonal (1 + i dt/2 H_atom) over all channels and the
-    coupling operators for a fixed (system, grid, l_max, dt).
+    One instance owns, for each l + m parity sector of a fixed
+    (system, grid, l_max, dt), the sector's channel diagonals, the LU
+    factors of its block-tridiagonal (1 + i dt/2 H_atom) and its rows
+    and columns of the coupling operators.  ``apply_atomic``,
+    ``apply_interaction`` and ``_solve_implicit`` take either one
+    sector's channel array with that ``sector``, or, without it, the
+    full (l, m) layout, which they split by sector.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-        _require_finite(dt=dt, tol=tol)
-        if not dt > 0.0:
-            raise TdseConfigError(f"dt must be positive, got {dt}")
+        _require_positive(dt=dt, tol=tol)
+        if max_iter < 1:
+            raise TdseConfigError(f"max_iter must be >= 1, got {max_iter}")
         self.system = system
         self.grid = grid
         self.l_max = l_max
@@ -344,67 +390,102 @@ class Propagator:
         nch = (l_max + 1) ** 2
         self.off = -0.5 / grid.dr ** 2
         self.inv_r = 1.0 / grid.radii()
-        self.dplus, self.dminus = coupling_operators(l_max)
-        self._stacked = np.empty((2 * nch, n), dtype=np.complex128)
-        # per-channel diagonals, broadcast over m within each l
-        self.diag = np.empty((nch, n))
-        for l in range(l_max + 1):
-            self.diag[channel_index(l, -l):channel_index(l, l) + 1] = \
-                atomic_diagonal(system.Zeff, grid, l)
-        # one tridiagonal over the flattened channels, cut at each channel edge
-        off = np.full(nch * n - 1, 0.5j * dt * self.off)
-        off[n - 1::n] = 0.0
-        self._lu = zgttrf(off, 1.0 + 0.5j * dt * self.diag.ravel(), off)[:5]
+        dplus, dminus = coupling_operators(l_max)
+        diag_by_l = [atomic_diagonal(system.Zeff, grid, l) for l in range(l_max + 1)]
+        self.sectors = []
+        for parity in (0, 1):
+            channels = [(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == parity]
+            if not channels:
+                continue  # l_max = 0 has no odd sector
+            idx = np.array([channel_index(l, m) for l, m in channels])
+            cols = np.concatenate([idx, nch + idx])
+            diag = np.array([diag_by_l[l] for l, _ in channels])
+            # one tridiagonal over the sector's channels, cut at each channel edge
+            off = np.full(diag.size - 1, 0.5j * dt * self.off)
+            off[n - 1::n] = 0.0
+            lu = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
+            self.sectors.append(_Sector(idx, dplus[idx][:, cols], dminus[idx][:, cols],
+                                        diag, lu))
 
-    def apply_atomic(self, psi: np.ndarray) -> np.ndarray:
-        out = self.diag * psi
+    def _by_sector(self, method, arr: np.ndarray, *args) -> np.ndarray:
+        """Apply a sector method to a full (l, m) layout array."""
+        out = np.empty(arr.shape, dtype=np.complex128)
+        for sec in self.sectors:
+            out[sec.idx] = method(arr[sec.idx], *args, sector=sec)
+        return out
+
+    def apply_atomic(self, psi: np.ndarray, sector: _Sector | None = None) -> np.ndarray:
+        if sector is None:
+            return self._by_sector(self.apply_atomic, psi)
+        out = sector.diag * psi
         out[:, :-1] += self.off * psi[:, 1:]
         out[:, 1:] += self.off * psi[:, :-1]
         return out
 
-    def apply_interaction(self, psi: np.ndarray, atilde: complex) -> np.ndarray:
+    def apply_interaction(self, psi: np.ndarray, atilde: complex,
+                          sector: _Sector | None = None) -> np.ndarray:
         """A . p applied to the channel array for Atilde = A_x + i A_y."""
         if atilde == 0.0:
             return np.zeros_like(psi)
-        s = self._stacked
+        if sector is None:
+            return self._by_sector(self.apply_interaction, psi, atilde)
+        s = sector.stacked
         grad, over_r = s[:len(psi)], s[len(psi):]
         two_dr = 2.0 * self.grid.dr
         np.divide(psi[:, 2:] - psi[:, :-2], two_dr, out=grad[:, 1:-1])
         grad[:, 0] = psi[:, 1] / two_dr            # u = 0 at r = 0
         grad[:, -1] = -psi[:, -2] / two_dr         # u = 0 beyond the box
         np.multiply(psi, self.inv_r, out=over_r)
-        # combined before the product: one sparse product instead of two
-        h_int = (-0.5j * np.conj(atilde)) * self.dplus + (-0.5j * atilde) * self.dminus
-        return h_int @ s
+        return sector.coupling(atilde) @ s
 
-    def _solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
-        x, _ = zgttrs(*self._lu, rhs.reshape(-1, 1))
+    def _solve_implicit(self, rhs: np.ndarray, sector: _Sector | None = None) -> np.ndarray:
+        if sector is None:
+            return self._by_sector(self._solve_implicit, rhs)
+        x, _ = zgttrs(*sector.lu, rhs.reshape(-1, 1))
         return x.reshape(rhs.shape)
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
              step_index: int = 0) -> tuple[int, float]:
-        """Advance the state by dt in place; returns (iterations, defect)."""
-        dt = self.dt
-        ax, ay = vector_potential(pulse, state.t + 0.5 * dt)
+        """Advance the state by dt in place; returns (iterations, defect).
+
+        Only the parity sectors holding amplitude are propagated; an empty
+        sector is exactly zero and stays so.  Each sector iterates to the
+        tolerance on its own, and the step reports the largest iteration
+        count and defect over the propagated sectors.
+        """
+        ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
         atilde = complex(ax, ay)
-        psi = state.psi
-        b = psi - 0.5j * dt * (self.apply_atomic(psi)
-                               + self.apply_interaction(psi, atilde))
+        iterations, defect, done = 0, 0.0, []
+        for sec in self.sectors:
+            psi = state.psi[sec.idx]
+            if psi.any():
+                new, it, d = self._step_sector(psi, atilde, sec, step_index)
+                done.append((sec.idx, new))
+                iterations, defect = max(iterations, it), max(defect, d)
+        # written back only once every sector has converged
+        for idx, new in done:
+            state.psi[idx] = new
+        state.t += self.dt
+        return iterations, defect
+
+    def _step_sector(self, psi: np.ndarray, atilde: complex, sec: _Sector,
+                     step_index: int) -> tuple[np.ndarray, int, float]:
+        dt = self.dt
         if atilde == 0.0:
-            new = self._solve_implicit(b)
-            state.psi = new
-            state.t += dt
-            return 1, 0.0
+            return self._solve_implicit(psi - 0.5j * dt * self.apply_atomic(psi, sec),
+                                        sec), 1, 0.0
+        # H_int psi enters both b and the first iterate, which starts at x = psi
+        h_x = self.apply_interaction(psi, atilde, sec)
+        b = psi - 0.5j * dt * (self.apply_atomic(psi, sec) + h_x)
         x = psi
         scale = math.sqrt(self.grid.dr)
         for it in range(1, self.max_iter + 1):
-            xn = self._solve_implicit(b - 0.5j * dt * self.apply_interaction(x, atilde))
+            xn = self._solve_implicit(b - 0.5j * dt * h_x, sec)
             defect = float(np.linalg.norm(xn - x)) * scale
-            x = xn
             if defect <= self.tol:
-                state.psi = x
-                state.t += dt
-                return it, defect
+                return xn, it, defect
+            x = xn
+            h_x = self.apply_interaction(x, atilde, sec)
         raise PropagationError(defect, self.tol, step_index)
 
 
@@ -415,11 +496,12 @@ def default_dt(zeff: float) -> float:
 
 def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
              dt: float | None = None,
-             max_channels: int = DEFAULT_MAX_CHANNELS) -> tuple[int, int, list[str]]:
+             max_channels: int = DEFAULT_MAX_CHANNELS,
+             tol: float = DEFAULT_TOL) -> tuple[int, int, list[str]]:
     """Validate a run and report (n_steps, n_channels, warnings).
 
     Raises :class:`TdseConfigError` when the channel count exceeds the
-    memory guard.  Oversized-but-allowed configurations come back with a
+    memory guard or dt or tol is not a positive finite number.  Oversized-but-allowed configurations come back with a
     warning instead of an error, so published-scale parameters can be
     planned on a desk machine without being run by accident.
     """
@@ -432,9 +514,7 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
             f"{max_channels} channels; raise max_channels explicitly to allow this")
     if dt is None:
         dt = default_dt(system.Zeff)
-    _require_finite(dt=dt)
-    if not dt > 0.0:
-        raise TdseConfigError(f"dt must be positive, got {dt}")
+    _require_positive(dt=dt, tol=tol)
     n_steps = int(math.ceil(pulse.duration / dt - 1e-12))
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS:
@@ -473,7 +553,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     t = T1.  The tail fraction in the two highest l blocks is the usual
     check that l_max was large enough for the chosen intensity.
     """
-    _, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels)
+    _, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol)
     if dt is None:
         dt = default_dt(system.Zeff)
     state, energy0 = build_ground_state(system, grid, l_max)
@@ -517,8 +597,8 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     except PropagationError as exc:
         if checkpoint_path:
             save_checkpoint(checkpoint_path, state, system)
-        raise PropagationError(exc.defect, exc.tol, exc.step,
-                               t_last=state.t) from None
+        raise PropagationError(exc.defect, exc.tol, exc.step, t_last=state.t,
+                               checkpoint=checkpoint_path or None) from None
 
     pops = state.populations_by_l()
     total = pops.sum()
@@ -545,20 +625,25 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
 
 
 def save_checkpoint(path, state: WavefunctionState, system) -> None:
-    """Versioned binary dump of (grid, system, channel amplitudes, time)."""
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        dr=state.grid.dr,
-        r_max=state.grid.r_max,
-        l_max=np.int64(state.l_max),
-        t=state.t,
-        psi=state.psi,
-        Z=system.Z,
-        Zeff=system.Zeff,
-        Ip=system.Ip,
-        relativistic=np.int64(1 if system.relativistic else 0),
-    )
+    """Versioned binary dump of (grid, system, channel amplitudes, time).
+
+    Written to ``path`` exactly as given: through an open file, numpy adds
+    no ``.npz`` suffix, so the path a crash reports is the file on disk.
+    """
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            version=np.int64(CHECKPOINT_VERSION),
+            dr=state.grid.dr,
+            r_max=state.grid.r_max,
+            l_max=np.int64(state.l_max),
+            t=state.t,
+            psi=state.psi,
+            Z=system.Z,
+            Zeff=system.Zeff,
+            Ip=system.Ip,
+            relativistic=np.int64(1 if system.relativistic else 0),
+        )
 
 
 def load_checkpoint(path):

@@ -205,6 +205,21 @@ class TestConfigFiles:
         assert main(["delays", "--config", str(cfg)]) == EXIT_CONFIG
         assert "banana" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["delays", "--Z", "nan", "--F", "0.05"],
+        ["tdse", "--Z", "nan", "--F", "0.5", "--omega", "0.8", "--dry-run"],
+        ["scan", "--Z", "1", "--F", "nan"],
+        ["critical-fields", "--Z", "inf"],
+    ])
+    def test_non_finite_flag_rejected(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_file_value_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "Z = 1\nF = -inf\n")
+        assert main(["delays", "--config", cfg]) == EXIT_CONFIG
+        assert "F must be finite" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["delays", "--config", "/nonexistent/x.cfg",
                      "--Z", "1", "--F", "0.05"]) == EXIT_CONFIG
@@ -282,6 +297,18 @@ class TestTdse:
         assert "numerical failure" in capsys.readouterr().err
         # the crash checkpoint still lands
         assert (tmp_path / "tdse_checkpoint.npz").exists()
+
+    def test_failure_prints_checkpoint_path(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 1\n"
+                                  "r_max = 10\ntol = 1e-30\n")
+        rc = main(["tdse", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERICAL
+        assert str(tmp_path / "tdse_checkpoint.npz") in capsys.readouterr().err
+
+    def test_zero_tol_rejected_on_dry_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\ntol = 0\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
+        assert "tol must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--F", "nan", "--omega", "0.8"],
                                        ["--F", "0.5", "--omega", "inf"]])

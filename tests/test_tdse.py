@@ -292,6 +292,56 @@ class TestSelectionRules:
         assert second > 1e3 * third > 0.0
 
 
+class TestParitySectors:
+    """A . p keeps l + m parity, so the even and odd channels are two
+    independent problems; a step propagates each occupied one."""
+
+    @pytest.fixture()
+    def setup(self):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=30.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        return grid, pulse, Propagator(s, grid, 3, 0.02)
+
+    @staticmethod
+    def _state(grid, pulse, channels):
+        r = grid.radii()
+        psi = np.zeros((16, grid.n_points), dtype=np.complex128)
+        for l, m in channels:
+            psi[channel_index(l, m)] = r ** (l + 1) * np.exp(-r / (l + 1))
+        psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dr)
+        # field well on
+        return WavefunctionState(grid=grid, l_max=3, psi=psi, t=0.45 * pulse.duration)
+
+    def test_odd_sector_propagated(self, setup):
+        grid, pulse, prop = setup
+        state = self._state(grid, pulse, [(1, 0)])
+        norm0 = state.norm()
+        for _ in range(20):
+            prop.step(state, pulse)
+        pops = state.populations()
+        assert abs(state.norm() - norm0) < 1e-8
+        assert pops[channel_index(2, 1)] > 1e-7
+        assert pops[channel_index(2, -1)] > 1e-7
+        even = [channel_index(l, m) for l, m in channel_list(3) if (l + m) % 2 == 0]
+        assert np.all(state.psi[even] == 0.0)
+
+    def test_mixed_state_steps_as_sum_of_sectors(self, setup):
+        grid, pulse, prop = setup
+        mixed = self._state(grid, pulse, [(0, 0), (1, 0)])
+        parts = []
+        for parity in (0, 1):
+            part = mixed.copy()
+            for l, m in channel_list(3):
+                if (l + m) % 2 != parity:
+                    part.psi[channel_index(l, m)] = 0.0
+            prop.step(part, pulse)
+            parts.append(part.psi)
+        prop.step(mixed, pulse)
+        np.testing.assert_allclose(mixed.psi, parts[0] + parts[1],
+                                   rtol=0.0, atol=prop.tol)
+
+
 class TestPropagation:
     def test_field_free_survival(self):
         s = make_system(1.0)
@@ -386,6 +436,22 @@ class TestPlanning:
             with pytest.raises(TdseConfigError, match="finite"):
                 call()
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-10])
+    def test_non_positive_tol_rejected(self, bad):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=10.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        for call in (lambda: Propagator(s, grid, 1, 0.02, tol=bad),
+                     lambda: plan_run(s, grid, pulse, 1, dt=0.02, tol=bad)):
+            with pytest.raises(TdseConfigError, match="tol must be positive"):
+                call()
+
+    def test_max_iter_below_one_rejected(self):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=10.0)
+        with pytest.raises(TdseConfigError, match="max_iter"):
+            Propagator(s, grid, 1, 0.02, max_iter=0)
+
     def test_published_scale_warns(self):
         s = make_system(18.0)
         grid = RadialGrid(dr=0.1, r_max=400.0)
@@ -438,8 +504,10 @@ class TestCheckpoint:
         s = make_system(1.0)
         grid = RadialGrid(dr=0.5, r_max=10.0)
         pulse = PulseParams(F0=10.0, omega=1.0)
-        path = tmp_path / "crash.npz"
+        path = tmp_path / "crash"   # no suffix: the reported path must exist as given
         with pytest.raises(PropagationError) as exc:
             run_pulse(s, grid, pulse, l_max=1, dt=0.5, checkpoint_path=path)
         loaded, _ = load_checkpoint(path)
         assert loaded.t == pytest.approx(exc.value.t_last, rel=1e-12)
+        assert exc.value.checkpoint == path
+        assert str(path) in str(exc.value)
