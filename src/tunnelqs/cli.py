@@ -5,15 +5,25 @@ Subcommands: ``delays``, ``scan``, ``zeta-qs``, ``critical-fields``,
 a.u. and attoseconds, and field strengths get an informational intensity
 in W/cm^2.
 
-Configuration comes from an optional flat key=value file (``--config``)
-with command-line flags taking precedence.  Every output embeds the
-fully resolved configuration, in ``# key=value`` comment lines for CSV
-and under a ``config`` key for JSON, so any result can be reproduced
-from its own metadata.  Relative output paths honor the
-``TUNNELQS_OUT_DIR`` environment variable.
+Each subcommand has one settings table (``DELAYS_SPEC`` ...) mapping a
+key to its type, default and flag help; the parser makes one ``--key``
+flag per entry with a help (tdse's ``--F`` sets ``F0``), and entries
+with no help are config-file only.  The other flags are ``--config``,
+``--out``, ``--format`` and tdse's ``--dry-run``.  Settings come from an
+optional flat key=value file (``--config``) with flags taking
+precedence.  Every output embeds the fully resolved configuration, in
+``# key=value`` comment lines for CSV and under a ``config`` key for
+JSON, so any result can be reproduced from its own metadata.  Relative
+output paths honor the ``TUNNELQS_OUT_DIR`` environment variable.
 
-Exit codes: 0 success, 2 configuration error, 3 domain error (invalid
-physical inputs, barrier-suppression regime), 4 numerical failure.
+``delays``, ``zeta-qs`` and ``critical-fields`` each build one payload
+and its text lines; ``print_report`` prints either and writes the
+payload to ``--out``.
+
+Exit codes: 0 success, 2 configuration error (also a setting that would
+change nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs`` thick
+without F, ``tdse`` rel), 3 domain error (invalid physical inputs,
+barrier-suppression regime), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -96,19 +106,21 @@ def _parse_bool(text: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {text!r}")
 
 
-def resolve_settings(args, file_keys: dict, spec: dict) -> dict:
-    """Merge flag values over config-file values over defaults.
+def resolve_settings(args, spec: dict) -> dict:
+    """Merge flag values over ``--config`` file values over defaults.
 
-    ``spec`` maps key -> (type, default); a default of ... marks the key
-    required.  Unknown file keys and non-finite float values are rejected.
+    ``spec`` maps key -> (type, default, flag help); a default of ...
+    marks the key required.  Unknown file keys and non-finite float
+    values are rejected.
     """
+    file_keys = read_config_file(args.config) if args.config else {}
     unknown = set(file_keys) - set(spec)
     if unknown:
         raise ConfigError(
             f"unknown config keys: {', '.join(sorted(unknown))}; "
             f"known keys: {', '.join(sorted(spec))}")
     resolved = {}
-    for key, (typ, default) in spec.items():
+    for key, (typ, default, _) in spec.items():
         flag = getattr(args, key, None)
         if flag is not None and flag is not False:
             resolved[key] = flag
@@ -137,8 +149,13 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def config_echo(resolved: dict) -> dict[str, str]:
+    """The settings as every output records them; unset ones are left out."""
+    return {k: _fmt_value(v) for k, v in resolved.items() if v is not None}
+
+
 def config_lines(resolved: dict) -> list[str]:
-    return [f"{k}={_fmt_value(v)}" for k, v in resolved.items() if v is not None]
+    return [f"{k}={v}" for k, v in config_echo(resolved).items()]
 
 
 def resolve_out_path(path: str) -> Path:
@@ -175,21 +192,42 @@ def _system_from(resolved: dict):
                        relativistic=bool(resolved.get("rel", False)))
 
 
+def print_report(args, resolved: dict, payload: dict, lines: list[str]) -> int:
+    """Print the payload (after its config echo) as JSON, or its text
+    lines, and write it as JSON to ``--out`` when given."""
+    payload = {"config": config_echo(resolved), **payload}
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, allow_nan=False))
+    else:
+        print("\n".join(lines))
+    if args.out:
+        path = resolve_out_path(args.out)
+        _write_json(path, payload)
+        print(f"wrote report to {path}", file=sys.stderr)
+    return EXIT_OK
+
+
+# Settings tables: key -> (type, default, flag help).  A default of ...
+# marks the key required; a help of None makes it config-file only.
+ATOM_SPEC = {
+    "Z": (float, ..., "nuclear charge"),
+    "Zeff": (float, None, "effective charge (default Z)"),
+    "rel": (bool, False, "relativistic ionization potential"),
+}
+
 # ---------------------------------------------------------------- delays
 
 DELAYS_SPEC = {
-    "Z": (float, ...),
-    "Zeff": (float, None),
-    "rel": (bool, False),
-    "F": (float, ...),
-    "omega": (float, None),
-    "zeta": (float, 0.5),
+    **ATOM_SPEC,
+    "F": (float, ..., "field strength (a.u.)"),
+    "omega": (float, None, "laser frequency (a.u.)"),
+    "zeta": (float, 0.5, "intermediate switching parameter"),
 }
 
+DELAY_NAMES = ("tau_a", "tau_ti", "tau_ad", "tau_dion", "tau_db", "tau_backr")
 
-def cmd_delays(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    resolved = resolve_settings(args, file_cfg, DELAYS_SPEC)
+
+def cmd_delays(args, resolved: dict) -> int:
     system = _system_from(resolved)
     f = resolved["F"]
     delays = delay_set(system, f)
@@ -197,7 +235,6 @@ def cmd_delays(args) -> int:
     report = qs_report(system, f, resolved["zeta"])
 
     payload = {
-        "config": {k: _fmt_value(v) for k, v in resolved.items() if v is not None},
         "Ip": system.Ip,
         "F_a": system.f_atomic,
         "delta_z": geom.delta_z,
@@ -206,16 +243,8 @@ def cmd_delays(args) -> int:
         "x_top": geom.x_top,
         "d_b": geom.d_b,
         "d_c": geom.d_c,
-        "delays_au": {
-            "tau_a": delays.tau_a, "tau_ti": delays.tau_ti,
-            "tau_ad": delays.tau_ad, "tau_dion": delays.tau_dion,
-            "tau_db": delays.tau_db, "tau_backr": delays.tau_backr,
-        },
-        "delays_as": {
-            "tau_a": delays.tau_a_as, "tau_ti": delays.tau_ti_as,
-            "tau_ad": delays.tau_ad_as, "tau_dion": delays.tau_dion_as,
-            "tau_db": delays.tau_db_as, "tau_backr": delays.tau_backr_as,
-        },
+        "delays_au": {n: getattr(delays, n) for n in DELAY_NAMES},
+        "delays_as": {n: getattr(delays, f"{n}_as") for n in DELAY_NAMES},
         "quotients": {
             "q_db": report.q_db, "q_ad": report.q_ad, "q_nad": report.q_nad,
             "q_imed_a": report.q_imed_a, "q_imed_b": report.q_imed_b,
@@ -229,65 +258,59 @@ def cmd_delays(args) -> int:
             "nad": report.superluminal_nad, "imed": report.superluminal_imed,
         },
     }
+    lines = [
+        f"# F = {_intensity_note(f)}",
+        f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  "
+        f"Ip = {system.Ip:.10g} a.u.  F_a = {system.f_atomic:.10g} a.u.",
+        f"barrier: delta_z = {geom.delta_z:.10g}  d_B = {geom.d_b:.10g}  "
+        f"d_c = {geom.d_c:.10g}  x_top = {geom.x_top:.10g}",
+        *(f"{name:10s} = {_au_as(getattr(delays, name))}" for name in DELAY_NAMES),
+    ]
     if resolved["omega"] is not None:
         photon = photon_absorption_delay(system, f, resolved["omega"])
         payload["n_photons"] = photon.n_photons
         payload["tau_nph_au"] = photon.tau_nph
         payload["keldysh_gamma"] = keldysh_gamma(system, f, resolved["omega"])
-
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(f"# F = {_intensity_note(f)}")
-        print(f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  "
-              f"Ip = {system.Ip:.10g} a.u.  F_a = {system.f_atomic:.10g} a.u.")
-        print(f"barrier: delta_z = {geom.delta_z:.10g}  d_B = {geom.d_b:.10g}  "
-              f"d_c = {geom.d_c:.10g}  x_top = {geom.x_top:.10g}")
-        for name in ("tau_a", "tau_ti", "tau_ad", "tau_dion", "tau_db", "tau_backr"):
-            print(f"{name:10s} = {_au_as(getattr(delays, name))}")
-        if "n_photons" in payload:
-            print(f"{'tau_nph':10s} = {_au_as(payload['tau_nph_au'])}  "
-                  f"(n = {payload['n_photons']:.6g}, "
-                  f"gamma_K = {payload['keldysh_gamma']:.6g})")
-        print(f"quotients: Q_dB = {report.q_db:.6g}  Q_Ad = {report.q_ad:.6g}  "
+        lines.append(f"{'tau_nph':10s} = {_au_as(photon.tau_nph)}  "
+                     f"(n = {photon.n_photons:.6g}, "
+                     f"gamma_K = {payload['keldysh_gamma']:.6g})")
+    flags = [k for k, v in payload["superluminal"].items() if v]
+    lines += [f"quotients: Q_dB = {report.q_db:.6g}  Q_Ad = {report.q_ad:.6g}  "
               f"Q_Nad = {report.q_nad:.6g}  "
-              f"Q_imed(zeta={resolved['zeta']:g}) = {report.q_imed_b:.6g}")
-        flags = [k for k, v in payload["superluminal"].items() if v]
-        print("superluminal channels: " + (", ".join(flags) if flags else "none"))
-    if args.out:
-        path = resolve_out_path(args.out)
-        _write_json(path, payload)
-        print(f"wrote report to {path}", file=sys.stderr)
-    return EXIT_OK
+              f"Q_imed(zeta={resolved['zeta']:g}) = {report.q_imed_b:.6g}",
+              "superluminal channels: " + (", ".join(flags) if flags else "none")]
+    return print_report(args, resolved, payload, lines)
 
 
 # ------------------------------------------------------------------ scan
 
 SCAN_SPEC = {
-    "preset": (str, None),
-    "Z": (float, None),
-    "Zeff": (float, None),
-    "rel": (bool, False),
-    "F": (float, None),
-    "zeta": (float, None),
-    "workers": (int, 0),
+    "preset": (str, None, "preset name, e.g. fig4"),
+    "Z": (float, None, "nuclear charge for a single point"),
+    "rel": ATOM_SPEC["rel"],
+    "F": (float, None, "field strength for a single point"),
+    "zeta": (float, None, "intermediate switching parameter for a single point"),
+    "workers": (int, 0, "parallel workers (0 = serial)"),
 }
 
+POINT_KEYS = ("Z", "F", "zeta")
 
-def cmd_scan(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    resolved = resolve_settings(args, file_cfg, SCAN_SPEC)
+
+def cmd_scan(args, resolved: dict) -> int:
     if resolved["preset"] is not None:
+        # a preset fixes its whole grid, so a point setting would only
+        # mislabel the table's provenance header
+        clash = [k for k in (*POINT_KEYS, "rel")
+                 if resolved[k] is not None and resolved[k] is not False]
+        if clash:
+            raise ConfigError(f"preset {resolved['preset']!r} fixes its own grid; "
+                              f"it cannot be combined with {', '.join(clash)}")
         try:
             records = run_preset(resolved["preset"], workers=resolved["workers"])
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
     elif resolved["Z"] is not None and resolved["F"] is not None:
-        fixed = {"Z": resolved["Z"], "F": resolved["F"]}
-        if resolved["Zeff"] is not None:
-            fixed["Zeff"] = resolved["Zeff"]
-        if resolved["zeta"] is not None:
-            fixed["zeta"] = resolved["zeta"]
+        fixed = {k: resolved[k] for k in POINT_KEYS if resolved[k] is not None}
         grid = ScanGrid(fixed=fixed, axes=(), relativistic=resolved["rel"])
         records = run_scan(grid, workers=resolved["workers"])
     else:
@@ -296,17 +319,15 @@ def cmd_scan(args) -> int:
     # workers is an execution detail, not provenance: the emitted table is
     # byte-identical for any worker count, and the echo must not break that
     echo_src = {k: v for k, v in resolved.items() if k != "workers"}
-    comments = config_lines(echo_src)
-    config_echo = {k: _fmt_value(v) for k, v in echo_src.items() if v is not None}
+    emit = dict(fmt=args.format, header_comments=config_lines(echo_src),
+                config=config_echo(echo_src))
     if args.out:
         path = resolve_out_path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        emit_table(records, fmt=args.format, dest=path,
-                   header_comments=comments, config=config_echo)
+        emit_table(records, dest=path, **emit)
         print(f"wrote {len(records)} rows to {path}")
     else:
-        sys.stdout.write(emit_table(records, fmt=args.format,
-                                    header_comments=comments, config=config_echo))
+        sys.stdout.write(emit_table(records, **emit))
         print(f"{len(records)} rows", file=sys.stderr)
     return EXIT_OK
 
@@ -314,132 +335,101 @@ def cmd_scan(args) -> int:
 # --------------------------------------------------------------- zeta-qs
 
 ZETA_SPEC = {
-    "Z": (float, ...),
-    "Zeff": (float, None),
-    "rel": (bool, False),
-    "F": (float, None),
-    "thick": (bool, False),
+    **ATOM_SPEC,
+    "F": (float, None, "field strength; omit for the small-field limit"),
+    "thick": (bool, False, "thick-barrier variant (needs F)"),
 }
 
 
-def cmd_zeta_qs(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    resolved = resolve_settings(args, file_cfg, ZETA_SPEC)
-    system = _system_from(resolved)
-    f = resolved["F"]
-    mode = "smallF" if f is None else ("thick" if resolved["thick"] else "exact")
-    root = zeta_qs(system, f, mode=mode)
-    fields = critical_fields(system)
-
-    payload = {
-        "config": {k: _fmt_value(v) for k, v in resolved.items() if v is not None},
-        "mode": mode,
+def _window(system, fields) -> dict:
+    return {
         "Ip": system.Ip,
         "F_a": fields.f_atomic,
         "F_c": fields.f_crit,
         "F_zeta1": fields.f_zeta1,
         "window_nonempty": fields.window_nonempty,
     }
+
+
+def cmd_zeta_qs(args, resolved: dict) -> int:
+    f = resolved["F"]
+    if resolved["thick"] and f is None:
+        raise ConfigError("thick needs F: the small-field limit has no "
+                          "thick-barrier variant")
+    system = _system_from(resolved)
+    mode = "smallF" if f is None else ("thick" if resolved["thick"] else "exact")
+    root = zeta_qs(system, f, mode=mode)
+    fields = critical_fields(system)
+
+    payload = {"mode": mode, **_window(system, fields)}
+    lines = [f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  mode = {mode}",
+             f"window: F_c = {fields.f_crit:.10g}  F_a = {fields.f_atomic:.10g}  "
+             f"nonempty = {_fmt_value(fields.window_nonempty)}"]
+    if fields.f_zeta1 is not None:
+        lines.append(f"F_zeta1 = {fields.f_zeta1:.10g}")
     if root is None:
         # Q is monotone in zeta, so one probe decides the side
         probe_f = f if f is not None else system.f_atomic * 1e-9
         side = "superluminal" if q_imed_b(system, probe_f, 0.5) < 1.0 else "subluminal"
         payload["zeta_qs"] = None
         payload["verdict"] = f"{side} for all zeta in [0, 1]"
+        lines.append(f"no root: {payload['verdict']}")
     else:
         payload["zeta_qs"] = root.zeta
         payload["residual"] = root.residual
         payload["method"] = root.method
-
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  mode = {mode}")
-        print(f"window: F_c = {fields.f_crit:.10g}  F_a = {fields.f_atomic:.10g}  "
-              f"nonempty = {_fmt_value(fields.window_nonempty)}")
-        if fields.f_zeta1 is not None:
-            print(f"F_zeta1 = {fields.f_zeta1:.10g}")
-        if root is None:
-            print(f"no root: {payload['verdict']}")
-        else:
-            print(f"zeta_QS = {root.zeta:.10g}  (|Q-1| = {root.residual:.3e}, "
-                  f"{root.method})")
-    if args.out:
-        path = resolve_out_path(args.out)
-        _write_json(path, payload)
-        print(f"wrote report to {path}", file=sys.stderr)
-    return EXIT_OK
+        lines.append(f"zeta_QS = {root.zeta:.10g}  (|Q-1| = {root.residual:.3e}, "
+                     f"{root.method})")
+    return print_report(args, resolved, payload, lines)
 
 
 # -------------------------------------------------------- critical-fields
 
-CRIT_SPEC = {
-    "Z": (float, ...),
-    "Zeff": (float, None),
-    "rel": (bool, False),
-}
+CRIT_SPEC = ATOM_SPEC
 
 
-def cmd_critical_fields(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    resolved = resolve_settings(args, file_cfg, CRIT_SPEC)
+def cmd_critical_fields(args, resolved: dict) -> int:
     system = _system_from(resolved)
     fields = critical_fields(system)
-    payload = {
-        "config": {k: _fmt_value(v) for k, v in resolved.items() if v is not None},
-        "Ip": system.Ip,
-        "F_a": fields.f_atomic,
-        "F_c": fields.f_crit,
-        "F_zeta1": fields.f_zeta1,
-        "window_nonempty": fields.window_nonempty,
-    }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  "
-              f"relativistic = {_fmt_value(system.relativistic)}")
-        print(f"Ip      = {system.Ip:.10g} a.u.")
-        print(f"F_a     = {_intensity_note(fields.f_atomic)}")
-        print(f"F_c     = {_intensity_note(fields.f_crit)}")
-        if fields.f_zeta1 is not None:
-            print(f"F_zeta1 = {_intensity_note(fields.f_zeta1)}")
-        else:
-            print("F_zeta1 = none (adiabatic end never crosses Q = 1)")
-        print(f"window nonempty: {_fmt_value(fields.window_nonempty)}")
-    if args.out:
-        path = resolve_out_path(args.out)
-        _write_json(path, payload)
-        print(f"wrote report to {path}", file=sys.stderr)
-    return EXIT_OK
+    lines = [f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  "
+             f"relativistic = {_fmt_value(system.relativistic)}",
+             f"Ip      = {system.Ip:.10g} a.u.",
+             f"F_a     = {_intensity_note(fields.f_atomic)}",
+             f"F_c     = {_intensity_note(fields.f_crit)}",
+             f"F_zeta1 = {_intensity_note(fields.f_zeta1)}"
+             if fields.f_zeta1 is not None
+             else "F_zeta1 = none (adiabatic end never crosses Q = 1)",
+             f"window nonempty: {_fmt_value(fields.window_nonempty)}"]
+    return print_report(args, resolved, _window(system, fields), lines)
 
 
 # ------------------------------------------------------------------ tdse
 
 TDSE_SPEC = {
-    "Z": (float, ...),
-    "Zeff": (float, None),
-    "rel": (bool, False),
-    "F0": (float, ...),
-    "omega": (float, ...),
-    "ellipticity": (float, 1.0),
-    "carrier_phase": (float, 0.0),
-    "l_max": (int, 8),
-    "dr": (float, 0.1),
-    "r_max": (float, 60.0),
-    "dt": (float, None),
-    "tol": (float, 1e-10),
-    "max_channels": (int, 16384),
-    "p_min": (float, 0.05),
-    "p_max": (float, 2.5),
-    "n_p": (int, 200),
-    "n_phi": (int, 720),
-    "checkpoint_every": (int, 0),
+    **ATOM_SPEC,
+    "rel": (bool, False, "not supported: the TDSE uses only Zeff (exit 2)"),
+    "F0": (float, ..., "field-strength parameter F0 (peak field F0/sqrt(1+eps^2))"),
+    "omega": (float, ..., "carrier frequency (a.u.)"),
+    "ellipticity": (float, 1.0, None),
+    "carrier_phase": (float, 0.0, None),
+    "l_max": (int, 8, None),
+    "dr": (float, 0.1, None),
+    "r_max": (float, 60.0, None),
+    "dt": (float, None, None),
+    "tol": (float, 1e-10, None),
+    "max_channels": (int, 16384, None),
+    "p_min": (float, 0.05, None),
+    "p_max": (float, 2.5, None),
+    "n_p": (int, 200, None),
+    "n_phi": (int, 720, None),
+    "checkpoint_every": (int, 0, None),
 }
 
 
-def cmd_tdse(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    resolved = resolve_settings(args, file_cfg, TDSE_SPEC)
+def cmd_tdse(args, resolved: dict) -> int:
+    if resolved["rel"]:
+        raise ConfigError("rel = true changes nothing here: the TDSE uses only "
+                          "Zeff, not the relativistic ionization potential")
     system = _system_from(resolved)
     grid = RadialGrid(dr=resolved["dr"], r_max=resolved["r_max"])
     pulse = PulseParams(F0=resolved["F0"], omega=resolved["omega"],
@@ -481,9 +471,8 @@ def cmd_tdse(args) -> int:
     p = np.linspace(resolved["p_min"], resolved["p_max"], resolved["n_p"])
     amps = project_scattering_states(result.state, system, p)
     total = amps.total_ionized()
-    config_echo = {k: _fmt_value(v) for k, v in resolved.items() if v is not None}
     report = {
-        "config": config_echo,
+        "config": config_echo(resolved),
         "energy0": result.energy0,
         "steps": result.steps,
         "norm_initial": result.norm_initial,
@@ -554,6 +543,24 @@ def _write_angular_csv(path: Path, ang, comments) -> None:
 
 # ------------------------------------------------------------------ main
 
+# name, help, settings table, handler, --format choices (first = default)
+COMMANDS = (
+    ("delays", "tunneling delays and quotients at one (Z, F)",
+     DELAYS_SPEC, cmd_delays, ("text", "json")),
+    ("scan", "figure-preset or single-point parameter scan",
+     SCAN_SPEC, cmd_scan, ("csv", "json")),
+    ("zeta-qs", "superluminality switching point zeta_QS",
+     ZETA_SPEC, cmd_zeta_qs, ("text", "json")),
+    ("critical-fields", "F_a, F_c and F_zeta1 for one atom",
+     CRIT_SPEC, cmd_critical_fields, ("text", "json")),
+    ("tdse", "propagate a pulse and extract the attoclock delay",
+     TDSE_SPEC, cmd_tdse, ("text",)),
+)
+
+# the one flag not named after its key
+FLAG_NAMES = {"F0": "--F"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tunnelqs",
@@ -561,59 +568,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "attoclock observables for hydrogen-like atoms in strong "
                     "fields (atomic units in, a.u. + attoseconds out).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_choices=("text", "json")):
+    for name, help_text, spec, handler, formats in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--Z", type=float, help="nuclear charge")
-        p.add_argument("--Zeff", type=float, help="effective charge (default Z)")
-        p.add_argument("--rel", action="store_true", default=None,
-                       help="relativistic ionization potential")
+        for key, (typ, _, flag_help) in spec.items():
+            if flag_help is None:
+                continue
+            flag = FLAG_NAMES.get(key, f"--{key}")
+            if typ is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None,
+                               help=flag_help)
+            else:
+                p.add_argument(flag, dest=key, type=typ, help=flag_help)
         p.add_argument("--out", help="output path (TUNNELQS_OUT_DIR honored)")
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-
-    p = sub.add_parser("delays", help="tunneling delays and quotients at one (Z, F)")
-    common(p)
-    p.add_argument("--F", type=float, help="field strength (a.u.)")
-    p.add_argument("--omega", type=float, help="laser frequency (a.u.)")
-    p.add_argument("--zeta", type=float, help="intermediate switching parameter")
-    p.set_defaults(handler=cmd_delays)
-
-    p = sub.add_parser("scan", help="figure-preset or single-point parameter scan")
-    common(p, fmt_choices=("csv", "json"))
-    p.add_argument("--preset", help="preset name, e.g. fig4")
-    p.add_argument("--F", type=float, help="field strength for a single point")
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--workers", type=int, help="parallel workers (0 = serial)")
-    p.set_defaults(handler=cmd_scan)
-
-    p = sub.add_parser("zeta-qs", help="superluminality switching point zeta_QS")
-    common(p)
-    p.add_argument("--F", type=float,
-                   help="field strength; omit for the small-field limit")
-    p.add_argument("--thick", action="store_true", default=None,
-                   help="thick-barrier variant")
-    p.set_defaults(handler=cmd_zeta_qs)
-
-    p = sub.add_parser("critical-fields", help="F_a, F_c and F_zeta1 for one atom")
-    common(p)
-    p.set_defaults(handler=cmd_critical_fields)
-
-    p = sub.add_parser("tdse", help="propagate a pulse and extract the attoclock delay")
-    common(p, fmt_choices=("text",))
-    p.add_argument("--F", dest="F0", type=float,
-                   help="field-strength parameter F0 (peak field F0/sqrt(1+eps^2))")
-    p.add_argument("--omega", type=float, help="carrier frequency (a.u.)")
-    p.add_argument("--dry-run", action="store_true",
-                   help="validate and print the plan without propagating")
-    p.set_defaults(handler=cmd_tdse)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(handler=handler, spec=spec)
+    sub.choices["tdse"].add_argument(
+        "--dry-run", action="store_true",
+        help="validate and print the plan without propagating")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, resolve_settings(args, args.spec))
     except (ConfigError, TdseConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,10 +6,16 @@ import sys
 import pytest
 
 from tunnelqs.cli import (
+    CRIT_SPEC,
+    DELAYS_SPEC,
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_NUMERICAL,
     EXIT_OK,
+    SCAN_SPEC,
+    TDSE_SPEC,
+    ZETA_SPEC,
+    build_parser,
     main,
     read_config_file,
 )
@@ -100,6 +107,17 @@ class TestZetaQs:
         assert payload["mode"] == "thick"
         assert payload["zeta_qs"] == pytest.approx(0.51696, rel=1e-3)
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_thick_needs_field(self, source, tmp_path, capsys):
+        # the small-field root has no thick variant: --thick alone used to
+        # print the smallF root and exit 0
+        argv = (["zeta-qs", "--Z", "50", "--thick"] if source == "flag" else
+                ["zeta-qs", "--config", write_cfg(tmp_path, "Z = 50\nthick = true\n")])
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "thick needs F" in captured.err
+        assert captured.out == ""
+
 
 class TestCriticalFields:
     def test_z50_relativistic(self, capsys):
@@ -166,6 +184,34 @@ class TestScan:
         payload = json.loads(capsys.readouterr().out)
         assert payload["records"][0]["tau_db"] == pytest.approx(
             1.1234557302260635, rel=1e-12)
+
+    def test_zeff_is_not_a_scan_setting(self, tmp_path, capsys):
+        # scan points are always bare H-like ions; --Zeff used to be parsed
+        # and then fail with exit 3 inside ScanGrid
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--Z", "18", "--F", "1", "--Zeff", "5"])
+        assert exc.value.code == EXIT_CONFIG
+        capsys.readouterr()
+        cfg = write_cfg(tmp_path, "Z = 18\nF = 1\nZeff = 5\n")
+        assert main(["scan", "--config", cfg]) == EXIT_CONFIG
+        assert "unknown config keys: Zeff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--Z", "5"], ["--F", "3"],
+                                       ["--zeta", "0.5"], ["--rel"],
+                                       ["--Z", "5", "--F", "3", "--rel"]])
+    def test_preset_rejects_point_settings(self, extra, capsys):
+        # these used to be echoed in the provenance header of a table
+        # they did not change
+        assert main(["scan", "--preset", "fig2a", *extra]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "cannot be combined with" in captured.err
+        assert extra[0].lstrip("-") in captured.err
+        assert captured.out == ""
+
+    def test_preset_rejects_point_settings_from_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "preset = fig2a\nF = 3\n")
+        assert main(["scan", "--config", cfg]) == EXIT_CONFIG
+        assert "cannot be combined with F" in capsys.readouterr().err
 
     def test_out_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TUNNELQS_OUT_DIR", str(tmp_path))
@@ -319,14 +365,49 @@ class TestTdse:
         assert "config error" in err
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_rel_rejected(self, source, tmp_path, capsys):
+        # the TDSE uses only Zeff, so rel = true used to be echoed and ignored
+        base = "Z = 1\nF0 = 0.5\nomega = 0.8\n"
+        argv = (["tdse", "--config", write_cfg(tmp_path, base), "--rel"]
+                if source == "flag" else
+                ["tdse", "--config", write_cfg(tmp_path, base + "rel = true\n")])
+        assert main([*argv, "--dry-run"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "uses only Zeff" in captured.err
+        assert captured.out == ""
+
     def test_config_file_round_trip(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI_TDSE_CFG)
         rc = main(["tdse", "--config", cfg, "--dry-run"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "# F0=0.15" in out
+        assert "# rel=false" in out
         assert "81 channels" not in out  # l_max 4 -> 25 channels
         assert "25 channels" in out
+
+
+SPECS = {"delays": DELAYS_SPEC, "scan": SCAN_SPEC, "zeta-qs": ZETA_SPEC,
+         "critical-fields": CRIT_SPEC, "tdse": TDSE_SPEC}
+NON_SETTING_FLAGS = {"--config", "--out", "--format", "--dry-run", "-h"}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_every_flag_is_a_setting(name):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(SPECS)
+    spec = SPECS[name]
+    flagged = set()
+    for action in subparsers.choices[name]._actions:
+        if action.dest in spec:
+            flagged.add(action.dest)
+        else:
+            assert action.option_strings[0] in NON_SETTING_FLAGS, action.option_strings
+    # and every setting with a flag help has its flag
+    assert flagged == {k for k, entry in spec.items() if entry[2] is not None}
 
 
 def test_module_entry_point():
