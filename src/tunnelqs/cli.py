@@ -13,7 +13,8 @@ with no help are config-file only.  The other flags are ``--config``,
 optional flat key=value file (``--config``) with flags taking
 precedence.  Every output embeds the fully resolved configuration, in
 ``# key=value`` comment lines for CSV and under a ``config`` key for
-JSON, so any result can be reproduced from its own metadata.  Relative
+JSON, so any result can be reproduced from its own metadata; a scan
+preset, which fixes its whole grid, records only its name.  Relative
 output paths honor the ``TUNNELQS_OUT_DIR`` environment variable.
 
 ``delays``, ``zeta-qs`` and ``critical-fields`` each build one payload
@@ -23,7 +24,8 @@ payload to ``--out``.
 Exit codes: 0 success, 2 configuration error (also a setting that would
 change nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs`` thick
 without F, ``tdse`` rel), 3 domain error (invalid physical inputs,
-barrier-suppression regime), 4 numerical failure.
+barrier-suppression regime), 4 numerical failure.  JSON reports write
+non-finite numbers as null (scan tables: NaN as null, inf as Infinity).
 """
 
 from __future__ import annotations
@@ -180,10 +182,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _jsonable(x):
+    """``x`` with every non-finite float, at any depth, as None (JSON null)."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_jsonable(v) for v in x]
     if isinstance(x, float) and not math.isfinite(x):
         return None
-    if isinstance(x, np.ndarray):
-        return [_jsonable(float(v)) for v in x]
     return x
 
 
@@ -195,7 +200,7 @@ def _system_from(resolved: dict):
 def print_report(args, resolved: dict, payload: dict, lines: list[str]) -> int:
     """Print the payload (after its config echo) as JSON, or its text
     lines, and write it as JSON to ``--out`` when given."""
-    payload = {"config": config_echo(resolved), **payload}
+    payload = _jsonable({"config": config_echo(resolved), **payload})
     if args.format == "json":
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
@@ -290,7 +295,6 @@ SCAN_SPEC = {
     "rel": ATOM_SPEC["rel"],
     "F": (float, None, "field strength for a single point"),
     "zeta": (float, None, "intermediate switching parameter for a single point"),
-    "workers": (int, 0, "parallel workers (0 = serial)"),
 }
 
 POINT_KEYS = ("Z", "F", "zeta")
@@ -306,21 +310,21 @@ def cmd_scan(args, resolved: dict) -> int:
             raise ConfigError(f"preset {resolved['preset']!r} fixes its own grid; "
                               f"it cannot be combined with {', '.join(clash)}")
         try:
-            records = run_preset(resolved["preset"], workers=resolved["workers"])
+            records = run_preset(resolved["preset"])
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
+        # the preset fixes Z, F, zeta and rel itself: its name is the provenance
+        echo = {"preset": resolved["preset"]}
     elif resolved["Z"] is not None and resolved["F"] is not None:
         fixed = {k: resolved[k] for k in POINT_KEYS if resolved[k] is not None}
         grid = ScanGrid(fixed=fixed, axes=(), relativistic=resolved["rel"])
-        records = run_scan(grid, workers=resolved["workers"])
+        records = run_scan(grid)
+        echo = resolved
     else:
         raise ConfigError("need either preset=<name> or both Z and F")
 
-    # workers is an execution detail, not provenance: the emitted table is
-    # byte-identical for any worker count, and the echo must not break that
-    echo_src = {k: v for k, v in resolved.items() if k != "workers"}
-    emit = dict(fmt=args.format, header_comments=config_lines(echo_src),
-                config=config_echo(echo_src))
+    emit = dict(fmt=args.format, header_comments=config_lines(echo),
+                config=config_echo(echo))
     if args.out:
         path = resolve_out_path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -480,7 +484,7 @@ def cmd_tdse(args, resolved: dict) -> int:
         "max_step_norm_drift": result.max_step_norm_drift,
         "max_defect": result.max_defect,
         "max_iterations": result.max_iterations,
-        "populations_by_l": _jsonable(result.populations_by_l),
+        "populations_by_l": result.populations_by_l.tolist(),
         "tail_fraction": result.tail_fraction,
         "warnings": result.warnings,
         "bound_removed": amps.bound_removed,
@@ -515,7 +519,7 @@ def cmd_tdse(args, resolved: dict) -> int:
         print(f"offset angle theta = {offset.theta:.6g} rad{flag}")
         print(f"delay tau = {_au_as(offset.tau)}")
 
-    _write_json(out_dir / "tdse_report.json", report)
+    _write_json(out_dir / "tdse_report.json", _jsonable(report))
     print(f"wrote {out_dir / 'tdse_report.json'}", file=sys.stderr)
     return EXIT_OK
 
@@ -602,7 +606,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except PropagationError as exc:
+    except (PropagationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,18 +189,9 @@ def _evaluate_point(point: dict, relativistic: bool) -> dict:
     return rec
 
 
-def run_scan(grid: ScanGrid, workers: int = 0) -> list[dict]:
-    """Evaluate every grid point into a record, in grid order.
-
-    ``workers`` > 1 evaluates points in a thread pool; the result is
-    identical to the serial run because every point is a pure function of
-    its parameters and the output order is the grid order.
-    """
-    points = list(grid.points())
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: _evaluate_point(p, grid.relativistic), points))
-    return [_evaluate_point(p, grid.relativistic) for p in points]
+def run_scan(grid: ScanGrid) -> list[dict]:
+    """Evaluate every grid point into a record, in grid order."""
+    return [_evaluate_point(p, grid.relativistic) for p in grid.points()]
 
 
 def _fmt_cell(name: str, value) -> str:
@@ -375,8 +365,8 @@ def preset_grids(name: str) -> list[ScanGrid]:
     return builder()
 
 
-def run_preset(name: str, workers: int = 0) -> list[dict]:
+def run_preset(name: str) -> list[dict]:
     records = []
     for grid in preset_grids(name):
-        records.extend(run_scan(grid, workers=workers))
+        records.extend(run_scan(grid))
     return records

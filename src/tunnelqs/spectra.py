@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 MULTIMODAL_RATIO = 0.95     # second peak within 5% of the max
-MAX_BOUND_N = None          # remove every E < 0 level the box supports
 
 _RENORM_LIMIT = 1e200       # Numerov under-barrier growth guard
 
@@ -118,29 +117,19 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
     return u
 
 
-def bound_states(zeff: float, grid: RadialGrid, l: int,
-                 max_n: int | None = MAX_BOUND_N) -> np.ndarray:
+def bound_states(zeff: float, grid: RadialGrid, l: int) -> np.ndarray:
     """Negative-energy eigenstates of the discrete radial Hamiltonian.
 
-    With max_n = None, every E < 0 level the box supports; otherwise at
-    most (max_n - l) states, the grid analogue of principal quantum
-    numbers n = l+1 .. max_n.  Unit-normalized rows, shape
+    Every E < 0 level the box supports, as unit-normalized rows, shape
     (k, n_points).  Uses the same discretization as the propagator, so
     the propagation ground state is reproduced exactly.
     """
     n = grid.n_points
     diag = atomic_diagonal(zeff, grid, l)
     off = -0.5 / grid.dr ** 2 * np.ones(n - 1)
-    if max_n is None:
-        # a finite box supports only finitely many E < 0 levels
-        w, v = eigh_tridiagonal(diag, off, select="v",
-                                select_range=(-10.0 * zeff * zeff - 1.0, 0.0))
-    else:
-        count = max_n - l
-        if count <= 0:
-            return np.zeros((0, n))
-        w, v = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, min(count, n) - 1))
+    # a finite box supports only finitely many E < 0 levels
+    w, v = eigh_tridiagonal(diag, off, select="v",
+                            select_range=(-10.0 * zeff * zeff - 1.0, 0.0))
     keep = w < 0.0
     states = v[:, keep].T
     if states.shape[0] == 0:
@@ -149,8 +138,7 @@ def bound_states(zeff: float, grid: RadialGrid, l: int,
     return states / norms[:, None]
 
 
-def remove_bound(state: WavefunctionState, zeff: float,
-                 max_n: int | None = MAX_BOUND_N) -> tuple[WavefunctionState, float]:
+def remove_bound(state: WavefunctionState, zeff: float) -> tuple[WavefunctionState, float]:
     """Project bound components out of every channel.
 
     Returns the cleaned copy and the total probability removed.
@@ -158,9 +146,8 @@ def remove_bound(state: WavefunctionState, zeff: float,
     out = state.copy()
     dr = state.grid.dr
     removed = 0.0
-    l_top = state.l_max if max_n is None else min(state.l_max, max_n - 1)
-    for l in range(l_top + 1):
-        basis = bound_states(zeff, state.grid, l, max_n)
+    for l in range(state.l_max + 1):
+        basis = bound_states(zeff, state.grid, l)
         if basis.shape[0] == 0:
             continue
         i0 = channel_index(l, -l)
@@ -248,8 +235,7 @@ class MomentumDistribution:
 
 
 def momentum_distribution(amps: IonizationAmplitudes, p: np.ndarray,
-                          phi: np.ndarray,
-                          normalize: bool = True) -> MomentumDistribution:
+                          phi: np.ndarray) -> MomentumDistribution:
     """Coherent partial-wave sum evaluated at polar angle pi/2."""
     p = np.asarray(p, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -265,12 +251,11 @@ def momentum_distribution(amps: IonizationAmplitudes, p: np.ndarray,
     psi = amps.a.T @ ylm
     density = np.abs(psi) ** 2
     dist = MomentumDistribution(p=p, phi=phi, density=density)
-    if normalize:
-        raw = dist.integrate()
-        total = amps.total_ionized()
-        if raw > 0.0:
-            dist.scale = total / raw
-            dist.density = density * dist.scale
+    raw = dist.integrate()
+    total = amps.total_ionized()
+    if raw > 0.0:
+        dist.scale = total / raw
+        dist.density = density * dist.scale
     return dist
 
 

@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9     # closed-form root acceptance
-_BISECT_TOL = 1e-10
-_BISECT_MAX_ITER = 200
 
 
 def q_db(system: AtomicSystem) -> float:
@@ -143,27 +141,7 @@ class ZetaRoot:
     zeta: float
     mode: str        # "exact" | "thick" | "smallF"
     residual: float  # |Q(zeta) - 1| at the root; 0 for smallF
-    method: str      # "closed-form" | "bisection"
-
-
-def _bisect(fun, lo: float, hi: float) -> float | None:
-    flo, fhi = fun(lo), fun(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return None
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        if fmid == 0.0 or hi - lo < _BISECT_TOL:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    method: str      # always "closed-form"
 
 
 def zeta_qs(system: AtomicSystem, f: float | None = None,
@@ -171,8 +149,13 @@ def zeta_qs(system: AtomicSystem, f: float | None = None,
     """Smallest zeta in [0, 1] with Q_imed_b = 1, or None when no root exists.
 
     Q is a ratio of two affine functions of zeta and therefore monotone,
-    so the root is unique when present.  An absent root is a normal
-    outcome (the whole zeta band is on one side of Q = 1), not an error.
+    so the root is unique when present.  With num and den as computed
+    below, Q - 1 = (zeta den - num)/D(zeta), where D, the denominator of
+    Q, is positive on [0, 1).  Q - 1 can therefore change sign on [0, 1]
+    only at zeta = num/den, and den == 0 leaves no isolated root.  An
+    absent root is a normal outcome (the whole zeta band is on one side
+    of Q = 1), not an error.  The root comes back with its residual
+    |Q - 1|; a residual above 1e-9 raises ArithmeticError.
 
     Modes
     -----
@@ -205,22 +188,16 @@ def zeta_qs(system: AtomicSystem, f: float | None = None,
         num = a - c_au * system.Ip
         den = a - 8.0 * system.Zeff * geom.delta_z + c_au * geom.delta_z
 
-    def residual_at(z: float) -> float:
-        return q_imed_b(system, f, z, thick=(mode == "thick")) - 1.0
-
-    if den != 0.0:
-        zeta = num / den
-        if 0.0 <= zeta <= 1.0:
-            res = abs(residual_at(zeta))
-            if res <= _RESIDUAL_TOL:
-                return ZetaRoot(zeta=zeta, mode=mode, residual=res,
-                                method="closed-form")
-    # degenerate closed form; fall back to bisection when a sign change exists
-    zeta = _bisect(residual_at, 0.0, 1.0)
-    if zeta is None:
+    if den == 0.0:
         return None
-    return ZetaRoot(zeta=zeta, mode=mode, residual=abs(residual_at(zeta)),
-                    method="bisection")
+    zeta = num / den
+    if not 0.0 <= zeta <= 1.0:
+        return None
+    res = abs(q_imed_b(system, f, zeta, thick=(mode == "thick")) - 1.0)
+    if not res <= _RESIDUAL_TOL:
+        raise ArithmeticError(f"closed-form zeta_QS = {zeta!r} ({mode}) leaves "
+                              f"|Q - 1| = {res:.3e} above {_RESIDUAL_TOL:g}")
+    return ZetaRoot(zeta=zeta, mode=mode, residual=res, method="closed-form")
 
 
 @dataclass(frozen=True)

@@ -370,9 +370,8 @@ class Propagator:
     (system, grid, l_max, dt), the sector's channel diagonals, the LU
     factors of its block-tridiagonal (1 + i dt/2 H_atom) and its rows
     and columns of the coupling operators.  ``apply_atomic``,
-    ``apply_interaction`` and ``_solve_implicit`` take either one
-    sector's channel array with that ``sector``, or, without it, the
-    full (l, m) layout, which they split by sector.
+    ``apply_interaction`` and ``_solve_implicit`` act on one sector's
+    channel array, ``psi[sector.idx]`` of the full (l, m) layout.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -407,28 +406,15 @@ class Propagator:
             self.sectors.append(_Sector(idx, dplus[idx][:, cols], dminus[idx][:, cols],
                                         diag, lu))
 
-    def _by_sector(self, method, arr: np.ndarray, *args) -> np.ndarray:
-        """Apply a sector method to a full (l, m) layout array."""
-        out = np.empty(arr.shape, dtype=np.complex128)
-        for sec in self.sectors:
-            out[sec.idx] = method(arr[sec.idx], *args, sector=sec)
-        return out
-
-    def apply_atomic(self, psi: np.ndarray, sector: _Sector | None = None) -> np.ndarray:
-        if sector is None:
-            return self._by_sector(self.apply_atomic, psi)
+    def apply_atomic(self, psi: np.ndarray, sector: _Sector) -> np.ndarray:
         out = sector.diag * psi
         out[:, :-1] += self.off * psi[:, 1:]
         out[:, 1:] += self.off * psi[:, :-1]
         return out
 
     def apply_interaction(self, psi: np.ndarray, atilde: complex,
-                          sector: _Sector | None = None) -> np.ndarray:
+                          sector: _Sector) -> np.ndarray:
         """A . p applied to the channel array for Atilde = A_x + i A_y."""
-        if atilde == 0.0:
-            return np.zeros_like(psi)
-        if sector is None:
-            return self._by_sector(self.apply_interaction, psi, atilde)
         s = sector.stacked
         grad, over_r = s[:len(psi)], s[len(psi):]
         two_dr = 2.0 * self.grid.dr
@@ -438,9 +424,7 @@ class Propagator:
         np.multiply(psi, self.inv_r, out=over_r)
         return sector.coupling(atilde) @ s
 
-    def _solve_implicit(self, rhs: np.ndarray, sector: _Sector | None = None) -> np.ndarray:
-        if sector is None:
-            return self._by_sector(self._solve_implicit, rhs)
+    def _solve_implicit(self, rhs: np.ndarray, sector: _Sector) -> np.ndarray:
         x, _ = zgttrs(*sector.lu, rhs.reshape(-1, 1))
         return x.reshape(rhs.shape)
 

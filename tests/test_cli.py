@@ -68,6 +68,17 @@ class TestDelays:
         assert "8380.28" in err
         assert "domain error" in err
 
+    def test_non_finite_json_is_null(self, capsys):
+        # zeta = 1 at F = F_a: d_imed = 0, so Q_imed is infinite; the JSON
+        # format used to exit 3 on it while the text format printed inf
+        argv = ["delays", "--Z", "35", "--F", "2679.6875", "--zeta", "1"]
+        assert main(argv) == EXIT_OK
+        assert "Q_imed(zeta=1) = inf" in capsys.readouterr().out
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["quotients"]["q_imed_b"] is None
+        assert payload["quotients"]["q_db"] > 0.0
+
     def test_intensity_note(self, capsys):
         main(["delays", "--Z", "18", "--F", "1"])
         assert "3.509e+16 W/cm^2" in capsys.readouterr().out
@@ -106,6 +117,16 @@ class TestZetaQs:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "thick"
         assert payload["zeta_qs"] == pytest.approx(0.51696, rel=1e-3)
+
+    def test_residual_failure_is_numerical(self, monkeypatch, capsys):
+        # a closed-form root that misses Q = 1 is reported, not returned
+        monkeypatch.setattr("tunnelqs.superluminal.q_imed_b",
+                            lambda *args, **kwargs: 1.5)
+        assert main(["zeta-qs", "--Z", "50", "--F", "6000"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert "|Q - 1| = 5.000e-01" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_thick_needs_field(self, source, tmp_path, capsys):
@@ -154,11 +175,29 @@ class TestScan:
         main(["scan", "--preset", "fig2a", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["scan", "--preset", "fig3b", "--out", str(a)])
-        main(["scan", "--preset", "fig3b", "--out", str(b), "--workers", "4"])
-        assert a.read_bytes() == b.read_bytes()
+    def test_workers_rejected(self, tmp_path, capsys):
+        # points are evaluated serially; there is no worker count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--preset", "fig3b", "--workers", "4"])
+        assert exc.value.code == EXIT_CONFIG
+        capsys.readouterr()
+        cfg = write_cfg(tmp_path, "preset = fig3b\nworkers = 4\n")
+        assert main(["scan", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unknown config keys: workers" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_preset_echoes_only_its_name(self, fmt, capsys):
+        # fig6a is relativistic; its header used to read rel=false
+        assert main(["scan", "--preset", "fig6a", "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            head = out.splitlines()[:2]
+            assert head[0] == "# preset=fig6a"
+            assert head[1].startswith("Z,Zeff,relativistic,")
+        else:
+            assert json.loads(out)["config"] == {"preset": "fig6a"}
 
     def test_unknown_preset(self, capsys):
         assert main(["scan", "--preset", "fig99"]) == EXIT_CONFIG

@@ -111,14 +111,6 @@ class TestRunScan:
         (rec,) = run_scan(grid)
         assert rec["band_inverted"] == 1
 
-    def test_parallel_matches_serial(self):
-        grid = ScanGrid(fixed={"zeta": 0.3},
-                        axes=(AxisSpec("Z", 5.0, 40.0, 6),
-                              AxisSpec("F", 0.5, 3.0, 7)))
-        serial = run_scan(grid)
-        parallel = run_scan(grid, workers=4)
-        assert serial == parallel
-
 
 class TestEmitTable:
     @pytest.fixture()
@@ -157,7 +149,7 @@ class TestEmitTable:
 
     def test_json_wrapper(self, records):
         text = emit_table(records, fmt="json",
-                          config={"preset": "demo", "workers": 1})
+                          config={"preset": "demo"})
         payload = json.loads(text)
         assert payload["config"]["preset"] == "demo"
         assert len(payload["records"]) == len(records)

@@ -138,11 +138,6 @@ class TestBoundStates:
         overlap = basis @ basis.T * grid.dr
         np.testing.assert_allclose(overlap, np.eye(len(basis)), atol=1e-10)
 
-    def test_max_n_cap(self, grid):
-        assert bound_states(1.0, grid, 0, max_n=3).shape[0] == 3
-        assert bound_states(1.0, grid, 1, max_n=3).shape[0] == 2
-        assert bound_states(1.0, grid, 3, max_n=3).shape[0] == 0
-
     def test_free_box_has_no_bound_states(self, grid):
         assert bound_states(0.0, grid, 0).shape[0] == 0
 
@@ -247,11 +242,10 @@ class TestMomentumDistribution:
 
     def test_unnormalized_slice(self, smoke_amps, smoke_momenta):
         dist = momentum_distribution(smoke_amps, smoke_momenta,
-                                     default_phi_grid(), normalize=False)
-        assert dist.scale == 1.0
-        # the bare plane slice does not integrate to the 3-D total
-        assert dist.integrate() != pytest.approx(smoke_amps.total_ionized(),
-                                                 rel=1e-3)
+                                     default_phi_grid())
+        # the bare plane slice does not integrate to the 3-D total, so the
+        # declared rescaling is a real factor
+        assert abs(dist.scale - 1.0) > 1e-3
 
     def test_single_m_channel_is_isotropic(self):
         free = AtomicSystem(Z=1.0, Zeff=0.0, Ip=0.5)

@@ -245,6 +245,23 @@ class TestZetaQs:
             assert 0.0 <= root.zeta <= 1.0
             assert root.residual <= 1e-9
 
+    @given(log_z=st.floats(min_value=0.0, max_value=math.log(136.0)),
+           rel=st.booleans(), thick=st.booleans(),
+           frac=st.floats(min_value=1e-300, max_value=1.0))
+    @settings(max_examples=500)
+    def test_root_exactly_at_sign_change(self, log_z, rel, thick, frac):
+        # Z log-uniform in [1, 136]; F in (0, F_a] exact, (0, 3 F_a] thick
+        s = make_system(math.exp(log_z), relativistic=rel)
+        f = frac * s.f_atomic * (3.0 if thick else 1.0)
+        q0 = q_imed_b(s, f, 0.0, thick=thick) - 1.0
+        q1 = q_imed_b(s, f, 1.0, thick=thick) - 1.0
+        sign_change = q0 < 0.0 < q1 or q1 < 0.0 < q0
+        root = zeta_qs(s, f, mode="thick" if thick else "exact")
+        # a sign change means a root, so None only where Q - 1 keeps its sign
+        if sign_change:
+            assert root is not None
+            assert root.residual <= 1e-9
+
     def test_mode_validation(self):
         s = make_system(50.0)
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from tunnelqs.tdse import (
     build_ground_state,
     channel_index,
     channel_list,
+    coupling_operators,
     default_dt,
     envelope,
     load_checkpoint,
@@ -199,6 +200,8 @@ class TestGroundState:
 
 
 class TestInteraction:
+    """The operators act on one parity sector's channels, psi[sec.idx]."""
+
     @pytest.fixture()
     def prop(self):
         s = make_system(1.0)
@@ -211,23 +214,32 @@ class TestInteraction:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         atilde = complex(0.3, -0.8)
-        hy = prop.apply_interaction(y, atilde)
-        hx = prop.apply_interaction(x, atilde)
-        lhs = np.vdot(x, hy)
-        rhs = np.vdot(hx, y)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        for sec in prop.sectors:
+            hy = prop.apply_interaction(y[sec.idx], atilde, sec)
+            hx = prop.apply_interaction(x[sec.idx], atilde, sec)
+            lhs = np.vdot(x[sec.idx], hy)
+            rhs = np.vdot(hx, y[sec.idx])
+            assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_atomic_hermitian(self, prop):
         rng = np.random.default_rng(8)
         shape = (25, prop.grid.n_points)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.vdot(x, prop.apply_atomic(y)) == pytest.approx(
-            np.vdot(prop.apply_atomic(x), y), rel=1e-12)
+        for sec in prop.sectors:
+            xs, ys = x[sec.idx], y[sec.idx]
+            assert np.vdot(xs, prop.apply_atomic(ys, sec)) == pytest.approx(
+                np.vdot(prop.apply_atomic(xs, sec), ys), rel=1e-12)
 
     def test_zero_field_shortcut(self, prop):
         psi = np.ones((25, prop.grid.n_points), dtype=np.complex128)
-        assert float(np.abs(prop.apply_interaction(psi, 0.0)).max()) == 0.0
+        for sec in prop.sectors:
+            assert not prop.apply_interaction(psi[sec.idx], 0.0, sec).any()
+        # without a field a step is one atomic half-step solve per sector
+        state, _ = build_ground_state(prop.system, prop.grid, prop.l_max)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state.t = pulse.duration
+        assert prop.step(state, pulse) == (1, 0.0)
 
     def test_solve_inverts_atomic_half_step(self, prop):
         # (1 + i dt/2 H_atom) applied, then solved: any coupling across a
@@ -235,8 +247,11 @@ class TestInteraction:
         rng = np.random.default_rng(9)
         shape = (25, prop.grid.n_points)
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        back = prop._solve_implicit(psi + 0.5j * prop.dt * prop.apply_atomic(psi))
-        np.testing.assert_allclose(back, psi, rtol=0.0, atol=1e-12)
+        for sec in prop.sectors:
+            part = psi[sec.idx]
+            back = prop._solve_implicit(
+                part + 0.5j * prop.dt * prop.apply_atomic(part, sec), sec)
+            np.testing.assert_allclose(back, part, rtol=0.0, atol=1e-12)
 
     def test_interaction_from_s_channel(self, prop):
         rng = np.random.default_rng(10)
@@ -245,7 +260,9 @@ class TestInteraction:
         psi = np.zeros((25, n), dtype=np.complex128)
         psi[channel_index(0, 0)] = u
         atilde = complex(0.3, -0.8)
-        out = prop.apply_interaction(psi, atilde)
+        out = np.empty_like(psi)
+        for sec in prop.sectors:
+            out[sec.idx] = prop.apply_interaction(psi[sec.idx], atilde, sec)
         # central difference with u = 0 at r = 0 and beyond the box
         padded = np.concatenate([[0.0], u, [0.0]])
         radial = ((padded[2:] - padded[:-2]) / (2.0 * prop.grid.dr)
@@ -258,6 +275,19 @@ class TestInteraction:
                                    atol=1e-13 * np.abs(expect).max())
         others = np.delete(out, [channel_index(1, 1), channel_index(1, -1)], axis=0)
         assert float(np.abs(others).max()) == 0.0
+
+    def test_coupling_keeps_parity(self):
+        # the Propagator's split into l + m parity sectors relies on this
+        l_max = 4
+        nch = (l_max + 1) ** 2
+        parity = np.empty(nch, dtype=int)
+        for l, m in channel_list(l_max):
+            parity[channel_index(l, m)] = (l + m) % 2
+        for op in coupling_operators(l_max):
+            coo = op.tocoo()
+            assert np.count_nonzero(coo.data) > 0
+            mixed = parity[coo.row] != parity[coo.col % nch]
+            assert not np.any(coo.data[mixed] != 0.0)
 
 
 class TestSelectionRules:
