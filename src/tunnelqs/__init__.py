@@ -56,6 +56,7 @@ from .superluminal import (
     q_nad,
     qs_report,
     zeta_qs,
+    zeta_qs_roots,
     zeta_threshold_a,
 )
 from .tdse import (

@@ -40,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import (
-    BarrierSuppressionError,
     barrier_geometry,
     delay_set,
     keldysh_gamma,
@@ -310,7 +309,7 @@ def cmd_scan(args, resolved: dict) -> int:
             raise ConfigError(f"preset {resolved['preset']!r} fixes its own grid; "
                               f"it cannot be combined with {', '.join(clash)}")
         try:
-            records = run_preset(resolved["preset"])
+            table = run_preset(resolved["preset"])
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
         # the preset fixes Z, F, zeta and rel itself: its name is the provenance
@@ -318,7 +317,7 @@ def cmd_scan(args, resolved: dict) -> int:
     elif resolved["Z"] is not None and resolved["F"] is not None:
         fixed = {k: resolved[k] for k in POINT_KEYS if resolved[k] is not None}
         grid = ScanGrid(fixed=fixed, axes=(), relativistic=resolved["rel"])
-        records = run_scan(grid)
+        table = run_scan(grid)
         echo = resolved
     else:
         raise ConfigError("need either preset=<name> or both Z and F")
@@ -328,11 +327,11 @@ def cmd_scan(args, resolved: dict) -> int:
     if args.out:
         path = resolve_out_path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        emit_table(records, dest=path, **emit)
-        print(f"wrote {len(records)} rows to {path}")
+        emit_table(table, dest=path, **emit)
+        print(f"wrote {len(table)} rows to {path}")
     else:
-        sys.stdout.write(emit_table(records, **emit))
-        print(f"{len(records)} rows", file=sys.stderr)
+        sys.stdout.write(emit_table(table, **emit))
+        print(f"{len(table)} rows", file=sys.stderr)
     return EXIT_OK
 
 
@@ -600,10 +599,7 @@ def main(argv=None) -> int:
     except (ConfigError, TdseConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BarrierSuppressionError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except ValueError as exc:  # BarrierSuppressionError among them
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (PropagationError, ArithmeticError) as exc:

@@ -1,7 +1,10 @@
 """Parameter sweeps over (Z, F, zeta) grids.
 
-Every grid point is evaluated into one flat record with a fixed, wide
-column set; quantities that do not apply at a point (no zeta given, or F
+A grid is evaluated as columns: the closed forms of ``atomic`` and
+``superluminal`` take numpy arrays, so each runs once per grid.  The
+table is a numpy structured array with one field per ``COLUMNS`` entry
+(float64; int64 for the 0/1 flags) and one row per grid point in grid
+order.  Quantities that do not apply at a point (no zeta given, or F
 beyond the barrier-suppression threshold) are NaN, and out-of-domain
 points are kept and flagged instead of being dropped.  Identical grids
 always produce byte-identical tables.
@@ -9,15 +12,13 @@ always produce byte-identical tables.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import superluminal as sl
-from .atomic import BarrierSuppressionError, barrier_geometry, delay_set, make_system
+from .atomic import barrier_geometry, delay_set, make_system
 from .constants import au_time_as, c_au
 
 __all__ = [
@@ -52,6 +53,9 @@ COLUMNS = (
 # columns carrying 0/1 flags; everything else is a float
 FLAG_COLUMNS = ("relativistic", "barrier_suppressed", "band_inverted")
 
+TABLE_DTYPE = np.dtype([(c, np.int64 if c in FLAG_COLUMNS else np.float64)
+                        for c in COLUMNS])
+
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -61,7 +65,6 @@ class AxisSpec:
     start: float
     stop: float
     count: int
-    spacing: str = "linear"
 
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
@@ -71,14 +74,8 @@ class AxisSpec:
         if not self.start < self.stop:
             raise ValueError(
                 f"axis {self.name}: start must be < stop, got [{self.start}, {self.stop}]")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"axis {self.name}: spacing must be linear or log")
-        if self.spacing == "log" and not self.start > 0.0:
-            raise ValueError(f"axis {self.name}: log spacing needs start > 0")
 
     def points(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
 
 
@@ -108,131 +105,86 @@ class ScanGrid:
         if "F" not in self.fixed and "F" not in swept:
             raise ValueError("grid needs F, fixed or swept")
 
-    def points(self):
-        """Yield one {name: value} dict per grid point."""
-        base = dict(self.fixed)
-        if not self.axes:
-            yield base
-            return
-        axis_values = [ax.points() for ax in self.axes]
-        names = [ax.name for ax in self.axes]
-        for combo in itertools.product(*axis_values):
-            point = dict(base)
-            point.update(zip(names, (float(v) for v in combo)))
-            yield point
+    def columns(self) -> dict[str, np.ndarray]:
+        """{name: values at every grid point} for Z, F and, when given,
+        zeta, in row-major point order."""
+        mesh = np.meshgrid(*(ax.points() for ax in self.axes), indexing="ij")
+        n = mesh[0].size if mesh else 1
+        cols = {name: np.full(n, value, dtype=float) for name, value in self.fixed.items()}
+        cols.update((ax.name, m.ravel()) for ax, m in zip(self.axes, mesh))
+        return cols
 
 
-def _evaluate_point(point: dict, relativistic: bool) -> dict:
-    z = point["Z"]
-    f = point["F"]
-    zeta = point.get("zeta")
-    system = make_system(z, relativistic=relativistic)
-
-    rec = dict.fromkeys(COLUMNS, NAN)
-    rec["Z"] = z
-    rec["Zeff"] = system.Zeff
-    rec["relativistic"] = int(relativistic)
-    rec["F"] = f
-    rec["zeta"] = zeta if zeta is not None else NAN
-    rec["Ip"] = system.Ip
-    rec["F_a"] = system.f_atomic
-    rec["F_c"] = (c_au / 16.0) ** 2 * system.Zeff
-    rec["q_db"] = sl.q_db(system)
-    rec["q_ad"] = sl.q_ad(system)
-    rec["barrier_suppressed"] = 0
-    rec["band_inverted"] = 0
-
+def run_scan(grid: ScanGrid) -> np.ndarray:
+    """Evaluate a grid into a table (structured array, fields ``COLUMNS``)
+    with one row per grid point, in grid order."""
+    cols = grid.columns()
+    f, zeta = cols["F"], cols.get("zeta")
+    system = make_system(cols["Z"], relativistic=grid.relativistic)
+    values = {
+        "Z": system.Z, "Zeff": system.Zeff, "relativistic": int(grid.relativistic),
+        "F": f, "zeta": NAN if zeta is None else zeta,
+        "Ip": system.Ip, "F_a": system.f_atomic, "F_c": (c_au / 16.0) ** 2 * system.Zeff,
+        "q_db": sl.q_db(system), "q_ad": sl.q_ad(system),
+    }
     # thick-barrier quantities survive beyond F_a
     if zeta is not None:
-        rec["q_imed_a"] = sl.q_imed_a(system, zeta)
-        rec["q_imed_b_thick"] = sl.q_imed_b(system, f, zeta, thick=True)
-        x_top = math.sqrt(system.Zeff / f)
-        rec["d_imed_thick"] = (1.0 - zeta) * x_top + zeta * system.Ip / f
-    root_t = sl.zeta_qs(system, f, mode="thick")
-    if root_t is not None:
-        rec["zeta_qs_thick"] = root_t.zeta
+        values["q_imed_a"] = sl.q_imed_a(system, zeta)
+        values["q_imed_b_thick"] = sl.q_imed_b(system, f, zeta, thick=True)
+        values["d_imed_thick"] = ((1.0 - zeta) * np.sqrt(system.Zeff / f)
+                                  + zeta * system.Ip / f)
+    values["zeta_qs_thick"] = sl.zeta_qs_roots(system, f, "thick")[0]
 
-    try:
-        geom = barrier_geometry(system, f)
-    except BarrierSuppressionError:
-        rec["barrier_suppressed"] = 1
-        return rec
-
-    delays = delay_set(system, f)
-    rec["delta_z"] = geom.delta_z
-    rec["x_entry"] = geom.x_entry
-    rec["x_exit"] = geom.x_exit
-    rec["x_top"] = geom.x_top
-    rec["d_b"] = geom.d_b
-    rec["d_c"] = geom.d_c
-    for name in ("tau_a", "tau_ti", "tau_ad", "tau_dion", "tau_db", "tau_backr"):
-        val = getattr(delays, name)
-        rec[name] = val
-        rec[name + "_as"] = val * au_time_as
-    rec["tau_c_db"] = geom.d_b / c_au
-    rec["tau_c_db_as"] = rec["tau_c_db"] * au_time_as
-    rec["tau_c_nad"] = geom.x_top / c_au
-    rec["tau_c_nad_as"] = rec["tau_c_nad"] * au_time_as
-    rec["q_nad"] = sl.q_nad(system, f)
-    rec["band_inverted"] = int(geom.d_b < geom.x_top)
+    # the barrier quantities are evaluated at min(F, F_a) and then blanked
+    # on the over-barrier rows
+    suppressed = f > system.f_atomic
+    f_b = np.minimum(f, system.f_atomic)
+    geom = barrier_geometry(system, f_b)
+    barrier = {**vars(geom), **vars(delay_set(system, f_b)),
+               "tau_c_db": geom.d_b / c_au, "tau_c_nad": geom.x_top / c_au,
+               "q_nad": sl.q_nad(system, f_b),
+               "zeta_qs_exact": sl.zeta_qs_roots(system, f_b, "exact")[0]}
+    del barrier["f"]
     if zeta is not None:
-        imed = sl.intermediate(system, f, zeta)
-        rec["tau_imed"] = imed.tau_imed
-        rec["tau_imed_as"] = imed.tau_imed * au_time_as
-        rec["d_imed"] = imed.d_imed
-        rec["tau_c_imed"] = imed.d_imed / c_au
-        rec["tau_c_imed_as"] = rec["tau_c_imed"] * au_time_as
-        rec["q_imed_b"] = sl.q_imed_b(system, f, zeta)
-    root_e = sl.zeta_qs(system, f, mode="exact")
-    if root_e is not None:
-        rec["zeta_qs_exact"] = root_e.zeta
-    return rec
+        imed = sl.intermediate(system, f_b, zeta)
+        barrier.update(tau_imed=imed.tau_imed, d_imed=imed.d_imed,
+                       tau_c_imed=imed.d_imed / c_au,
+                       q_imed_b=sl.q_imed_b(system, f_b, zeta))
+    for name in [n for n in barrier if n + "_as" in COLUMNS]:
+        barrier[name + "_as"] = barrier[name] * au_time_as
+    values.update((name, np.where(suppressed, NAN, v)) for name, v in barrier.items())
+    values["barrier_suppressed"] = suppressed
+    values["band_inverted"] = ~suppressed & (geom.d_b < geom.x_top)
+
+    table = np.empty(len(f), dtype=TABLE_DTYPE)
+    for name in COLUMNS:
+        table[name] = values.get(name, NAN)
+    return table
 
 
-def run_scan(grid: ScanGrid) -> list[dict]:
-    """Evaluate every grid point into a record, in grid order."""
-    return [_evaluate_point(p, grid.relativistic) for p in grid.points()]
-
-
-def _fmt_cell(name: str, value) -> str:
-    if name in FLAG_COLUMNS:
-        return str(int(value))
-    v = float(value)
-    return repr(v)
-
-
-def emit_table(records, fmt: str = "csv", dest=None, header_comments=(), config=None):
-    """Serialize records to CSV or JSON.
+def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=None):
+    """Serialize a scan table (the structured array of :func:`run_scan`)
+    to CSV or JSON.
 
     CSV: optional ``# key=value`` comment lines, one header row naming
     every column, comma separated, ``.`` decimal point, LF endings,
     full round-trip double precision (shortest repr).  JSON: an array of
-    flat objects (NaN encoded as null); with ``config`` given, a wrapper
-    object {"config": ..., "records": [...]} so the file carries its own
-    provenance.
+    flat objects, one per row (NaN encoded as null); with ``config``
+    given, a wrapper object {"config": ..., "records": [...]} so the file
+    carries its own provenance.
 
     ``dest`` may be a path or a text file object; with ``dest=None`` the
     serialized text is returned.
     """
     if fmt == "csv":
+        cells = [map(repr, table[c].tolist()) for c in COLUMNS]
         lines = [f"# {c}" for c in header_comments]
         lines.append(",".join(COLUMNS))
-        for rec in records:
-            lines.append(",".join(_fmt_cell(c, rec[c]) for c in COLUMNS))
+        lines.extend(map(",".join, zip(*cells)))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        def clean(rec):
-            out = {}
-            for c in COLUMNS:
-                v = rec[c]
-                if c in FLAG_COLUMNS:
-                    out[c] = int(v)
-                else:
-                    v = float(v)
-                    out[c] = None if math.isnan(v) else v
-            return out
-
-        payload = [clean(r) for r in records]
+        cells = [[None if v != v else v for v in table[c].tolist()] for c in COLUMNS]
+        payload = [dict(zip(COLUMNS, row)) for row in zip(*cells)]
         if config is not None:
             payload = {"config": config, "records": payload}
         text = json.dumps(payload, indent=1) + "\n"
@@ -365,8 +317,6 @@ def preset_grids(name: str) -> list[ScanGrid]:
     return builder()
 
 
-def run_preset(name: str) -> list[dict]:
-    records = []
-    for grid in preset_grids(name):
-        records.extend(run_scan(grid))
-    return records
+def run_preset(name: str) -> np.ndarray:
+    """The tables of a preset's grids, stacked in grid order."""
+    return np.concatenate([run_scan(grid) for grid in preset_grids(name)])

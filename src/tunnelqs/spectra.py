@@ -24,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import loggamma, sph_harm_y
 
 from .constants import au_time_as
-from .tdse import WavefunctionState, atomic_diagonal, channel_index
+from .tdse import RadialGrid, WavefunctionState, atomic_diagonal, channel_index
 
 __all__ = [
     "AngularDistribution",

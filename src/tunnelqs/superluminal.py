@@ -5,16 +5,25 @@ of the matching barrier distance; Q < 1 flags an apparently superluminal
 barrier passage.  The intermediate picture interpolates between the
 nonadiabatic exit (barrier top x_top, delay tau_dion) at zeta = 0 and the
 adiabatic exit (width d_b, delay tau_ad) at zeta = 1.
+
+Like the forms in :mod:`atomic`, the quotients take numpy arrays for f
+and zeta; :func:`zeta_qs_roots` is the array form of :func:`zeta_qs`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
-from .atomic import AtomicSystem, barrier_geometry, delay_set
+from .atomic import (
+    AtomicSystem,
+    _as_float,
+    _require,
+    barrier_geometry,
+    delay_set,
+)
 from .constants import c_au
 
 __all__ = [
@@ -31,10 +40,15 @@ __all__ = [
     "q_nad",
     "qs_report",
     "zeta_qs",
+    "zeta_qs_roots",
     "zeta_threshold_a",
 ]
 
 _RESIDUAL_TOL = 1e-9     # closed-form root acceptance
+
+
+def _check_zeta(zeta) -> None:
+    _require((0.0 <= zeta) & (zeta <= 1.0), zeta, "zeta must lie in [0, 1], got {}")
 
 
 def q_db(system: AtomicSystem) -> float:
@@ -74,8 +88,7 @@ class IntermediateState:
 def intermediate(system: AtomicSystem, f: float, zeta: float) -> IntermediateState:
     """Intermediate delay tau_dion + zeta tau_db and exit distance
     (1 - zeta) x_top + zeta d_b, for zeta in [0, 1]."""
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
+    _check_zeta(zeta)
     geom = barrier_geometry(system, f)
     delays = delay_set(system, f)
     return IntermediateState(
@@ -92,8 +105,7 @@ def q_imed_a(system: AtomicSystem, zeta: float) -> float:
     Compares tau_imed against d_b/c in the thick-barrier limit, where the
     exit-distance interpolation is dominated by d_b >> x_top.
     """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
+    _check_zeta(zeta)
     return c_au * (1.0 + zeta) / (8.0 * system.Zeff)
 
 
@@ -116,22 +128,20 @@ def q_imed_b(system: AtomicSystem, f: float, zeta: float, thick: bool = False) -
     any F > 0, including the over-barrier regime; the exact form requires
     F <= F_a.
     """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
+    _check_zeta(zeta)
     if thick:
-        if not f > 0.0:
-            raise ValueError(f"field strength must be positive, got {f}")
-        x_top = math.sqrt(system.Zeff / f)
+        _require(f > 0.0, f, "field strength must be positive, got {}")
+        x_top = _as_float(np.sqrt(system.Zeff / f))
         a_t = 8.0 * system.Zeff * f * x_top / system.Ip
         return c_au * (1.0 + zeta) / (a_t * (1.0 - zeta) + 8.0 * system.Zeff * zeta)
     geom = barrier_geometry(system, f)
     num = c_au * (system.Ip + zeta * geom.delta_z)
     den = (8.0 * system.Zeff * f * (1.0 - zeta) * geom.x_top
            + 8.0 * system.Zeff * zeta * geom.delta_z)
-    if den == 0.0:
-        # zeta = 1 at F = F_a: the barrier is gone, d_imed = d_b = 0
-        return math.inf
-    return num / den
+    # den = 0 only at zeta = 1 and F = F_a, where the barrier is gone and
+    # d_imed = d_b = 0; num > 0 there, so Q is inf
+    with np.errstate(divide="ignore"):
+        return _as_float(np.divide(num, den))
 
 
 @dataclass(frozen=True)
@@ -144,18 +154,53 @@ class ZetaRoot:
     method: str      # always "closed-form"
 
 
-def zeta_qs(system: AtomicSystem, f: float | None = None,
-            mode: str = "exact") -> ZetaRoot | None:
-    """Smallest zeta in [0, 1] with Q_imed_b = 1, or None when no root exists.
+def zeta_qs_roots(system: AtomicSystem, f, mode: str = "exact"):
+    """Roots of Q_imed_b(zeta) = 1 in [0, 1] for the exact and thick modes,
+    with f a scalar or an array: (zeta, residual) shaped like f, NaN
+    where no root exists.
 
     Q is a ratio of two affine functions of zeta and therefore monotone,
     so the root is unique when present.  With num and den as computed
     below, Q - 1 = (zeta den - num)/D(zeta), where D, the denominator of
     Q, is positive on [0, 1).  Q - 1 can therefore change sign on [0, 1]
-    only at zeta = num/den, and den == 0 leaves no isolated root.  An
-    absent root is a normal outcome (the whole zeta band is on one side
-    of Q = 1), not an error.  The root comes back with its residual
-    |Q - 1|; a residual above 1e-9 raises ArithmeticError.
+    only at zeta = num/den, and den == 0 leaves no isolated root.  The
+    residual is |Q - 1| at the root; any residual above 1e-9 raises
+    ArithmeticError.
+    """
+    if mode == "thick":
+        _require(f > 0.0, f, "field strength must be positive, got {}")
+        a_t = 8.0 * system.Zeff * f * np.sqrt(system.Zeff / f) / system.Ip
+        num = a_t - c_au
+        den = a_t + c_au - 8.0 * system.Zeff
+    elif mode == "exact":
+        geom = barrier_geometry(system, f)
+        a = 8.0 * system.Zeff * f * geom.x_top
+        num = a - c_au * system.Ip
+        den = a - 8.0 * system.Zeff * geom.delta_z + c_au * geom.delta_z
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta = np.divide(num, den)
+    found = (den != 0.0) & (0.0 <= zeta) & (zeta <= 1.0)
+    zeta = np.where(found, zeta, np.nan)
+    q = q_imed_b(system, f, np.where(found, zeta, 0.0), thick=(mode == "thick"))
+    residual = np.where(found, np.abs(q - 1.0), np.nan)
+    failing = np.flatnonzero(found & ~(residual <= _RESIDUAL_TOL))
+    if failing.size:
+        z, res = float(zeta.flat[failing[0]]), residual.flat[failing[0]]
+        raise ArithmeticError(f"closed-form zeta_QS = {z!r} ({mode}) leaves "
+                              f"|Q - 1| = {res:.3e} above {_RESIDUAL_TOL:g}")
+    return zeta, residual
+
+
+def zeta_qs(system: AtomicSystem, f: float | None = None,
+            mode: str = "exact") -> ZetaRoot | None:
+    """Smallest zeta in [0, 1] with Q_imed_b = 1, or None when no root exists.
+
+    An absent root is a normal outcome (the whole zeta band is on one
+    side of Q = 1), not an error.  The exact and thick roots come from
+    :func:`zeta_qs_roots`, with its residual check.
 
     Modes
     -----
@@ -171,33 +216,13 @@ def zeta_qs(system: AtomicSystem, f: float | None = None,
         if not 0.0 <= zeta <= 1.0:
             return None
         return ZetaRoot(zeta=zeta, mode=mode, residual=0.0, method="closed-form")
-    if mode not in ("exact", "thick"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if f is None:
+    if f is None and mode in ("exact", "thick"):
         raise ValueError(f"mode {mode!r} needs a field strength")
-
-    if mode == "thick":
-        if not f > 0.0:
-            raise ValueError(f"field strength must be positive, got {f}")
-        a_t = 8.0 * system.Zeff * f * math.sqrt(system.Zeff / f) / system.Ip
-        num = a_t - c_au
-        den = a_t + c_au - 8.0 * system.Zeff
-    else:
-        geom = barrier_geometry(system, f)
-        a = 8.0 * system.Zeff * f * geom.x_top
-        num = a - c_au * system.Ip
-        den = a - 8.0 * system.Zeff * geom.delta_z + c_au * geom.delta_z
-
-    if den == 0.0:
+    zeta, residual = zeta_qs_roots(system, f, mode)
+    if np.isnan(zeta):
         return None
-    zeta = num / den
-    if not 0.0 <= zeta <= 1.0:
-        return None
-    res = abs(q_imed_b(system, f, zeta, thick=(mode == "thick")) - 1.0)
-    if not res <= _RESIDUAL_TOL:
-        raise ArithmeticError(f"closed-form zeta_QS = {zeta!r} ({mode}) leaves "
-                              f"|Q - 1| = {res:.3e} above {_RESIDUAL_TOL:g}")
-    return ZetaRoot(zeta=zeta, mode=mode, residual=res, method="closed-form")
+    return ZetaRoot(zeta=float(zeta), mode=mode, residual=float(residual),
+                    method="closed-form")
 
 
 @dataclass(frozen=True)

@@ -255,9 +255,6 @@ class WavefunctionState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.psi) ** 2) * self.grid.dr))
 
-    def channel(self, l: int, m: int) -> np.ndarray:
-        return self.psi[channel_index(l, m)]
-
     def populations(self) -> np.ndarray:
         """Per-channel norm^2, ordered like the channels."""
         return np.sum(np.abs(self.psi) ** 2, axis=1) * self.grid.dr

@@ -28,7 +28,13 @@ from tunnelqs.spectra import (
     default_phi_grid,
     offset_angle_and_delay,
 )
-from tunnelqs.tdse import Propagator, PulseParams, RadialGrid, build_ground_state
+from tunnelqs.tdse import (
+    Propagator,
+    PulseParams,
+    RadialGrid,
+    build_ground_state,
+    channel_index,
+)
 
 
 @pytest.fixture()
@@ -160,12 +166,12 @@ def test_criterion_7_tdse_desk_scale(report, hydrogen, smoke_run,
 
     grid = RadialGrid(dr=0.1, r_max=30.0)
     state, _ = build_ground_state(hydrogen, grid, l_max=2)
-    u0 = state.channel(0, 0).copy()
+    u0 = state.psi[channel_index(0, 0)].copy()
     prop = Propagator(hydrogen, grid, 2, 0.02)
     idle = PulseParams(F0=0.0, omega=0.8)
     for _ in range(100):
         prop.step(state, idle)
-    survival = float(abs(np.sum(np.conj(u0) * state.channel(0, 0)) * grid.dr))
+    survival = float(abs(np.sum(np.conj(u0) * state.psi[channel_index(0, 0)]) * grid.dr))
     surv_ok = survival >= 0.9999
 
     # per-channel populations are graded over ~10 decades, so the

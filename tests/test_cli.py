@@ -217,6 +217,25 @@ class TestScan:
     def test_single_point_needs_z_and_f(self, capsys):
         assert main(["scan", "--Z", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--F", "-1"], "field strength must be positive, got -1.0"),
+        (["--F", "0.01", "--zeta", "1.5"], "zeta must lie in [0, 1], got 1.5"),
+    ])
+    def test_domain_error_names_the_value(self, argv, message, capsys):
+        # the grid is evaluated as arrays; the message still shows a number
+        assert main(["scan", "--Z", "1", *argv]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert f"domain error: {message}\n" == err
+
+    def test_residual_failure_is_numerical(self, monkeypatch, capsys):
+        # the column path runs the zeta_QS residual check of the library
+        monkeypatch.setattr("tunnelqs.superluminal.q_imed_b",
+                            lambda *args, **kwargs: 1.5)
+        assert main(["scan", "--Z", "50", "--F", "6000"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "|Q - 1| = 5.000e-01" in captured.err
+        assert captured.out == ""
+
     def test_json_format(self, capsys):
         assert main(["scan", "--Z", "18", "--F", "1",
                      "--format", "json"]) == EXIT_OK

@@ -144,7 +144,7 @@ class TestBoundStates:
     def test_matches_propagation_ground_state(self, grid):
         s = AtomicSystem(Z=1.0, Zeff=1.0, Ip=0.5)
         state, _ = build_ground_state(s, grid, l_max=0)
-        u0 = np.real(state.channel(0, 0))
+        u0 = np.real(state.psi[channel_index(0, 0)])
         basis = bound_states(1.0, grid, 0)
         overlap = abs(float(basis[0] @ u0) * grid.dr)
         assert overlap == pytest.approx(1.0, rel=1e-12)

@@ -186,8 +186,8 @@ class TestGroundState:
     def test_deterministic_sign(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=40.0)
-        u1 = build_ground_state(s, grid, 0)[0].channel(0, 0)
-        u2 = build_ground_state(s, grid, 0)[0].channel(0, 0)
+        u1 = build_ground_state(s, grid, 0)[0].psi[channel_index(0, 0)]
+        u2 = build_ground_state(s, grid, 0)[0].psi[channel_index(0, 0)]
         assert float(np.real(u1[np.argmax(np.abs(u1))])) > 0.0
         np.testing.assert_array_equal(u1, u2)
 
@@ -377,13 +377,13 @@ class TestPropagation:
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=30.0)
         state, _ = build_ground_state(s, grid, l_max=2)
-        u0 = state.channel(0, 0).copy()
+        u0 = state.psi[channel_index(0, 0)].copy()
         pulse = PulseParams(F0=0.0, omega=0.8)
         prop = Propagator(s, grid, 2, 0.02)
         norm0 = state.norm()
         for _ in range(100):
             prop.step(state, pulse)
-        overlap = abs(np.sum(np.conj(u0) * state.channel(0, 0)) * grid.dr)
+        overlap = abs(np.sum(np.conj(u0) * state.psi[channel_index(0, 0)]) * grid.dr)
         assert overlap >= 0.9999
         assert abs(state.norm() - norm0) < 1e-10
 
