@@ -31,6 +31,7 @@ from .scan import (
     preset_grids,
     run_preset,
     run_scan,
+    tabulate,
 )
 from .spectra import (
     AngularDistribution,
@@ -45,7 +46,6 @@ from .spectra import (
 from .superluminal import (
     CriticalFields,
     IntermediateState,
-    QsReport,
     ZetaRoot,
     critical_fields,
     intermediate,
@@ -54,7 +54,6 @@ from .superluminal import (
     q_imed_a,
     q_imed_b,
     q_nad,
-    qs_report,
     zeta_qs,
     zeta_qs_roots,
     zeta_threshold_a,

@@ -19,13 +19,17 @@ output paths honor the ``TUNNELQS_OUT_DIR`` environment variable.
 
 ``delays``, ``zeta-qs`` and ``critical-fields`` each build one payload
 and its text lines; ``print_report`` prints either and writes the
-payload to ``--out``.
+payload to ``--out``.  ``delays`` prints one row of ``scan.tabulate``,
+the evaluator ``scan`` uses; ``scan.emit_table`` writes any structured
+table, tdse's CSVs too.
 
-Exit codes: 0 success, 2 configuration error (also a setting that would
-change nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs`` thick
-without F, ``tdse`` rel), 3 domain error (invalid physical inputs,
-barrier-suppression regime), 4 numerical failure.  JSON reports write
-non-finite numbers as null (scan tables: NaN as null, inf as Infinity).
+Exit codes: 0 success, 2 configuration error (also a config key set
+twice, tdse spectra or checkpoint settings that would fail only after
+propagating, and a setting that would change nothing: ``scan`` preset
+with Z/F/zeta/rel, ``zeta-qs`` thick without F, ``tdse`` rel), 3 domain
+error (invalid physical inputs, barrier-suppression regime), 4
+numerical failure.  JSON reports write non-finite numbers as null (scan
+tables: NaN as null, inf as Infinity).
 """
 
 from __future__ import annotations
@@ -41,13 +45,12 @@ import numpy as np
 
 from .atomic import (
     barrier_geometry,
-    delay_set,
     keldysh_gamma,
     make_system,
     photon_absorption_delay,
 )
 from .constants import au_time_as, field_to_intensity
-from .scan import PRESET_NAMES, ScanGrid, emit_table, run_preset, run_scan
+from .scan import PRESET_NAMES, ScanGrid, emit_table, run_preset, run_scan, tabulate
 from .spectra import (
     default_phi_grid,
     momentum_distribution,
@@ -55,7 +58,7 @@ from .spectra import (
     project_scattering_states,
     radial_integrate,
 )
-from .superluminal import critical_fields, q_imed_b, qs_report, zeta_qs
+from .superluminal import critical_fields, q_imed_b, zeta_qs
 from .tdse import (
     PropagationError,
     PulseParams,
@@ -81,20 +84,25 @@ class ConfigError(ValueError):
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines; blank lines and # comments ignored, no key twice."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 
@@ -229,46 +237,33 @@ DELAYS_SPEC = {
 }
 
 DELAY_NAMES = ("tau_a", "tau_ti", "tau_ad", "tau_dion", "tau_db", "tau_backr")
+BARRIER_NAMES = ("Ip", "F_a", "delta_z", "x_entry", "x_exit", "x_top", "d_b", "d_c")
+# superluminal flag -> its quotient
+CHANNELS = {"db": "q_db", "ad": "q_ad", "nad": "q_nad", "imed": "q_imed_b"}
 
 
 def cmd_delays(args, resolved: dict) -> int:
     system = _system_from(resolved)
-    f = resolved["F"]
-    delays = delay_set(system, f)
-    geom = barrier_geometry(system, f)
-    report = qs_report(system, f, resolved["zeta"])
-
+    f, zeta = resolved["F"], resolved["zeta"]
+    # F > F_a is an error here, not a blanked row
+    barrier_geometry(system, f)
+    table = tabulate(system, f, zeta)
+    row = dict(zip(table.dtype.names, table[0].tolist()))
     payload = {
-        "Ip": system.Ip,
-        "F_a": system.f_atomic,
-        "delta_z": geom.delta_z,
-        "x_entry": geom.x_entry,
-        "x_exit": geom.x_exit,
-        "x_top": geom.x_top,
-        "d_b": geom.d_b,
-        "d_c": geom.d_c,
-        "delays_au": {n: getattr(delays, n) for n in DELAY_NAMES},
-        "delays_as": {n: getattr(delays, f"{n}_as") for n in DELAY_NAMES},
-        "quotients": {
-            "q_db": report.q_db, "q_ad": report.q_ad, "q_nad": report.q_nad,
-            "q_imed_a": report.q_imed_a, "q_imed_b": report.q_imed_b,
-        },
-        "light_times_au": {
-            "tau_c_db": report.tau_c_db, "tau_c_nad": report.tau_c_nad,
-            "tau_c_imed": report.tau_c_imed,
-        },
-        "superluminal": {
-            "db": report.superluminal_db, "ad": report.superluminal_ad,
-            "nad": report.superluminal_nad, "imed": report.superluminal_imed,
-        },
+        **{k: row[k] for k in BARRIER_NAMES},
+        "delays_au": {n: row[n] for n in DELAY_NAMES},
+        "delays_as": {n: row[f"{n}_as"] for n in DELAY_NAMES},
+        "quotients": {q: row[q] for q in ("q_db", "q_ad", "q_nad", "q_imed_a", "q_imed_b")},
+        "light_times_au": {t: row[t] for t in ("tau_c_db", "tau_c_nad", "tau_c_imed")},
+        "superluminal": {k: row[q] < 1.0 for k, q in CHANNELS.items()},
     }
     lines = [
         f"# F = {_intensity_note(f)}",
         f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  "
         f"Ip = {system.Ip:.10g} a.u.  F_a = {system.f_atomic:.10g} a.u.",
-        f"barrier: delta_z = {geom.delta_z:.10g}  d_B = {geom.d_b:.10g}  "
-        f"d_c = {geom.d_c:.10g}  x_top = {geom.x_top:.10g}",
-        *(f"{name:10s} = {_au_as(getattr(delays, name))}" for name in DELAY_NAMES),
+        f"barrier: delta_z = {row['delta_z']:.10g}  d_B = {row['d_b']:.10g}  "
+        f"d_c = {row['d_c']:.10g}  x_top = {row['x_top']:.10g}",
+        *(f"{name:10s} = {_au_as(row[name])}" for name in DELAY_NAMES),
     ]
     if resolved["omega"] is not None:
         photon = photon_absorption_delay(system, f, resolved["omega"])
@@ -279,9 +274,9 @@ def cmd_delays(args, resolved: dict) -> int:
                      f"(n = {photon.n_photons:.6g}, "
                      f"gamma_K = {payload['keldysh_gamma']:.6g})")
     flags = [k for k, v in payload["superluminal"].items() if v]
-    lines += [f"quotients: Q_dB = {report.q_db:.6g}  Q_Ad = {report.q_ad:.6g}  "
-              f"Q_Nad = {report.q_nad:.6g}  "
-              f"Q_imed(zeta={resolved['zeta']:g}) = {report.q_imed_b:.6g}",
+    lines += [f"quotients: Q_dB = {row['q_db']:.6g}  Q_Ad = {row['q_ad']:.6g}  "
+              f"Q_Nad = {row['q_nad']:.6g}  "
+              f"Q_imed(zeta={zeta:g}) = {row['q_imed_b']:.6g}",
               "superluminal channels: " + (", ".join(flags) if flags else "none")]
     return print_report(args, resolved, payload, lines)
 
@@ -433,6 +428,15 @@ def cmd_tdse(args, resolved: dict) -> int:
     if resolved["rel"]:
         raise ConfigError("rel = true changes nothing here: the TDSE uses only "
                           "Zeff, not the relativistic ionization potential")
+    # checked here so --dry-run catches what would fail only after propagating
+    for key, ok, need in (
+            ("n_p", resolved["n_p"] >= 2, ">= 2"),
+            ("p_min", resolved["p_min"] > 0.0, "positive"),
+            ("p_max", resolved["p_max"] > resolved["p_min"], "above p_min"),
+            ("n_phi", resolved["n_phi"] >= 8, ">= 8"),
+            ("checkpoint_every", resolved["checkpoint_every"] >= 0, ">= 0")):
+        if not ok:
+            raise ConfigError(f"{key} must be {need}, got {resolved[key]!r}")
     system = _system_from(resolved)
     grid = RadialGrid(dr=resolved["dr"], r_max=resolved["r_max"])
     pulse = PulseParams(F0=resolved["F0"], omega=resolved["omega"],
@@ -491,27 +495,28 @@ def cmd_tdse(args, resolved: dict) -> int:
     }
 
     if total < NO_IONIZATION_FLOOR:
-        report["no_ionization"] = True
-        report["theta"] = None
-        report["tau_au"] = None
-        report["tau_as"] = None
+        report.update(no_ionization=True, theta=None, tau_au=None, tau_as=None)
         print("no ionization: offset angle and delay are undefined")
     else:
         phi = default_phi_grid(resolved["n_phi"])
         dist = momentum_distribution(amps, p, phi)
         ang = radial_integrate(dist)
         offset = offset_angle_and_delay(ang, pulse)
-        report["no_ionization"] = False
-        report["theta"] = offset.theta
-        report["tau_au"] = offset.tau
-        report["tau_as"] = offset.tau_as
-        report["phi_peak"] = offset.phi_peak
-        report["multimodal"] = offset.multimodal
-        report["secondary_ratio"] = offset.secondary_ratio
+        report.update(no_ionization=False, theta=offset.theta, tau_au=offset.tau,
+                      tau_as=offset.tau_as, phi_peak=offset.phi_peak,
+                      multimodal=offset.multimodal, secondary_ratio=offset.secondary_ratio)
 
         comments = config_lines(resolved)
-        _write_polar_csv(out_dir / "tdse_momentum.csv", dist, comments)
-        _write_angular_csv(out_dir / "tdse_angular.csv", ang, comments)
+        n_p, n_phi = dist.density.shape
+        momentum = np.rec.fromarrays(
+            [np.repeat(dist.p, n_phi), np.tile(dist.phi, n_p), dist.density.ravel()],
+            names="p,phi,density")
+        emit_table(momentum, dest=out_dir / "tdse_momentum.csv", header_comments=[
+            *comments, "columns: p, phi, density; phi from +x axis; "
+            "density rescaled so sum P p dp dphi = ionized probability"])
+        angular = np.rec.fromarrays([ang.phi, ang.values], names="phi,P")
+        emit_table(angular, dest=out_dir / "tdse_angular.csv", header_comments=[
+            *comments, "columns: phi, P; theta measured from -y toward +x; tau = theta/omega"])
         print(f"ionized fraction = {total:.6g} "
               f"(bound removed = {amps.bound_removed:.6g})")
         flag = "  [multimodal]" if offset.multimodal else ""
@@ -521,27 +526,6 @@ def cmd_tdse(args, resolved: dict) -> int:
     _write_json(out_dir / "tdse_report.json", _jsonable(report))
     print(f"wrote {out_dir / 'tdse_report.json'}", file=sys.stderr)
     return EXIT_OK
-
-
-def _write_polar_csv(path: Path, dist, comments) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append("# columns: p, phi, density; phi from +x axis; "
-                 "density rescaled so sum P p dp dphi = ionized probability")
-    lines.append("p,phi,density")
-    phis = dist.phi.tolist()   # Python floats: repr is a plain literal
-    for pv, row in zip(dist.p.tolist(), dist.density.tolist()):
-        for phiv, val in zip(phis, row):
-            lines.append(f"{pv!r},{phiv!r},{val!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_angular_csv(path: Path, ang, comments) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append("# columns: phi, P; theta measured from -y toward +x; tau = theta/omega")
-    lines.append("phi,P")
-    for phiv, val in zip(ang.phi.tolist(), ang.values.tolist()):
-        lines.append(f"{phiv!r},{val!r}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------------ main

@@ -1,24 +1,27 @@
 """Parameter sweeps over (Z, F, zeta) grids.
 
 A grid is evaluated as columns: the closed forms of ``atomic`` and
-``superluminal`` take numpy arrays, so each runs once per grid.  The
-table is a numpy structured array with one field per ``COLUMNS`` entry
-(float64; int64 for the 0/1 flags) and one row per grid point in grid
-order.  Quantities that do not apply at a point (no zeta given, or F
-beyond the barrier-suppression threshold) are NaN, and out-of-domain
-points are kept and flagged instead of being dropped.  Identical grids
-always produce byte-identical tables.
+``superluminal`` take numpy arrays, so each runs once per grid.  One
+evaluator, :func:`tabulate`, serves both ``run_scan`` and the CLI's
+``delays`` (a one-row table).  The table is a numpy structured array
+with one field per ``COLUMNS`` entry (float64; int64 for the 0/1 flags)
+and one row per grid point in grid order; :func:`emit_table` writes it,
+or any other structured array, as CSV or JSON.  Quantities that do not
+apply at a point (no zeta given, or F beyond the barrier-suppression
+threshold) are NaN, and out-of-domain points are kept and flagged
+instead of being dropped.  Identical grids give byte-identical tables.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import superluminal as sl
-from .atomic import barrier_geometry, delay_set, make_system
+from .atomic import AtomicSystem, barrier_geometry, delay_set, make_system
 from .constants import au_time_as, c_au
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "preset_grids",
     "run_preset",
     "run_scan",
+    "tabulate",
 ]
 
 NAN = float("nan")
@@ -115,14 +119,14 @@ class ScanGrid:
         return cols
 
 
-def run_scan(grid: ScanGrid) -> np.ndarray:
-    """Evaluate a grid into a table (structured array, fields ``COLUMNS``)
-    with one row per grid point, in grid order."""
-    cols = grid.columns()
-    f, zeta = cols["F"], cols.get("zeta")
-    system = make_system(cols["Z"], relativistic=grid.relativistic)
+def tabulate(system: AtomicSystem, f, zeta=None) -> np.ndarray:
+    """Evaluate one row per entry of ``f`` (with ``system`` and ``zeta``
+    scalars or arrays of the same length) into a table: a structured
+    array with the fields ``COLUMNS``.  ``run_scan`` and the ``delays``
+    command both read their numbers from it."""
+    f = np.atleast_1d(f)
     values = {
-        "Z": system.Z, "Zeff": system.Zeff, "relativistic": int(grid.relativistic),
+        "Z": system.Z, "Zeff": system.Zeff, "relativistic": int(system.relativistic),
         "F": f, "zeta": NAN if zeta is None else zeta,
         "Ip": system.Ip, "F_a": system.f_atomic, "F_c": (c_au / 16.0) ** 2 * system.Zeff,
         "q_db": sl.q_db(system), "q_ad": sl.q_ad(system),
@@ -162,9 +166,17 @@ def run_scan(grid: ScanGrid) -> np.ndarray:
     return table
 
 
+def run_scan(grid: ScanGrid) -> np.ndarray:
+    """Evaluate a grid into a table (see :func:`tabulate`) with one row
+    per grid point, in grid order."""
+    cols = grid.columns()
+    return tabulate(make_system(cols["Z"], relativistic=grid.relativistic),
+                    cols["F"], cols.get("zeta"))
+
+
 def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=None):
-    """Serialize a scan table (the structured array of :func:`run_scan`)
-    to CSV or JSON.
+    """Serialize a table, any numpy structured array (the scan table of
+    :func:`tabulate` among them), to CSV or JSON, one column per field.
 
     CSV: optional ``# key=value`` comment lines, one header row naming
     every column, comma separated, ``.`` decimal point, LF endings,
@@ -173,31 +185,31 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
     given, a wrapper object {"config": ..., "records": [...]} so the file
     carries its own provenance.
 
-    ``dest`` may be a path or a text file object; with ``dest=None`` the
-    serialized text is returned.
+    ``dest`` may be a path or a text file object, which gets CSV line by
+    line; with ``dest=None`` the serialized text is returned.
     """
+    names = table.dtype.names
     if fmt == "csv":
-        cells = [map(repr, table[c].tolist()) for c in COLUMNS]
-        lines = [f"# {c}" for c in header_comments]
-        lines.append(",".join(COLUMNS))
-        lines.extend(map(",".join, zip(*cells)))
-        text = "\n".join(lines) + "\n"
+        cells = [map(repr, table[c].tolist()) for c in names]
+        lines = chain((f"# {c}" for c in header_comments), [",".join(names)],
+                      map(",".join, zip(*cells)))
+        pieces = (f"{line}\n" for line in lines)
     elif fmt == "json":
-        cells = [[None if v != v else v for v in table[c].tolist()] for c in COLUMNS]
-        payload = [dict(zip(COLUMNS, row)) for row in zip(*cells)]
+        cells = [[None if v != v else v for v in table[c].tolist()] for c in names]
+        payload = [dict(zip(names, row)) for row in zip(*cells)]
         if config is not None:
             payload = {"config": config, "records": payload}
-        text = json.dumps(payload, indent=1) + "\n"
+        pieces = [json.dumps(payload, indent=1) + "\n"]
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
     if dest is None:
-        return text
+        return "".join(pieces)
     if hasattr(dest, "write"):
-        dest.write(text)
+        dest.writelines(pieces)
         return None
     with open(dest, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     return None
 
 

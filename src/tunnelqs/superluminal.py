@@ -8,6 +8,8 @@ adiabatic exit (width d_b, delay tau_ad) at zeta = 1.
 
 Like the forms in :mod:`atomic`, the quotients take numpy arrays for f
 and zeta; :func:`zeta_qs_roots` is the array form of :func:`zeta_qs`.
+``scan.tabulate``, the evaluator ``delays`` and ``scan`` share, gathers
+them all, with the light times, into one table row per point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .constants import c_au
 __all__ = [
     "CriticalFields",
     "IntermediateState",
-    "QsReport",
     "ZetaRoot",
     "critical_fields",
     "intermediate",
@@ -38,7 +39,6 @@ __all__ = [
     "q_imed_a",
     "q_imed_b",
     "q_nad",
-    "qs_report",
     "zeta_qs",
     "zeta_qs_roots",
     "zeta_threshold_a",
@@ -257,46 +257,4 @@ def critical_fields(system: AtomicSystem) -> CriticalFields:
         f_crit=f_c,
         f_zeta1=f_zeta1,
         window_nonempty=f_c < f_a,
-    )
-
-
-@dataclass(frozen=True)
-class QsReport:
-    """All quotients and light times at one (F, zeta) point."""
-
-    q_db: float
-    q_ad: float
-    q_nad: float
-    q_imed_a: float
-    q_imed_b: float
-    tau_c_db: float     # d_b / c
-    tau_c_nad: float    # x_top / c
-    tau_c_imed: float   # d_imed / c
-    superluminal_db: bool
-    superluminal_ad: bool
-    superluminal_nad: bool
-    superluminal_imed: bool
-
-
-def qs_report(system: AtomicSystem, f: float, zeta: float = 0.5) -> QsReport:
-    geom = barrier_geometry(system, f)
-    imed = intermediate(system, f, zeta)
-    qdb = q_db(system)
-    qad = q_ad(system)
-    qnad = q_nad(system, f)
-    qa = q_imed_a(system, zeta)
-    qb = q_imed_b(system, f, zeta)
-    return QsReport(
-        q_db=qdb,
-        q_ad=qad,
-        q_nad=qnad,
-        q_imed_a=qa,
-        q_imed_b=qb,
-        tau_c_db=geom.d_b / c_au,
-        tau_c_nad=geom.x_top / c_au,
-        tau_c_imed=imed.d_imed / c_au,
-        superluminal_db=qdb < 1.0,
-        superluminal_ad=qad < 1.0,
-        superluminal_nad=qnad < 1.0,
-        superluminal_imed=qb < 1.0,
     )

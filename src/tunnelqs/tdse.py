@@ -482,9 +482,10 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     """Validate a run and report (n_steps, n_channels, warnings).
 
     Raises :class:`TdseConfigError` when the channel count exceeds the
-    memory guard or dt or tol is not a positive finite number.  Oversized-but-allowed configurations come back with a
-    warning instead of an error, so published-scale parameters can be
-    planned on a desk machine without being run by accident.
+    memory guard or dt or tol is not a positive finite number.
+    Oversized-but-allowed configurations come back with a warning
+    instead of an error, so published-scale parameters can be planned on
+    a desk machine without being run by accident.
     """
     if l_max < 0:
         raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
@@ -535,6 +536,8 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     check that l_max was large enough for the chosen intensity.
     """
     _, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol)
+    if checkpoint_every < 0:
+        raise TdseConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     if dt is None:
         dt = default_dt(system.Zeff)
     state, energy0 = build_ground_state(system, grid, l_max)

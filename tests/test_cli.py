@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from tunnelqs.cli import (
     SCAN_SPEC,
     TDSE_SPEC,
     ZETA_SPEC,
+    ConfigError,
     build_parser,
     main,
     read_config_file,
@@ -23,6 +25,51 @@ from tunnelqs.cli import (
 # solver knobs beyond F0/omega travel through config files by design
 MINI_TDSE_CFG = ("Z = 1\nF0 = 0.15\nomega = 1.2\nl_max = 4\nr_max = 30\n"
                  "n_p = 120\np_max = 1.8\nn_phi = 180\n")
+
+
+# SHA-256 of `delays` stdout: the text and JSON bytes of these calls are frozen
+DELAYS_DIGESTS = {
+    ("--Z 1 --F 0.05", "text"):
+        "a3693d891e90cb80c84d6cc70167004d79fe2d354a3bed1c30b77ab6abda3999",
+    ("--Z 1 --F 0.05", "json"):
+        "df3efd6d9a71303674cb8953a4b292fdfe05acff8fd1171a55a82fbe2d94660c",
+    ("--Z 18 --F 1 --Zeff 5", "text"):
+        "c4051a70cff096da48c2362fce30f0e484bb1b22c59dbd3989d491c68dcd8a58",
+    ("--Z 18 --F 1 --Zeff 5", "json"):
+        "338edf3347532236555ab61f686dcb50d6e8fcb5e772aa0c44cbc4870a7e23dc",
+    ("--Z 18 --F 1 --omega 3", "text"):
+        "972b5872da87bbed98e7340c4429a616f8e7b28e388883e097727d0b16f939c3",
+    ("--Z 18 --F 1 --omega 3", "json"):
+        "887a3f50c39702bb555c6438bf2e5ed39b84e6adab8447ea9ad54cfc17b82b4f",
+    ("--Z 50 --F 100 --rel --zeta 0", "text"):
+        "c9a41f73c1d039334a3c911b7185bfd142343213e9e29f7c1f9d79d557c3178c",
+    ("--Z 50 --F 100 --rel --zeta 0", "json"):
+        "b5e68d946c5f57931fc6c64fb6c798a9f7b1974d073c89a054fcc543645c1a9c",
+    ("--Z 35 --F 300 --zeta 1 --omega 2.5", "text"):
+        "b89e9f53536a4cce6559bdfb6bb0b1bca2c5b5567f82d5384177bf97bba07012",
+    ("--Z 35 --F 300 --zeta 1 --omega 2.5", "json"):
+        "175f9626e71d238263dfa8f10af0f6e907b63a677dfab209b81aada439928a0c",
+    ("--Z 35 --F 2679.6875 --zeta 1", "text"):
+        "f333c745486f9b048f52c4bf9e546b8f2121eb9cad970196f7c23502aaa33052",
+    ("--Z 35 --F 2679.6875 --zeta 1", "json"):
+        "0a5744dbec1b5bcd5bc9f85a46dac1f6825e7d7b8834ef3593dbccae9fa41191",
+    ("--Z 92 --rel --F 5000 --omega 10 --zeta 0.3", "text"):
+        "fcb12761b4d19581269b42b1face8ac3a5e4c290f6daf204af2068c8f4706819",
+    ("--Z 92 --rel --F 5000 --omega 10 --zeta 0.3", "json"):
+        "9e5502850379338d5b83cee4e9a560852931350e09dfb1ace64e7548b7f96998",
+    ("--Z 60 --Zeff 40 --rel --F 1e-4 --zeta 1", "text"):
+        "9d39e5d694911ffe103641616fdf1812881ad274469d5e9b30eb6fb63a8b0da2",
+    ("--Z 60 --Zeff 40 --rel --F 1e-4 --zeta 1", "json"):
+        "80da04fd19cf5b52c71095862e5ce185dbbf83de0676f2ed3f307946f1542c64",
+    ("--Z 2 --F 1e-6 --omega 0.057 --zeta 0", "text"):
+        "f4444dba1c480679ea05bd1bacb8cc77d37b9779d7f045c55411810fde301997",
+    ("--Z 2 --F 1e-6 --omega 0.057 --zeta 0", "json"):
+        "1b132ea295f5261a40c05ff0746ebb60990769d7eb6d133c2df0f20fd208d540",
+    ("--Z 136 --rel --F 30000 --zeta 0.75", "text"):
+        "f8f424249f1de003a1c0395924df7c5ae333a42b3b81495bad3dbd5a2fe44b9a",
+    ("--Z 136 --rel --F 30000 --zeta 0.75", "json"):
+        "4053f5aa19c897c1c4e0102aa5994411bb19868a6bb300f0e6303f2ab50443b1",
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -78,6 +125,12 @@ class TestDelays:
         payload = json.loads(capsys.readouterr().out)
         assert payload["quotients"]["q_imed_b"] is None
         assert payload["quotients"]["q_db"] > 0.0
+
+    @pytest.mark.parametrize("args,fmt", sorted(DELAYS_DIGESTS), ids=" ".join)
+    def test_stdout_bytes_frozen(self, args, fmt, capsys):
+        assert main(["delays", *args.split(), "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DELAYS_DIGESTS[args, fmt]
 
     def test_intensity_note(self, capsys):
         main(["delays", "--Z", "18", "--F", "1"])
@@ -324,6 +377,16 @@ class TestConfigFiles:
         assert main(["delays", "--config", cfg]) == EXIT_CONFIG
         assert "F must be finite" in capsys.readouterr().err
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        # the last value used to win silently: this ran delays at Z = 2
+        cfg = write_cfg(tmp_path, "Z = 1\nF = 0.05\n# again\nZ = 2\n")
+        with pytest.raises(ConfigError, match=r":4: duplicate key 'Z' \(first set on line 1\)"):
+            read_config_file(cfg)
+        assert main(["delays", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "duplicate key 'Z'" in captured.err
+        assert captured.out == ""
+
     def test_missing_file(self, capsys):
         assert main(["delays", "--config", "/nonexistent/x.cfg",
                      "--Z", "1", "--F", "0.05"]) == EXIT_CONFIG
@@ -413,6 +476,24 @@ class TestTdse:
         cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\ntol = 0\n")
         assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
         assert "tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,message", [
+        ("n_p = 1", "n_p must be >= 2, got 1"),
+        ("p_min = 0", "p_min must be positive, got 0.0"),
+        ("p_max = 0.01", "p_max must be above p_min, got 0.01"),
+        ("n_phi = 4", "n_phi must be >= 8, got 4"),
+        ("checkpoint_every = -3", "checkpoint_every must be >= 0, got -3"),
+    ])
+    def test_bad_spectra_or_checkpoint_setting_on_dry_run(self, setting, message,
+                                                          tmp_path, capsys):
+        # these used to pass --dry-run and fail (or misbehave) only after
+        # the whole propagation
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 1\n"
+                                  f"r_max = 10\n{setting}\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [["--F", "nan", "--omega", "0.8"],
                                        ["--F", "0.5", "--omega", "inf"]])

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -231,6 +232,25 @@ class TestEmitTable:
         dest = tmp_path / "scan.csv"
         assert emit_table(records, fmt="csv", dest=dest) is None
         assert dest.read_text().startswith(",".join(COLUMNS[:3]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dest_gets_the_returned_text(self, records, fmt, tmp_path):
+        kwargs = dict(fmt=fmt, header_comments=("run=demo",), config={"run": "demo"})
+        text = emit_table(records, **kwargs)
+        dest = tmp_path / "scan.out"
+        assert emit_table(records, dest=dest, **kwargs) is None
+        assert dest.read_bytes() == text.encode()
+        buf = io.StringIO()
+        assert emit_table(records, dest=buf, **kwargs) is None
+        assert buf.getvalue() == text
+
+    def test_any_structured_array(self):
+        table = np.rec.fromarrays([np.array([0.0, 0.5]), np.array([1e-300, 2.0])],
+                                  names="phi,P")
+        assert emit_table(table, header_comments=("n=2",)) == (
+            "# n=2\nphi,P\n0.0,1e-300\n0.5,2.0\n")
+        assert json.loads(emit_table(table, fmt="json")) == [
+            {"phi": 0.0, "P": 1e-300}, {"phi": 0.5, "P": 2.0}]
 
     def test_json_wrapper(self, records):
         text = emit_table(records, fmt="json",

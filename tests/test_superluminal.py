@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -14,10 +15,11 @@ from tunnelqs import (
     q_imed_a,
     q_imed_b,
     q_nad,
-    qs_report,
+    tabulate,
     zeta_qs,
     zeta_threshold_a,
 )
+from tunnelqs import cli
 from tunnelqs.atomic import BarrierSuppressionError, barrier_geometry
 from tunnelqs.constants import c_au
 
@@ -315,29 +317,37 @@ class TestCriticalFields:
 
 
 class TestReport:
+    """Quotients and light times at one point, as ``scan.tabulate`` gives
+    them (and ``delays`` prints them)."""
+
     def test_argon(self):
         s = make_system(18.0)
-        rep = qs_report(s, 1.0)
-        assert rep.superluminal_db
-        assert not rep.superluminal_ad  # q_ad = 2 q_db > 1 for Z = 18
-        assert not rep.superluminal_nad
-        assert rep.q_db == pytest.approx(0.9516388825277777, rel=1e-13)
+        row = tabulate(s, 1.0)[0]
+        assert row["q_db"] < 1.0
+        assert row["q_ad"] > 1.0  # q_ad = 2 q_db > 1 for Z = 18
+        assert row["q_nad"] > 1.0
+        assert row["q_db"] == pytest.approx(0.9516388825277777, rel=1e-13)
         g = barrier_geometry(s, 1.0)
-        assert rep.tau_c_db == pytest.approx(g.d_b / c_au, rel=1e-15)
-        assert rep.tau_c_nad == pytest.approx(g.x_top / c_au, rel=1e-15)
+        assert row["tau_c_db"] == pytest.approx(g.d_b / c_au, rel=1e-15)
+        assert row["tau_c_nad"] == pytest.approx(g.x_top / c_au, rel=1e-15)
 
-    def test_flags_match_quotients(self):
-        s = make_system(50.0)
-        rep = qs_report(s, 6000.0, zeta=0.4)
-        assert rep.superluminal_nad == (rep.q_nad < 1.0)
-        assert rep.superluminal_imed == (rep.q_imed_b < 1.0)
+    def test_flags_match_quotients(self, capsys):
+        argv = ["delays", "--Z", "50", "--F", "6000", "--zeta", "0.4", "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        q = payload["quotients"]
+        assert payload["superluminal"] == {
+            "db": q["q_db"] < 1.0, "ad": q["q_ad"] < 1.0,
+            "nad": q["q_nad"] < 1.0, "imed": q["q_imed_b"] < 1.0}
+        row = tabulate(make_system(50.0), 6000.0, 0.4)[0]
+        assert q == {k: row[k] for k in q}
 
     def test_light_time_consistency(self):
         s = make_system(35.0)
-        rep = qs_report(s, 100.0, zeta=0.3)
+        row = tabulate(s, 100.0, 0.3)[0]
         d = delay_set(s, 100.0)
         imed = intermediate(s, 100.0, 0.3)
-        assert rep.q_imed_b == pytest.approx(imed.tau_imed / rep.tau_c_imed,
+        assert row["q_imed_b"] == pytest.approx(imed.tau_imed / row["tau_c_imed"],
+                                                rel=1e-12)
+        assert row["q_nad"] == pytest.approx(d.tau_dion / row["tau_c_nad"],
                                              rel=1e-12)
-        assert rep.q_nad == pytest.approx(d.tau_dion / rep.tau_c_nad,
-                                          rel=1e-12)

@@ -530,6 +530,17 @@ class TestCheckpoint:
         # final write happens at the end of the run
         assert loaded.t == pytest.approx(res.state.t, rel=1e-12)
 
+    def test_negative_checkpoint_every_rejected(self, tmp_path):
+        # steps_done % -3 == 0 used to write a checkpoint every 3 steps
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.5, r_max=10.0)
+        pulse = PulseParams(F0=0.05, omega=1.1)
+        path = tmp_path / "ck.npz"
+        with pytest.raises(TdseConfigError, match="checkpoint_every must be >= 0, got -3"):
+            run_pulse(s, grid, pulse, l_max=1, dt=0.1,
+                      checkpoint_path=path, checkpoint_every=-3)
+        assert not path.exists()
+
     def test_checkpoint_on_failure(self, tmp_path):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.5, r_max=10.0)
