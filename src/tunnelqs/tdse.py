@@ -253,7 +253,7 @@ class WavefunctionState:
         return (self.l_max + 1) ** 2
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.psi) ** 2) * self.grid.dr))
+        return math.sqrt(np.vdot(self.psi, self.psi).real * self.grid.dr)
 
     def populations(self) -> np.ndarray:
         """Per-channel norm^2, ordered like the channels."""
@@ -333,19 +333,24 @@ def coupling_operators(l_max: int):
 
 
 class _Sector:
-    """Operators of one l + m parity sector, assembled once per dt.
+    """Operators and work buffers of one l + m parity sector, assembled
+    once per dt.
 
     ``idx`` lists the sector's channels in the full (l, m) layout; the
-    arrays here are indexed by position in ``idx``.
+    arrays here are indexed by position in ``idx``.  The work buffers
+    (the gathered state, b, the two iterates and H_int x) are allocated
+    once, so a step allocates no array of the sector's size.
     """
 
     def __init__(self, idx, dplus, dminus, diag, lu):
         self.idx = idx
         self.dplus = dplus
         self.dminus = dminus
-        self.diag = diag
+        self.diag = diag.astype(np.complex128)
         self.lu = lu
         self.stacked = np.empty((2 * len(idx), diag.shape[1]), dtype=np.complex128)
+        self.psi, self.b, self.x, self.xn, self.h_x = (
+            np.empty(diag.shape, dtype=np.complex128) for _ in range(5))
         self._atilde = None
         self._h_int = None
 
@@ -365,10 +370,12 @@ class Propagator:
 
     One instance owns, for each l + m parity sector of a fixed
     (system, grid, l_max, dt), the sector's channel diagonals, the LU
-    factors of its block-tridiagonal (1 + i dt/2 H_atom) and its rows
-    and columns of the coupling operators.  ``apply_atomic``,
-    ``apply_interaction`` and ``_solve_implicit`` act on one sector's
-    channel array, ``psi[sector.idx]`` of the full (l, m) layout.
+    factors of its block-tridiagonal (1 + i dt/2 H_atom), its rows and
+    columns of the coupling operators and its work buffers.
+    ``apply_atomic``, ``apply_interaction`` and ``_solve_implicit`` act on
+    one sector's channel array, ``psi[sector.idx]`` of the full (l, m)
+    layout; given ``out``, the first two write their result there, and
+    the solve overwrites a contiguous right-hand side with the solution.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -385,7 +392,7 @@ class Propagator:
         n = grid.n_points
         nch = (l_max + 1) ** 2
         self.off = -0.5 / grid.dr ** 2
-        self.inv_r = 1.0 / grid.radii()
+        self.inv_r = (1.0 / grid.radii()).astype(np.complex128)
         dplus, dminus = coupling_operators(l_max)
         diag_by_l = [atomic_diagonal(system.Zeff, grid, l) for l in range(l_max + 1)]
         self.sectors = []
@@ -403,26 +410,45 @@ class Propagator:
             self.sectors.append(_Sector(idx, dplus[idx][:, cols], dminus[idx][:, cols],
                                         diag, lu))
 
-    def apply_atomic(self, psi: np.ndarray, sector: _Sector) -> np.ndarray:
-        out = sector.diag * psi
-        out[:, :-1] += self.off * psi[:, 1:]
-        out[:, 1:] += self.off * psi[:, :-1]
+    def apply_atomic(self, psi: np.ndarray, sector: _Sector,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(psi)
+        np.multiply(sector.diag, psi, out=out)
+        # the gradient half of the stacked buffer is free outside
+        # apply_interaction and holds the shifted products here
+        shifted = sector.stacked[:len(psi), 1:]
+        np.multiply(self.off, psi[:, 1:], out=shifted)
+        out[:, :-1] += shifted
+        np.multiply(self.off, psi[:, :-1], out=shifted)
+        out[:, 1:] += shifted
         return out
 
-    def apply_interaction(self, psi: np.ndarray, atilde: complex,
-                          sector: _Sector) -> np.ndarray:
+    def apply_interaction(self, psi: np.ndarray, atilde: complex, sector: _Sector,
+                          out: np.ndarray | None = None) -> np.ndarray:
         """A . p applied to the channel array for Atilde = A_x + i A_y."""
+        from scipy.sparse._sparsetools import csr_matvecs  # writes into out
+
         s = sector.stacked
         grad, over_r = s[:len(psi)], s[len(psi):]
         two_dr = 2.0 * self.grid.dr
-        np.divide(psi[:, 2:] - psi[:, :-2], two_dr, out=grad[:, 1:-1])
+        np.subtract(psi[:, 2:], psi[:, :-2], out=grad[:, 1:-1])
+        grad[:, 1:-1] /= two_dr
         grad[:, 0] = psi[:, 1] / two_dr            # u = 0 at r = 0
         grad[:, -1] = -psi[:, -2] / two_dr         # u = 0 beyond the box
         np.multiply(psi, self.inv_r, out=over_r)
-        return sector.coupling(atilde) @ s
+        h = sector.coupling(atilde)
+        if out is None:
+            out = np.empty_like(psi)
+        out.fill(0.0)
+        csr_matvecs(h.shape[0], h.shape[1], psi.shape[1], h.indptr, h.indices, h.data,
+                    s.ravel(), out.ravel())
+        return out
 
     def _solve_implicit(self, rhs: np.ndarray, sector: _Sector) -> np.ndarray:
-        x, _ = zgttrs(*sector.lu, rhs.reshape(-1, 1))
+        """(1 + i dt/2 H_atom)^-1 rhs; a contiguous rhs is overwritten
+        with the solution."""
+        x, _ = zgttrs(*sector.lu, rhs.reshape(-1, 1), overwrite_b=1)
         return x.reshape(rhs.shape)
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
@@ -438,7 +464,8 @@ class Propagator:
         atilde = complex(ax, ay)
         iterations, defect, done = 0, 0.0, []
         for sec in self.sectors:
-            psi = state.psi[sec.idx]
+            # mode="clip" gathers straight into the buffer ("raise" buffers)
+            psi = np.take(state.psi, sec.idx, axis=0, out=sec.psi, mode="clip")
             if psi.any():
                 new, it, d = self._step_sector(psi, atilde, sec, step_index)
                 done.append((sec.idx, new))
@@ -451,22 +478,30 @@ class Propagator:
 
     def _step_sector(self, psi: np.ndarray, atilde: complex, sec: _Sector,
                      step_index: int) -> tuple[np.ndarray, int, float]:
-        dt = self.dt
+        half = 0.5j * self.dt
+        b = self.apply_atomic(psi, sec, out=sec.b)
         if atilde == 0.0:
-            return self._solve_implicit(psi - 0.5j * dt * self.apply_atomic(psi, sec),
-                                        sec), 1, 0.0
+            np.multiply(half, b, out=b)
+            np.subtract(psi, b, out=b)
+            return self._solve_implicit(b, sec), 1, 0.0
         # H_int psi enters both b and the first iterate, which starts at x = psi
-        h_x = self.apply_interaction(psi, atilde, sec)
-        b = psi - 0.5j * dt * (self.apply_atomic(psi, sec) + h_x)
-        x = psi
+        h_x = self.apply_interaction(psi, atilde, sec, out=sec.h_x)
+        b += h_x
+        np.multiply(half, b, out=b)
+        np.subtract(psi, b, out=b)
+        x, xn = sec.x, sec.xn
+        np.copyto(x, psi)
         scale = math.sqrt(self.grid.dr)
         for it in range(1, self.max_iter + 1):
-            xn = self._solve_implicit(b - 0.5j * dt * h_x, sec)
-            defect = float(np.linalg.norm(xn - x)) * scale
+            np.multiply(half, h_x, out=xn)
+            np.subtract(b, xn, out=xn)
+            xn = self._solve_implicit(xn, sec)
+            diff = np.subtract(xn, x, out=x)       # x is not needed again
+            defect = float(np.linalg.norm(diff)) * scale
             if defect <= self.tol:
                 return xn, it, defect
-            x = xn
-            h_x = self.apply_interaction(x, atilde, sec)
+            x, xn = xn, x
+            h_x = self.apply_interaction(x, atilde, sec, out=sec.h_x)
         raise PropagationError(defect, self.tol, step_index)
 
 
