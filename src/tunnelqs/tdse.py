@@ -17,6 +17,14 @@ LU-factored tridiagonal solve over its channels, whose off-diagonal is
 cut at each channel edge; the channel-coupling interaction, two sparse
 matrices, is folded in by fixed-point iteration with a per-step defect
 tolerance, which keeps the step unitary to that tolerance for any dt.
+
+The iteration starts from the quadratic extrapolation of the last three
+step-start states.  H_int is linear in the vector potential, so the
+products of the two coupling matrices with those states, kept from
+their steps, give H_int of the start without another product; a state
+the stepper did not produce itself starts from psi.  Every array of a
+sector's size that a step needs is a work buffer allocated with the
+sector, so the step loop allocates no large temporaries.
 """
 
 from __future__ import annotations
@@ -337,32 +345,59 @@ class _Sector:
     once per dt.
 
     ``idx`` lists the sector's channels in the full (l, m) layout; the
-    arrays here are indexed by position in ``idx``.  The work buffers
-    (the gathered state, b, the two iterates and H_int x) are allocated
-    once, so a step allocates no array of the sector's size.
+    arrays here are indexed by position in ``idx``.  ``couple`` is the
+    stacked coupling [D+ ; D-] restricted to the sector, with the
+    1/(2 dr) of the central difference folded into its derivative
+    columns, so it acts on s = [2 dr du/dr ; u/r].  The work buffers
+    (b, the two iterates, H_int x, s and its coupling product) are
+    allocated once, so a step allocates no array of the sector's size;
+    ``stacked`` holds s and is scratch outside ``apply_interaction``.
+    ``states`` and ``pairs`` hold, newest
+    first, the last three step-start states and their [D+ s ; D- s];
+    ``history`` counts the entries behind the newest that the next step
+    may extrapolate from, and ``produced`` is the state the last step
+    left.
     """
 
-    def __init__(self, idx, dplus, dminus, diag, lu):
+    def __init__(self, idx, couple, diag, lu):
         self.idx = idx
-        self.dplus = dplus
-        self.dminus = dminus
-        self.diag = diag.astype(np.complex128)
+        self.couple = couple
+        self.diag = diag.astype(np.complex128)   # no cast per product
         self.lu = lu
-        self.stacked = np.empty((2 * len(idx), diag.shape[1]), dtype=np.complex128)
-        self.psi, self.b, self.x, self.xn, self.h_x = (
-            np.empty(diag.shape, dtype=np.complex128) for _ in range(5))
-        self._atilde = None
-        self._h_int = None
+        shape = diag.shape
+        pair_shape = (2 * shape[0], shape[1])
+        self.b, self.x, self.xn, self.h_x = (
+            np.empty(shape, dtype=np.complex128) for _ in range(4))
+        self.stacked, self.pair = (
+            np.empty(pair_shape, dtype=np.complex128) for _ in range(2))
+        self.states = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
+        self.pairs = [np.empty(pair_shape, dtype=np.complex128) for _ in range(3)]
+        self.history = 0
+        self.produced = None
 
-    def coupling(self, atilde: complex):
-        """H_int on this sector; rebuilt only when Atilde changes, i.e.
-        once per step rather than once per fixed-point iteration."""
-        if atilde != self._atilde:
-            # combined before the product: one sparse product instead of two
-            self._h_int = ((-0.5j * np.conj(atilde)) * self.dplus
-                           + (-0.5j * atilde) * self.dminus)
-            self._atilde = atilde
-        return self._h_int
+    def rotate(self):
+        """Free the oldest ring entry as the newest."""
+        self.states.insert(0, self.states.pop())
+        self.pairs.insert(0, self.pairs.pop())
+
+    def combine(self, pair: np.ndarray, atilde: complex, out: np.ndarray) -> np.ndarray:
+        """H_int = -(i/2) [conj(Atilde) D+ + Atilde D-] applied, from
+        pair = [D+ s ; D- s]; pair is left unchanged, ``stacked`` is
+        overwritten."""
+        n = len(out)
+        np.multiply(-0.5j * np.conj(atilde), pair[:n], out=out)
+        term = np.multiply(-0.5j * atilde, pair[n:], out=self.stacked[:n])
+        out += term
+        return out
+
+
+def _extrapolate(out: np.ndarray, now: np.ndarray, prev: np.ndarray,
+                 prev2: np.ndarray) -> None:
+    """out = 3 now - 3 prev + prev2, the quadratic through three equally
+    spaced values evaluated one spacing ahead."""
+    np.subtract(now, prev, out=out)
+    out *= 3.0
+    out += prev2
 
 
 class Propagator:
@@ -376,10 +411,23 @@ class Propagator:
     one sector's channel array, ``psi[sector.idx]`` of the full (l, m)
     layout; given ``out``, the first two write their result there, and
     the solve overwrites a contiguous right-hand side with the solution.
+
+    The fixed-point iteration of a step starts from the quadratic
+    extrapolation 3 psi_n - 3 psi_(n-1) + psi_(n-2) of the last three
+    step-start states.  Its H_int product is combined from the stored
+    [D+ s ; D- s] of those states, so the start costs no extra coupling
+    product.  The history is valid only for the state this instance
+    produced last, unchanged, at the time its last step ended; any other
+    state (another state, an edited one, a different t, or a step after a
+    field-free step or a failure) starts from psi_n, as the first two
+    steps do.  The start changes only the iteration count: every step
+    iterates until successive iterates differ by at most ``tol``.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+        from scipy.sparse import vstack
+
         _require_positive(dt=dt, tol=tol)
         if max_iter < 1:
             raise TdseConfigError(f"max_iter must be >= 1, got {max_iter}")
@@ -389,11 +437,13 @@ class Propagator:
         self.dt = dt
         self.tol = tol
         self.max_iter = max_iter
+        self._t_end = None      # where the last step ended, if it succeeded
         n = grid.n_points
         nch = (l_max + 1) ** 2
         self.off = -0.5 / grid.dr ** 2
         self.inv_r = (1.0 / grid.radii()).astype(np.complex128)
-        dplus, dminus = coupling_operators(l_max)
+        couple = vstack(coupling_operators(l_max), format="csr")
+        couple.data[couple.indices < nch] /= 2.0 * grid.dr
         diag_by_l = [atomic_diagonal(system.Zeff, grid, l) for l in range(l_max + 1)]
         self.sectors = []
         for parity in (0, 1):
@@ -407,16 +457,14 @@ class Propagator:
             off = np.full(diag.size - 1, 0.5j * dt * self.off)
             off[n - 1::n] = 0.0
             lu = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
-            self.sectors.append(_Sector(idx, dplus[idx][:, cols], dminus[idx][:, cols],
-                                        diag, lu))
+            self.sectors.append(_Sector(idx, couple[cols][:, cols], diag, lu))
 
     def apply_atomic(self, psi: np.ndarray, sector: _Sector,
                      out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty_like(psi)
         np.multiply(sector.diag, psi, out=out)
-        # the gradient half of the stacked buffer is free outside
-        # apply_interaction and holds the shifted products here
+        # the first half of the stacked buffer holds the shifted products
         shifted = sector.stacked[:len(psi), 1:]
         np.multiply(self.off, psi[:, 1:], out=shifted)
         out[:, :-1] += shifted
@@ -425,25 +473,30 @@ class Propagator:
         return out
 
     def apply_interaction(self, psi: np.ndarray, atilde: complex, sector: _Sector,
-                          out: np.ndarray | None = None) -> np.ndarray:
-        """A . p applied to the channel array for Atilde = A_x + i A_y."""
-        from scipy.sparse._sparsetools import csr_matvecs  # writes into out
+                          out: np.ndarray | None = None,
+                          pair: np.ndarray | None = None) -> np.ndarray:
+        """A . p applied to the channel array for Atilde = A_x + i A_y.
+
+        The coupling product [D+ s ; D- s] of the stacked radial array
+        s is left in ``pair`` (default: the sector's scratch), from which
+        the result is combined.
+        """
+        from scipy.sparse._sparsetools import csr_matvecs  # adds into pair
 
         s = sector.stacked
-        grad, over_r = s[:len(psi)], s[len(psi):]
-        two_dr = 2.0 * self.grid.dr
-        np.subtract(psi[:, 2:], psi[:, :-2], out=grad[:, 1:-1])
-        grad[:, 1:-1] /= two_dr
-        grad[:, 0] = psi[:, 1] / two_dr            # u = 0 at r = 0
-        grad[:, -1] = -psi[:, -2] / two_dr         # u = 0 beyond the box
+        diff, over_r = s[:len(psi)], s[len(psi):]
+        np.subtract(psi[:, 2:], psi[:, :-2], out=diff[:, 1:-1])
+        diff[:, 0] = psi[:, 1]                     # u = 0 at r = 0
+        np.negative(psi[:, -2], out=diff[:, -1])   # u = 0 beyond the box
         np.multiply(psi, self.inv_r, out=over_r)
-        h = sector.coupling(atilde)
-        if out is None:
-            out = np.empty_like(psi)
-        out.fill(0.0)
-        csr_matvecs(h.shape[0], h.shape[1], psi.shape[1], h.indptr, h.indices, h.data,
-                    s.ravel(), out.ravel())
-        return out
+        if pair is None:
+            pair = sector.pair
+        pair.fill(0.0)
+        # the operator is real: one real product on the (re, im) pairs
+        c = sector.couple
+        csr_matvecs(c.shape[0], c.shape[1], 2 * psi.shape[1], c.indptr, c.indices,
+                    c.data, s.view(np.float64).ravel(), pair.view(np.float64).ravel())
+        return sector.combine(pair, atilde, np.empty_like(psi) if out is None else out)
 
     def _solve_implicit(self, rhs: np.ndarray, sector: _Sector) -> np.ndarray:
         """(1 + i dt/2 H_atom)^-1 rhs; a contiguous rhs is overwritten
@@ -462,18 +515,27 @@ class Propagator:
         """
         ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
         atilde = complex(ax, ay)
+        continued = state.t == self._t_end
+        self._t_end = None
         iterations, defect, done = 0, 0.0, []
         for sec in self.sectors:
+            sec.rotate()
             # mode="clip" gathers straight into the buffer ("raise" buffers)
-            psi = np.take(state.psi, sec.idx, axis=0, out=sec.psi, mode="clip")
+            psi = np.take(state.psi, sec.idx, axis=0, out=sec.states[0], mode="clip")
+            if not (continued and np.array_equal(psi, sec.produced)):
+                sec.history = 0
             if psi.any():
                 new, it, d = self._step_sector(psi, atilde, sec, step_index)
-                done.append((sec.idx, new))
+                done.append((sec, new))
                 iterations, defect = max(iterations, it), max(defect, d)
+            else:
+                sec.history = 0
         # written back only once every sector has converged
-        for idx, new in done:
-            state.psi[idx] = new
+        for sec, new in done:
+            state.psi[sec.idx] = new
+            sec.produced = new
         state.t += self.dt
+        self._t_end = state.t
         return iterations, defect
 
     def _step_sector(self, psi: np.ndarray, atilde: complex, sec: _Sector,
@@ -481,24 +543,30 @@ class Propagator:
         half = 0.5j * self.dt
         b = self.apply_atomic(psi, sec, out=sec.b)
         if atilde == 0.0:
+            sec.history = 0   # no coupling product to extrapolate from
             np.multiply(half, b, out=b)
             np.subtract(psi, b, out=b)
             return self._solve_implicit(b, sec), 1, 0.0
-        # H_int psi enters both b and the first iterate, which starts at x = psi
-        h_x = self.apply_interaction(psi, atilde, sec, out=sec.h_x)
+        h_x = self.apply_interaction(psi, atilde, sec, out=sec.h_x, pair=sec.pairs[0])
         b += h_x
         np.multiply(half, b, out=b)
         np.subtract(psi, b, out=b)
         x, xn = sec.x, sec.xn
-        np.copyto(x, psi)
+        if sec.history == 2:
+            _extrapolate(x, *sec.states)
+            _extrapolate(sec.pair, *sec.pairs)
+            h_x = sec.combine(sec.pair, atilde, sec.h_x)
+        else:
+            np.copyto(x, psi)   # H_int psi is already in h_x
         scale = math.sqrt(self.grid.dr)
         for it in range(1, self.max_iter + 1):
             np.multiply(half, h_x, out=xn)
             np.subtract(b, xn, out=xn)
             xn = self._solve_implicit(xn, sec)
             diff = np.subtract(xn, x, out=x)       # x is not needed again
-            defect = float(np.linalg.norm(diff)) * scale
+            defect = math.sqrt(np.vdot(diff, diff).real) * scale
             if defect <= self.tol:
+                sec.history = min(sec.history + 1, 2)
                 return xn, it, defect
             x, xn = xn, x
             h_x = self.apply_interaction(x, atilde, sec, out=sec.h_x)

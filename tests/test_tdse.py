@@ -1,11 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tunnelqs import make_system
+from tunnelqs.spectra import (
+    default_phi_grid,
+    momentum_distribution,
+    offset_angle_and_delay,
+    project_scattering_states,
+    radial_integrate,
+)
 from tunnelqs.tdse import (
     DEFAULT_MAX_CHANNELS,
+    DEFAULT_TOL,
     PropagationError,
     Propagator,
     PulseParams,
@@ -372,6 +381,65 @@ class TestParitySectors:
                                    rtol=0.0, atol=prop.tol)
 
 
+class TestPredictorHistory:
+    """A step starts its iteration from an extrapolation of the states
+    this Propagator produced.  Any other state starts from psi itself, so
+    its step is exactly the one a fresh Propagator takes."""
+
+    @pytest.fixture()
+    def setup(self):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=30.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state, _ = build_ground_state(s, grid, l_max=3)
+        state.t = 0.45 * pulse.duration   # field well on
+        prop = Propagator(s, grid, 3, 0.02)
+        for _ in range(3):                # two earlier states to extrapolate from
+            prop.step(state, pulse)
+        return prop, pulse, state
+
+    @staticmethod
+    def _step_as_fresh(prop, pulse, state):
+        twin = state.copy()
+        expect = Propagator(prop.system, prop.grid, prop.l_max, prop.dt).step(twin, pulse)
+        assert prop.step(state, pulse) == expect
+        np.testing.assert_allclose(state.psi, twin.psi, rtol=0.0, atol=10 * prop.tol)
+
+    def test_continued_state_uses_history(self, setup):
+        # the counterpart of the tests below: the fourth step of one state
+        # is no fresh start, so it needs fewer iterations
+        prop, pulse, state = setup
+        twin = state.copy()
+        fresh = Propagator(prop.system, prop.grid, prop.l_max, prop.dt).step(twin, pulse)
+        assert prop.step(state, pulse)[0] < fresh[0]
+        np.testing.assert_allclose(state.psi, twin.psi, rtol=0.0, atol=10 * prop.tol)
+
+    def test_two_states_alternately(self, setup):
+        prop, pulse, a = setup
+        b = a.copy()
+        b.psi[channel_index(1, 1)] += 0.1 * b.psi[channel_index(0, 0)]
+        # b starts where the last step ended, so only its contents tell it
+        # apart; later steps of either state follow one of the other
+        for _ in range(3):
+            self._step_as_fresh(prop, pulse, b)
+            self._step_as_fresh(prop, pulse, a)
+
+    @pytest.mark.parametrize("edit", ["psi", "t"])
+    def test_edited_state(self, setup, edit):
+        prop, pulse, state = setup
+        if edit == "psi":
+            state.psi[channel_index(2, 2)] *= 0.5
+        else:
+            state.t += 0.25 * prop.dt
+        self._step_as_fresh(prop, pulse, state)
+
+    def test_field_free_step_resets(self, setup):
+        prop, pulse, state = setup
+        idle = PulseParams(F0=0.0, omega=pulse.omega)
+        assert prop.step(state, idle) == (1, 0.0)
+        self._step_as_fresh(prop, pulse, state)
+
+
 class TestPropagation:
     def test_field_free_survival(self):
         s = make_system(1.0)
@@ -426,6 +494,59 @@ class TestPropagation:
         assert err.step >= 0
         assert err.t_last == pytest.approx(err.step * 0.5, rel=1e-12)
         assert "defect" in str(err)
+
+
+class TestZScaling:
+    """A Z = 2 ion on hydrogen's grid, step and pulse scaled by r/Z, t/Z^2,
+    F Z^3 and omega Z^2 is the same discrete problem: E0 scales by Z^2,
+    u(r) by sqrt(Z), and the spectrum at p_Z = Z p_H has the same angles
+    and ionized fraction."""
+
+    @staticmethod
+    def _run(z, dr, r_max, dt, f0, omega):
+        system = make_system(z)
+        pulse = PulseParams(F0=f0, omega=omega)
+        res = run_pulse(system, RadialGrid(dr=dr, r_max=r_max), pulse, l_max=4, dt=dt)
+        p = z * np.linspace(0.05, 1.5, 60)
+        amps = project_scattering_states(res.state, system, p)
+        dist = momentum_distribution(amps, p, default_phi_grid(180))
+        return res, amps.total_ionized(), offset_angle_and_delay(radial_integrate(dist), pulse)
+
+    def test_z2_ion_is_scaled_hydrogen(self):
+        res_h, ion_h, off_h = self._run(1.0, 0.2, 30.0, 0.04, 0.3, 0.8)
+        res_z, ion_z, off_z = self._run(2.0, 0.1, 15.0, 0.01, 2.4, 3.2)
+        assert res_z.steps == res_h.steps
+        assert res_z.energy0 / res_h.energy0 == pytest.approx(4.0, rel=1e-12)
+        psi_gap = np.abs(res_z.state.psi - math.sqrt(2.0) * res_h.state.psi).max()
+        assert psi_gap <= 10 * DEFAULT_TOL
+        assert ion_h > 1e-4
+        assert ion_z == pytest.approx(ion_h, rel=1e-9)
+        assert off_z.theta == pytest.approx(off_h.theta, abs=1e-9)
+
+
+class TestStepAllocations:
+    def test_mid_pulse_steps_allocate_little(self):
+        # every array of a sector's size lives in the Propagator's buffers;
+        # fresh temporaries per step used to reach six times psi
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=60.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state, _ = build_ground_state(s, grid, l_max=8)
+        state.t = 0.45 * pulse.duration
+        prop = Propagator(s, grid, 8, 0.02)
+        for _ in range(3):
+            prop.step(state, pulse)
+        sector_bytes = max(state.psi[sec.idx].nbytes for sec in prop.sectors)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(10):
+                prop.step(state, pulse)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * sector_bytes
 
 
 class TestPlanning:
