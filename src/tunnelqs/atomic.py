@@ -90,6 +90,12 @@ class AtomicSystem:
         return self.Ip * self.Ip / (4.0 * self.Zeff)
 
     @property
+    def f_crit(self) -> float:
+        """F_c = (c/16)^2 Zeff, where q_nad reaches 1 for a nonrelativistic
+        hydrogen-like atom."""
+        return (c_au / 16.0) ** 2 * self.Zeff
+
+    @property
     def tau_atomic(self) -> float:
         """Atomic time 1/(2 Ip); the F -> F_a limit of the tunneling delays."""
         return 0.5 / self.Ip
@@ -150,11 +156,12 @@ class BarrierGeometry:
 
 
 def _check_field(system: AtomicSystem, f: float) -> None:
+    """Reject F <= 0 and an F so small that Ip/F or Zeff/F overflows; the
+    barrier quantities and the thick-barrier forms divide by F."""
     _require(f > 0.0, f, "field strength must be positive, got {}")
-    f, f_atomic = np.broadcast_arrays(f, system.f_atomic)
-    over = f > f_atomic
-    if over.any():
-        raise BarrierSuppressionError(float(f[over][0]), float(f_atomic[over][0]))
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(system.Ip / f) & np.isfinite(system.Zeff / f)
+    _require(finite, f, "field strength is too small for finite Ip/F and Zeff/F, got {}")
 
 
 def barrier_geometry(system: AtomicSystem, f: float) -> BarrierGeometry:
@@ -164,6 +171,10 @@ def barrier_geometry(system: AtomicSystem, f: float) -> BarrierGeometry:
     Raises :class:`BarrierSuppressionError` beyond F_a.
     """
     _check_field(system, f)
+    over = np.asarray(f > system.f_atomic)
+    if over.any():
+        f_over, f_atomic = np.broadcast_arrays(f, system.f_atomic)
+        raise BarrierSuppressionError(float(f_over[over][0]), float(f_atomic[over][0]))
     ip = system.Ip
     # maximum only guards the roundoff of Ip^2 - 4 Zeff F at F = F_a
     delta_z = _as_float(np.sqrt(np.maximum(ip * ip - 4.0 * system.Zeff * f, 0.0)))

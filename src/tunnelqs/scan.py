@@ -128,7 +128,7 @@ def tabulate(system: AtomicSystem, f, zeta=None) -> np.ndarray:
     values = {
         "Z": system.Z, "Zeff": system.Zeff, "relativistic": int(system.relativistic),
         "F": f, "zeta": NAN if zeta is None else zeta,
-        "Ip": system.Ip, "F_a": system.f_atomic, "F_c": (c_au / 16.0) ** 2 * system.Zeff,
+        "Ip": system.Ip, "F_a": system.f_atomic, "F_c": system.f_crit,
         "q_db": sl.q_db(system), "q_ad": sl.q_ad(system),
     }
     # thick-barrier quantities survive beyond F_a

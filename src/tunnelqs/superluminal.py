@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 from .atomic import (
     AtomicSystem,
     _as_float,
+    _check_field,
     _require,
     barrier_geometry,
     delay_set,
@@ -130,7 +131,7 @@ def q_imed_b(system: AtomicSystem, f: float, zeta: float, thick: bool = False) -
     """
     _check_zeta(zeta)
     if thick:
-        _require(f > 0.0, f, "field strength must be positive, got {}")
+        _check_field(system, f)
         x_top = _as_float(np.sqrt(system.Zeff / f))
         a_t = 8.0 * system.Zeff * f * x_top / system.Ip
         return c_au * (1.0 + zeta) / (a_t * (1.0 - zeta) + 8.0 * system.Zeff * zeta)
@@ -168,7 +169,7 @@ def zeta_qs_roots(system: AtomicSystem, f, mode: str = "exact"):
     ArithmeticError.
     """
     if mode == "thick":
-        _require(f > 0.0, f, "field strength must be positive, got {}")
+        _check_field(system, f)
         a_t = 8.0 * system.Zeff * f * np.sqrt(system.Zeff / f) / system.Ip
         num = a_t - c_au
         den = a_t + c_au - 8.0 * system.Zeff
@@ -243,7 +244,7 @@ class CriticalFields:
 
 def critical_fields(system: AtomicSystem) -> CriticalFields:
     f_a = system.f_atomic
-    f_c = (c_au / 16.0) ** 2 * system.Zeff
+    f_c = system.f_crit
 
     def g(f: float) -> float:
         return q_imed_b(system, f, 1.0) - 1.0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from tunnelqs import (
     photon_absorption_delay,
 )
 from tunnelqs.atomic import AtomicSystem
+from tunnelqs.superluminal import critical_fields, q_imed_b, q_nad
 from tunnelqs.constants import au_time_as, c_au
 
 # subatomic-field fraction F/F_a; the upper end touches barrier suppression
@@ -31,6 +33,16 @@ class TestSystem:
         s = make_system(1.0)
         assert s.f_atomic == pytest.approx(0.0625, rel=1e-15)
         assert s.tau_atomic == pytest.approx(1.0, rel=1e-15)
+
+    def test_f_crit(self):
+        s = make_system(50.0, relativistic=True)
+        assert s.f_crit == (c_au / 16.0) ** 2 * 50.0
+        assert s.f_crit == critical_fields(s).f_crit
+        # q_nad = (c/16) sqrt(Zeff/F) crosses 1 there
+        assert q_nad(make_system(40.0), make_system(40.0).f_crit) == pytest.approx(1.0, rel=1e-12)
+        zeff = np.array([1.0, 35.0, 136.0])
+        arr = make_system(zeff).f_crit
+        assert arr.tolist() == [make_system(z).f_crit for z in zeff]
 
     def test_relativistic_ip(self):
         s = make_system(50.0, relativistic=True)
@@ -90,6 +102,22 @@ class TestGeometry:
             barrier_geometry(s, 0.0)
         with pytest.raises(ValueError):
             barrier_geometry(s, -0.1)
+
+    def test_subnormal_field_rejected(self):
+        # Zeff/F overflows at F = 1e-310: x_top was inf and q_nad came out
+        # 0, a superluminal verdict where (c/16) sqrt(Zeff/F) is huge
+        s = make_system(1.0)
+        with pytest.raises(ValueError, match="too small .* got 1e-310"):
+            barrier_geometry(s, 1e-310)
+        with pytest.raises(ValueError, match="got 1e-310"):
+            q_nad(s, 1e-310)
+        with pytest.raises(ValueError, match="got 1e-310"):
+            q_imed_b(s, 1e-310, 0.5, thick=True)
+        # an array names its first bad entry
+        with pytest.raises(ValueError, match="got 1e-310"):
+            barrier_geometry(s, np.array([0.01, 1e-310, 1e-320]))
+        # the smallest fields that still have finite quotients pass
+        assert barrier_geometry(s, 1e-300 * s.f_atomic).x_top > 1e150
 
     @given(z=z_st, frac=frac_st)
     @settings(max_examples=200)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -210,6 +211,20 @@ class TestCriticalFields:
         payload = json.loads(capsys.readouterr().out)
         assert payload["window_nonempty"] is False
         assert payload["F_zeta1"] is None
+
+
+@pytest.mark.parametrize("command", ["delays", "scan"])
+def test_subnormal_field_is_domain_error(command, capsys):
+    # Zeff/F overflows at F = 1e-310: delays printed Q_Nad = 0 and flagged
+    # nad and imed as superluminal, and both printed overflow warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--Z", "1", "--F", "1e-310"])
+    assert rc == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "domain error" in captured.err and "1e-310" in captured.err
+    assert "superluminal" not in captured.out
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestScan:
