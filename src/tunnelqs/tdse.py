@@ -352,11 +352,10 @@ class _Sector:
     (b, the two iterates, H_int x, s and its coupling product) are
     allocated once, so a step allocates no array of the sector's size;
     ``stacked`` holds s and is scratch outside ``apply_interaction``.
-    ``states`` and ``pairs`` hold, newest
-    first, the last three step-start states and their [D+ s ; D- s];
-    ``history`` counts the entries behind the newest that the next step
-    may extrapolate from, and ``produced`` is the state the last step
-    left.
+    ``states`` and ``pairs`` hold, newest first, the last three
+    step-start states and their [D+ s ; D- s]; ``history`` counts the
+    entries behind the newest that the next step may extrapolate from,
+    and ``produced`` is the state the last step left.
     """
 
     def __init__(self, idx, couple, diag, lu):
@@ -441,7 +440,7 @@ class Propagator:
         n = grid.n_points
         nch = (l_max + 1) ** 2
         self.off = -0.5 / grid.dr ** 2
-        self.inv_r = (1.0 / grid.radii()).astype(np.complex128)
+        self.inv_r = (1.0 / grid.radii()).astype(np.complex128)   # no cast per product
         couple = vstack(coupling_operators(l_max), format="csr")
         couple.data[couple.indices < nch] /= 2.0 * grid.dr
         diag_by_l = [atomic_diagonal(system.Zeff, grid, l) for l in range(l_max + 1)]
@@ -481,7 +480,8 @@ class Propagator:
         s is left in ``pair`` (default: the sector's scratch), from which
         the result is combined.
         """
-        from scipy.sparse._sparsetools import csr_matvecs  # adds into pair
+        # the kernel of csr @ dense, without allocating the result
+        from scipy.sparse._sparsetools import csr_matvecs
 
         s = sector.stacked
         diff, over_r = s[:len(psi)], s[len(psi):]
