@@ -349,13 +349,17 @@ class _Sector:
     stacked coupling [D+ ; D-] restricted to the sector, with the
     1/(2 dr) of the central difference folded into its derivative
     columns, so it acts on s = [2 dr du/dr ; u/r].  The work buffers
-    (b, the two iterates, H_int x, s and its coupling product) are
-    allocated once, so a step allocates no array of the sector's size;
-    ``stacked`` holds s and is scratch outside ``apply_interaction``.
-    ``states`` and ``pairs`` hold, newest first, the last three
-    step-start states and their [D+ s ; D- s]; ``history`` counts the
-    entries behind the newest that the next step may extrapolate from,
-    and ``produced`` is the state the last step left.
+    (b, the two iterates, H_int x and s) are allocated once, so a step
+    allocates no array of the sector's size; ``stacked`` holds s and is
+    scratch outside ``apply_interaction``.  ``states`` and ``pairs`` are
+    rings, newest first, of the last step-start states and their
+    coupling products [D+ s ; D- s]; a step needs only the two newest of
+    the previous ones, so the oldest entry of each ring is free: a state
+    is gathered into it, and the oldest pair takes the extrapolated
+    product and then every coupling product of the iteration.
+    ``history`` counts the entries behind the newest that the next step
+    may extrapolate from, and ``produced`` is the state the last step
+    left.
     """
 
     def __init__(self, idx, couple, diag, lu):
@@ -367,15 +371,14 @@ class _Sector:
         pair_shape = (2 * shape[0], shape[1])
         self.b, self.x, self.xn, self.h_x = (
             np.empty(shape, dtype=np.complex128) for _ in range(4))
-        self.stacked, self.pair = (
-            np.empty(pair_shape, dtype=np.complex128) for _ in range(2))
+        self.stacked = np.empty(pair_shape, dtype=np.complex128)
         self.states = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
         self.pairs = [np.empty(pair_shape, dtype=np.complex128) for _ in range(3)]
         self.history = 0
         self.produced = None
 
     def rotate(self):
-        """Free the oldest ring entry as the newest."""
+        """Make the oldest ring entries the newest."""
         self.states.insert(0, self.states.pop())
         self.pairs.insert(0, self.pairs.pop())
 
@@ -391,12 +394,12 @@ class _Sector:
 
 
 def _extrapolate(out: np.ndarray, now: np.ndarray, prev: np.ndarray,
-                 prev2: np.ndarray) -> None:
+                 prev2: np.ndarray, tmp: np.ndarray) -> None:
     """out = 3 now - 3 prev + prev2, the quadratic through three equally
-    spaced values evaluated one spacing ahead."""
-    np.subtract(now, prev, out=out)
-    out *= 3.0
-    out += prev2
+    spaced values evaluated one spacing ahead; out may be tmp or prev2."""
+    np.subtract(now, prev, out=tmp)
+    tmp *= 3.0
+    np.add(prev2, tmp, out=out)
 
 
 class Propagator:
@@ -477,8 +480,8 @@ class Propagator:
         """A . p applied to the channel array for Atilde = A_x + i A_y.
 
         The coupling product [D+ s ; D- s] of the stacked radial array
-        s is left in ``pair`` (default: the sector's scratch), from which
-        the result is combined.
+        s is left in ``pair`` (default: the oldest, free entry of the
+        sector's ring), from which the result is combined.
         """
         # the kernel of csr @ dense, without allocating the result
         from scipy.sparse._sparsetools import csr_matvecs
@@ -490,7 +493,7 @@ class Propagator:
         np.negative(psi[:, -2], out=diff[:, -1])   # u = 0 beyond the box
         np.multiply(psi, self.inv_r, out=over_r)
         if pair is None:
-            pair = sector.pair
+            pair = sector.pairs[-1]
         pair.fill(0.0)
         # the operator is real: one real product on the (re, im) pairs
         c = sector.couple
@@ -519,12 +522,12 @@ class Propagator:
         self._t_end = None
         iterations, defect, done = 0, 0.0, []
         for sec in self.sectors:
-            sec.rotate()
             # mode="clip" gathers straight into the buffer ("raise" buffers)
-            psi = np.take(state.psi, sec.idx, axis=0, out=sec.states[0], mode="clip")
+            psi = np.take(state.psi, sec.idx, axis=0, out=sec.states[-1], mode="clip")
             if not (continued and np.array_equal(psi, sec.produced)):
                 sec.history = 0
             if psi.any():
+                sec.rotate()
                 new, it, d = self._step_sector(psi, atilde, sec, step_index)
                 done.append((sec, new))
                 iterations, defect = max(iterations, it), max(defect, d)
@@ -553,9 +556,9 @@ class Propagator:
         np.subtract(psi, b, out=b)
         x, xn = sec.x, sec.xn
         if sec.history == 2:
-            _extrapolate(x, *sec.states)
-            _extrapolate(sec.pair, *sec.pairs)
-            h_x = sec.combine(sec.pair, atilde, sec.h_x)
+            _extrapolate(x, *sec.states, tmp=x)
+            _extrapolate(sec.pairs[-1], *sec.pairs, tmp=sec.stacked)
+            h_x = sec.combine(sec.pairs[-1], atilde, sec.h_x)
         else:
             np.copyto(x, psi)   # H_int psi is already in h_x
         scale = math.sqrt(self.grid.dr)
@@ -603,7 +606,10 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     n_steps = int(math.ceil(pulse.duration / dt - 1e-12))
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS:
-        mb = nch * grid.n_points * 16 * 4 / 1e6
+        # psi, the LU factors and diagonals of both parity sectors (about
+        # 5 psi) and the 15 work buffers of the occupied one (each about
+        # half of psi): a ground-state run at l_max = 20 peaked at 15.5 psi
+        mb = nch * grid.n_points * 16 * 15 / 1e6
         warnings.append(
             f"not desk scale: {nch} channels x {grid.n_points} points "
             f"(roughly {mb:.0f} MB of working set)")
