@@ -280,7 +280,7 @@ def photon_absorption_delay(system: AtomicSystem, f: float,
     equals the ionization delay tau_dion regardless of omega.
     """
     _require(omega > 0.0, omega, "omega must be positive, got {}")
-    _require(f > 0.0, f, "field strength must be positive, got {}")
+    _check_field(system, f)
     n = system.Ip / omega
     tau_1 = omega / (8.0 * system.Zeff * f)
     return PhotonAbsorptionDelay(n_photons=n, tau_1ph=tau_1, tau_nph=n * tau_1)
@@ -289,5 +289,5 @@ def photon_absorption_delay(system: AtomicSystem, f: float,
 def keldysh_gamma(system: AtomicSystem, f: float, omega: float) -> float:
     """Keldysh adiabaticity parameter gamma = omega sqrt(2 Ip) / F."""
     _require(omega > 0.0, omega, "omega must be positive, got {}")
-    _require(f > 0.0, f, "field strength must be positive, got {}")
+    _check_field(system, f)
     return omega * math.sqrt(2.0 * system.Ip) / f

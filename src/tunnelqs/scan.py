@@ -135,8 +135,7 @@ def tabulate(system: AtomicSystem, f, zeta=None) -> np.ndarray:
     if zeta is not None:
         values["q_imed_a"] = sl.q_imed_a(system, zeta)
         values["q_imed_b_thick"] = sl.q_imed_b(system, f, zeta, thick=True)
-        values["d_imed_thick"] = ((1.0 - zeta) * np.sqrt(system.Zeff / f)
-                                  + zeta * system.Ip / f)
+        values["d_imed_thick"] = sl.d_imed_thick(system, f, zeta)
     values["zeta_qs_thick"] = sl.zeta_qs_roots(system, f, "thick")[0]
 
     # the barrier quantities are evaluated at min(F, F_a) and then blanked
@@ -185,8 +184,8 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
     given, a wrapper object {"config": ..., "records": [...]} so the file
     carries its own provenance.
 
-    ``dest`` may be a path or a text file object, which gets CSV line by
-    line; with ``dest=None`` the serialized text is returned.
+    The text goes to the file at path ``dest``, or is returned when
+    ``dest`` is None.
     """
     names = table.dtype.names
     if fmt == "csv":
@@ -205,9 +204,6 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
 
     if dest is None:
         return "".join(pieces)
-    if hasattr(dest, "write"):
-        dest.writelines(pieces)
-        return None
     with open(dest, "w", newline="") as fh:
         fh.writelines(pieces)
     return None

@@ -24,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import loggamma, sph_harm_y
 
 from .constants import au_time_as
-from .tdse import RadialGrid, WavefunctionState, atomic_diagonal, channel_index
+from .tdse import RadialGrid, WavefunctionState, channel_index, radial_hamiltonian
 
 __all__ = [
     "AngularDistribution",
@@ -124,16 +124,13 @@ def bound_states(zeff: float, grid: RadialGrid, l: int) -> np.ndarray:
     (k, n_points).  Uses the same discretization as the propagator, so
     the propagation ground state is reproduced exactly.
     """
-    n = grid.n_points
-    diag = atomic_diagonal(zeff, grid, l)
-    off = -0.5 / grid.dr ** 2 * np.ones(n - 1)
     # a finite box supports only finitely many E < 0 levels
-    w, v = eigh_tridiagonal(diag, off, select="v",
+    w, v = eigh_tridiagonal(*radial_hamiltonian(zeff, grid, l), select="v",
                             select_range=(-10.0 * zeff * zeff - 1.0, 0.0))
     keep = w < 0.0
     states = v[:, keep].T
     if states.shape[0] == 0:
-        return np.zeros((0, n))
+        return np.zeros((0, grid.n_points))
     norms = np.sqrt(np.sum(states ** 2, axis=1) * grid.dr)
     return states / norms[:, None]
 
@@ -265,14 +262,6 @@ class AngularDistribution:
 
     phi: np.ndarray
     values: np.ndarray
-
-    @property
-    def peak_index(self) -> int:
-        return int(np.argmax(self.values))
-
-    @property
-    def peak_value(self) -> float:
-        return float(self.values[self.peak_index])
 
     def integrate(self) -> float:
         return float(self.values.sum() * 2.0 * math.pi / len(self.phi))

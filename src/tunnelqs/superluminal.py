@@ -34,6 +34,7 @@ __all__ = [
     "IntermediateState",
     "ZetaRoot",
     "critical_fields",
+    "d_imed_thick",
     "intermediate",
     "q_ad",
     "q_db",
@@ -143,6 +144,15 @@ def q_imed_b(system: AtomicSystem, f: float, zeta: float, thick: bool = False) -
     # d_imed = d_b = 0; num > 0 there, so Q is inf
     with np.errstate(divide="ignore"):
         return _as_float(np.divide(num, den))
+
+
+def d_imed_thick(system: AtomicSystem, f: float, zeta: float) -> float:
+    """Thick-barrier exit distance (1 - zeta) x_top + zeta d_c, with the
+    classical width d_c = Ip/F in place of d_b; defined for any F > 0,
+    like ``q_imed_b(thick=True)``."""
+    _check_zeta(zeta)
+    _check_field(system, f)
+    return _as_float((1.0 - zeta) * np.sqrt(system.Zeff / f) + zeta * system.Ip / f)
 
 
 @dataclass(frozen=True)

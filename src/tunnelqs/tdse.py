@@ -45,7 +45,6 @@ __all__ = [
     "RadialGrid",
     "TdseConfigError",
     "WavefunctionState",
-    "atomic_diagonal",
     "build_ground_state",
     "channel_index",
     "channel_list",
@@ -54,6 +53,7 @@ __all__ = [
     "envelope",
     "load_checkpoint",
     "plan_run",
+    "radial_hamiltonian",
     "run_pulse",
     "save_checkpoint",
     "vector_potential",
@@ -62,7 +62,7 @@ __all__ = [
 CHECKPOINT_VERSION = 1
 
 DEFAULT_TOL = 1e-10       # per-step fixed-point defect
-DEFAULT_MAX_ITER = 50
+MAX_ITER = 50             # fixed-point iterations per step before PropagationError
 DEFAULT_MAX_CHANNELS = 16384
 
 # above these the run is accepted but flagged as beyond desk scale
@@ -225,16 +225,16 @@ def cusp_correction(zeff: float, dr: float) -> float:
     return (-0.5 * zeff * zeff - e_lattice) * (1.0 + s) / (1.0 - s) ** 3
 
 
-def atomic_diagonal(zeff: float, grid: RadialGrid, l: int) -> np.ndarray:
-    """Diagonal of the field-free radial Hamiltonian for channel l.
-
-    Off-diagonal elements are the constant -1/(2 dr^2).
-    """
+def radial_hamiltonian(zeff: float, grid: RadialGrid,
+                       l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Field-free radial Hamiltonian of channel l as the (diagonal,
+    off-diagonal) pair of a symmetric tridiagonal matrix, the (d, e) of
+    ``eigh_tridiagonal``; the off-diagonal is the constant -1/(2 dr^2)."""
     r = grid.radii()
     diag = 1.0 / grid.dr ** 2 + l * (l + 1) / (2.0 * r * r) - zeff / r
     if l == 0:
         diag[0] += cusp_correction(zeff, grid.dr)
-    return diag
+    return diag, np.full(len(r) - 1, -0.5 / grid.dr ** 2)
 
 
 @dataclass
@@ -288,15 +288,13 @@ def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[Wavefuncti
     """
     if l_max < 0:
         raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
-    n = grid.n_points
-    diag = atomic_diagonal(system.Zeff, grid, 0)
-    off = -0.5 / grid.dr ** 2 * np.ones(n - 1)
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    w, v = eigh_tridiagonal(*radial_hamiltonian(system.Zeff, grid, 0),
+                            select="i", select_range=(0, 0))
     u = v[:, 0]
     u = u / math.sqrt(np.sum(u * u) * grid.dr)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
-    psi = np.zeros(((l_max + 1) ** 2, n), dtype=np.complex128)
+    psi = np.zeros(((l_max + 1) ** 2, grid.n_points), dtype=np.complex128)
     psi[channel_index(0, 0)] = u
     return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(w[0])
 
@@ -423,30 +421,29 @@ class Propagator:
     state (another state, an edited one, a different t, or a step after a
     field-free step or a failure) starts from psi_n, as the first two
     steps do.  The start changes only the iteration count: every step
-    iterates until successive iterates differ by at most ``tol``.
+    iterates until successive iterates differ by at most ``tol``, and a
+    step still above it after ``MAX_ITER`` (50) iterations raises
+    :class:`PropagationError`.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+                 tol: float = DEFAULT_TOL):
         from scipy.sparse import vstack
 
         _require_positive(dt=dt, tol=tol)
-        if max_iter < 1:
-            raise TdseConfigError(f"max_iter must be >= 1, got {max_iter}")
         self.system = system
         self.grid = grid
         self.l_max = l_max
         self.dt = dt
         self.tol = tol
-        self.max_iter = max_iter
         self._t_end = None      # where the last step ended, if it succeeded
         n = grid.n_points
         nch = (l_max + 1) ** 2
-        self.off = -0.5 / grid.dr ** 2
+        h_by_l = [radial_hamiltonian(system.Zeff, grid, l) for l in range(l_max + 1)]
+        self.off = h_by_l[0][1][0]   # the same constant for every l
         self.inv_r = (1.0 / grid.radii()).astype(np.complex128)   # no cast per product
         couple = vstack(coupling_operators(l_max), format="csr")
         couple.data[couple.indices < nch] /= 2.0 * grid.dr
-        diag_by_l = [atomic_diagonal(system.Zeff, grid, l) for l in range(l_max + 1)]
         self.sectors = []
         for parity in (0, 1):
             channels = [(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == parity]
@@ -454,7 +451,7 @@ class Propagator:
                 continue  # l_max = 0 has no odd sector
             idx = np.array([channel_index(l, m) for l, m in channels])
             cols = np.concatenate([idx, nch + idx])
-            diag = np.array([diag_by_l[l] for l, _ in channels])
+            diag = np.array([h_by_l[l][0] for l, _ in channels])
             # one tridiagonal over the sector's channels, cut at each channel edge
             off = np.full(diag.size - 1, 0.5j * dt * self.off)
             off[n - 1::n] = 0.0
@@ -562,7 +559,7 @@ class Propagator:
         else:
             np.copyto(x, psi)   # H_int psi is already in h_x
         scale = math.sqrt(self.grid.dr)
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             np.multiply(half, h_x, out=xn)
             np.subtract(b, xn, out=xn)
             xn = self._solve_implicit(xn, sec)
@@ -581,17 +578,30 @@ def default_dt(zeff: float) -> float:
     return min(0.02, 0.02 / (zeff * zeff))
 
 
+def _step_schedule(duration: float, dt: float) -> tuple[int, float]:
+    """(n_full, remainder): n_full steps of dt and, if remainder > 0, one
+    of the remainder end at ``duration``; a remainder below 1e-12
+    duration is roundoff of a whole number of steps and is dropped."""
+    n_full = int(duration / dt)
+    remainder = duration - n_full * dt
+    if remainder < 1e-12 * duration:
+        remainder = 0.0
+    return n_full, remainder
+
+
 def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
              dt: float | None = None,
              max_channels: int = DEFAULT_MAX_CHANNELS,
              tol: float = DEFAULT_TOL) -> tuple[int, int, list[str]]:
     """Validate a run and report (n_steps, n_channels, warnings).
 
-    Raises :class:`TdseConfigError` when the channel count exceeds the
-    memory guard or dt or tol is not a positive finite number.
-    Oversized-but-allowed configurations come back with a warning
-    instead of an error, so published-scale parameters can be planned on
-    a desk machine without being run by accident.
+    n_steps is the count :func:`run_pulse` takes: int(T1/dt) steps of dt
+    and a shortened last one, unless the rest is below 1e-12 T1.  Raises
+    :class:`TdseConfigError` when the channel count exceeds the memory
+    guard or dt or tol is not a positive finite number.
+    Oversized-but-allowed configurations come back with a warning instead
+    of an error, so published-scale parameters can be planned on a desk
+    machine without being run by accident.
     """
     if l_max < 0:
         raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
@@ -603,17 +613,18 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     if dt is None:
         dt = default_dt(system.Zeff)
     _require_positive(dt=dt, tol=tol)
-    n_steps = int(math.ceil(pulse.duration / dt - 1e-12))
+    n_full, remainder = _step_schedule(pulse.duration, dt)
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS:
         # psi, the LU factors and diagonals of both parity sectors (about
         # 5 psi) and the 15 work buffers of the occupied one (each about
-        # half of psi): a ground-state run at l_max = 20 peaked at 15.5 psi
+        # half of psi), for the one live Propagator: at l_max = 20 runs with
+        # and without a shortened last step both peaked at 15.4 psi
         mb = nch * grid.n_points * 16 * 15 / 1e6
         warnings.append(
             f"not desk scale: {nch} channels x {grid.n_points} points "
             f"(roughly {mb:.0f} MB of working set)")
-    return n_steps, nch, warnings
+    return n_full + (remainder > 0.0), nch, warnings
 
 
 @dataclass
@@ -635,16 +646,19 @@ class PulseResult:
 
 def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
               dt: float | None = None, tol: float = DEFAULT_TOL,
-              max_iter: int = DEFAULT_MAX_ITER,
               max_channels: int = DEFAULT_MAX_CHANNELS,
               checkpoint_path=None, checkpoint_every: int = 0) -> PulseResult:
     """Propagate the field-free ground state through the whole pulse.
 
-    The final partial step is shortened so the state lands exactly on
-    t = T1.  The tail fraction in the two highest l blocks is the usual
-    check that l_max was large enough for the chosen intensity.
+    The run takes the steps :func:`plan_run` counts; the shortened last
+    one lands the state on t = T1 and gets its own :class:`Propagator`,
+    built after the one for dt is dropped, so at most one is alive.  A
+    step still above ``tol`` after ``MAX_ITER`` iterations writes the
+    crash checkpoint and raises :class:`PropagationError`.  The tail
+    fraction in the two highest l blocks is the usual check that l_max
+    was large enough for the chosen intensity.
     """
-    _, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol)
+    n_steps, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol)
     if checkpoint_every < 0:
         raise TdseConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     if dt is None:
@@ -652,41 +666,22 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     state, energy0 = build_ground_state(system, grid, l_max)
     norm0 = state.norm()
 
-    t1 = pulse.duration
-    n_full = int(t1 / dt)
-    remainder = t1 - n_full * dt
-    if remainder < 1e-12 * t1:
-        remainder = 0.0
-
-    prop = Propagator(system, grid, l_max, dt, tol=tol, max_iter=max_iter)
-    max_it = 0
-    max_defect = 0.0
-    max_drift = 0.0
-    prev_norm = norm0
-    steps_done = 0
-
-    def after_step():
-        nonlocal prev_norm, max_drift, steps_done
-        steps_done += 1
-        norm = state.norm()
-        max_drift = max(max_drift, abs(norm - prev_norm))
-        prev_norm = norm
-        if checkpoint_path and checkpoint_every and steps_done % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, state, system)
-
+    n_full, remainder = _step_schedule(pulse.duration, dt)
+    max_it, max_defect, max_drift, prev_norm = 0, 0.0, 0.0, norm0
     try:
-        for k in range(n_full):
+        for k in range(n_steps):
+            if k in (0, n_full):
+                prop = None   # dropped first: one Propagator alive at a time
+                prop = Propagator(system, grid, l_max, dt if k < n_full else remainder,
+                                  tol=tol)
             it, defect = prop.step(state, pulse, step_index=k)
             max_it = max(max_it, it)
             max_defect = max(max_defect, defect)
-            after_step()
-        if remainder > 0.0:
-            tail_prop = Propagator(system, grid, l_max, remainder, tol=tol,
-                                   max_iter=max_iter)
-            it, defect = tail_prop.step(state, pulse, step_index=n_full)
-            max_it = max(max_it, it)
-            max_defect = max(max_defect, defect)
-            after_step()
+            norm = state.norm()
+            max_drift = max(max_drift, abs(norm - prev_norm))
+            prev_norm = norm
+            if checkpoint_path and checkpoint_every and (k + 1) % checkpoint_every == 0:
+                save_checkpoint(checkpoint_path, state, system)
     except PropagationError as exc:
         if checkpoint_path:
             save_checkpoint(checkpoint_path, state, system)
@@ -705,7 +700,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     return PulseResult(
         state=state,
         energy0=energy0,
-        steps=steps_done,
+        steps=n_steps,
         max_iterations=max_it,
         max_defect=max_defect,
         norm_initial=norm0,

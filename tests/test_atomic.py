@@ -236,6 +236,14 @@ class TestPhotonDelay:
         with pytest.raises(ValueError):
             photon_absorption_delay(s, 0.05, omega=0.0)
 
+    def test_field_validation(self):
+        # Zeff/F overflows at F = 1e-310, which would make tau_nph inf
+        s = make_system(1.0)
+        with pytest.raises(ValueError, match="field strength must be positive"):
+            photon_absorption_delay(s, 0.0, omega=0.05)
+        with pytest.raises(ValueError, match="too small .* got 1e-310"):
+            photon_absorption_delay(s, 1e-310, omega=0.05)
+
 
 class TestKeldysh:
     def test_titanium_sapphire(self):
@@ -251,6 +259,14 @@ class TestKeldysh:
         g1 = keldysh_gamma(s, 0.1, 0.5)
         assert keldysh_gamma(s, 0.2, 0.5) == pytest.approx(0.5 * g1, rel=1e-12)
         assert keldysh_gamma(s, 0.1, 1.0) == pytest.approx(2.0 * g1, rel=1e-12)
+
+    def test_field_validation(self):
+        # Zeff/F overflows at F = 1e-310, where gamma would be inf
+        s = make_system(1.0)
+        with pytest.raises(ValueError, match="field strength must be positive"):
+            keldysh_gamma(s, -0.1, 0.05)
+        with pytest.raises(ValueError, match="too small .* got 1e-310"):
+            keldysh_gamma(s, 1e-310, 0.05)
 
 
 def test_direct_dataclass_is_open():

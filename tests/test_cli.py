@@ -22,6 +22,7 @@ from tunnelqs.cli import (
     main,
     read_config_file,
 )
+from tunnelqs.tdse import PulseParams
 
 # solver knobs beyond F0/omega travel through config files by design
 MINI_TDSE_CFG = ("Z = 1\nF0 = 0.15\nomega = 1.2\nl_max = 4\nr_max = 30\n"
@@ -469,6 +470,17 @@ class TestTdse:
         assert report["no_ionization"] is True
         assert report["theta"] is None
         assert not (tmp_path / "tdse_angular.csv").exists()
+
+    def test_plan_and_run_step_counts_agree(self, tmp_path, capsys):
+        # T1 is 20 steps of dt within 1e-12 T1: no shortened step in plan or run
+        dt = PulseParams(F0=0.0, omega=8.0).duration / (20 + 2e-12)
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0\nomega = 8\nl_max = 0\ndr = 0.5\n"
+                                  f"r_max = 5\ndt = {dt!r}\n")
+        assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        counts = [line.split()[1] for line in out.splitlines()
+                  if line.startswith(("plan:", "propagation:"))]
+        assert counts == ["20", "20"]
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path,

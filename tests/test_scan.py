@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -240,9 +239,6 @@ class TestEmitTable:
         dest = tmp_path / "scan.out"
         assert emit_table(records, dest=dest, **kwargs) is None
         assert dest.read_bytes() == text.encode()
-        buf = io.StringIO()
-        assert emit_table(records, dest=buf, **kwargs) is None
-        assert buf.getvalue() == text
 
     def test_any_structured_array(self):
         table = np.rec.fromarrays([np.array([0.0, 0.5]), np.array([1e-300, 2.0])],

@@ -20,6 +20,7 @@ from tunnelqs import (
     zeta_threshold_a,
 )
 from tunnelqs import cli
+from tunnelqs.superluminal import d_imed_thick
 from tunnelqs.atomic import BarrierSuppressionError, barrier_geometry
 from tunnelqs.constants import c_au
 
@@ -169,6 +170,22 @@ class TestIntermediateQuotientB:
         assert q_imed_b(s, 2.0 * s.f_atomic, 0.5, thick=True) > 0.0
         with pytest.raises(BarrierSuppressionError):
             q_imed_b(s, 2.0 * s.f_atomic, 0.5)
+
+    @given(frac=st.floats(min_value=1e-6, max_value=3.0), zeta=zeta_st)
+    @settings(max_examples=100)
+    def test_thick_distance_is_the_scalar_formula(self, frac, zeta):
+        # (1 - zeta) sqrt(Zeff/F) + zeta Ip/F, also beyond F_a
+        s = make_system(40.0, relativistic=True)
+        f = frac * s.f_atomic
+        assert d_imed_thick(s, f, zeta) == (
+            (1.0 - zeta) * math.sqrt(s.Zeff / f) + zeta * s.Ip / f)
+
+    def test_thick_distance_domain(self):
+        s = make_system(40.0)
+        with pytest.raises(ValueError, match="too small .* got 1e-310"):
+            d_imed_thick(s, 1e-310, 0.5)
+        with pytest.raises(ValueError, match="zeta must lie in"):
+            d_imed_thick(s, 1.0, 1.5)
 
     @given(frac=st.floats(min_value=1e-6, max_value=0.01), zeta=zeta_st)
     @settings(max_examples=100)

@@ -21,7 +21,6 @@ from tunnelqs.tdse import (
     RadialGrid,
     TdseConfigError,
     WavefunctionState,
-    atomic_diagonal,
     build_ground_state,
     channel_index,
     channel_list,
@@ -30,6 +29,7 @@ from tunnelqs.tdse import (
     envelope,
     load_checkpoint,
     plan_run,
+    radial_hamiltonian,
     run_pulse,
     save_checkpoint,
     vector_potential,
@@ -160,8 +160,8 @@ class TestDiscreteAtom:
         errs0, errs1 = [], []
         for dr in (0.2, 0.1):
             grid = RadialGrid(dr=dr, r_max=120.0)
-            diag = atomic_diagonal(1.0, grid, 0)
-            off = -0.5 / dr**2 * np.ones(grid.n_points - 1)
+            diag, off = radial_hamiltonian(1.0, grid, 0)
+            np.testing.assert_array_equal(off, np.full(grid.n_points - 1, -0.5 / dr**2))
             w, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
             errs0.append(abs(w[0] + 0.5))
             errs1.append(abs(w[1] + 0.125))
@@ -170,8 +170,8 @@ class TestDiscreteAtom:
 
     def test_centrifugal_term(self):
         grid = RadialGrid(dr=0.1, r_max=20.0)
-        d0 = atomic_diagonal(1.0, grid, 0)
-        d1 = atomic_diagonal(1.0, grid, 1)
+        d0, _ = radial_hamiltonian(1.0, grid, 0)
+        d1, _ = radial_hamiltonian(1.0, grid, 1)
         r = grid.radii()
         # l = 1 adds 1/r^2; the l = 0 column carries the cusp correction
         # in its first entry.  Differencing the diagonals cancels against
@@ -483,6 +483,40 @@ class TestPropagation:
         assert res.state.t == pytest.approx(pulse.duration, rel=1e-12)
         assert res.steps == math.ceil(pulse.duration / 0.03)
 
+    def test_plan_is_the_run(self):
+        # dt = T1/(k + eps) near a whole step count, where a remainder
+        # below 1e-12 T1 is dropped, and T1 < dt, where only a shortened
+        # step is taken: the plan counts the steps the run takes
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.5, r_max=5.0)
+        cases = [(PulseParams(F0=0.0, omega=8.0), 100 + eps)
+                 for eps in (0.0, 2e-12, 5e-11, -5e-11)]
+        cases.append((PulseParams(F0=0.0, omega=1e300), None))
+        for pulse, k in cases:
+            dt = None if k is None else pulse.duration / k
+            n_steps, _, _ = plan_run(s, grid, pulse, l_max=0, dt=dt)
+            res = run_pulse(s, grid, pulse, l_max=0, dt=dt)
+            assert res.steps == n_steps, k
+            assert res.state.t == pytest.approx(pulse.duration, rel=1e-12)
+
+    def test_one_propagator_alive(self):
+        # the shortened last step needs its own Propagator; with the main
+        # one still alive the run would peak near twice as high
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=30.0)
+        pulse = PulseParams(F0=0.1, omega=4.0)
+
+        def peak(dt):
+            tracemalloc.start()
+            try:
+                run_pulse(s, grid, pulse, l_max=6, dt=dt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert pulse.duration / 0.02 % 1.0 > 0.05   # a shortened last step
+        assert peak(0.02) <= 1.1 * peak(pulse.duration / 40)
+
     def test_divergence_reports_position(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.5, r_max=10.0)
@@ -596,12 +630,6 @@ class TestPlanning:
                      lambda: plan_run(s, grid, pulse, 1, dt=0.02, tol=bad)):
             with pytest.raises(TdseConfigError, match="tol must be positive"):
                 call()
-
-    def test_max_iter_below_one_rejected(self):
-        s = make_system(1.0)
-        grid = RadialGrid(dr=0.1, r_max=10.0)
-        with pytest.raises(TdseConfigError, match="max_iter"):
-            Propagator(s, grid, 1, 0.02, max_iter=0)
 
     def test_published_scale_warns(self):
         s = make_system(18.0)
