@@ -8,10 +8,19 @@ offset angle theta, measured from the -y direction with positive sense
 toward +x, and the delay tau = theta / omega.
 
 Continuum waves are integrated with Numerov's method on the state's own
-grid and normalized against the WKB amplitude in a window near the box
-edge, so no closed-form Coulomb functions are needed.  Bound content is
-projected out with eigenstates of the same discrete Hamiltonian before
-projection, since bound population aliases into low momenta otherwise.
+grid, one radius at a time over all momenta (contiguous rows of a
+(radius, momentum) array), and normalized against the WKB amplitude in a
+window near the box edge, so no closed-form Coulomb functions are
+needed.  Bound content is projected out with eigenstates of the same
+discrete Hamiltonian before projection, since bound population aliases
+into low momenta otherwise.  The waves are real, so each l's projection
+is one real matrix product on the (re, im) pairs of the channel block.
+
+On the polarization plane Y_lm(pi/2, phi) = Y_lm(pi/2, 0) e^(i m phi),
+so the partial-wave sum is a Fourier series in phi with 2 l_max + 1
+terms.  Momenta must be finite and positive, and angle grids finite and
+uniform with spacing 2 pi / n (``default_phi_grid``, any start angle);
+other input raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import loggamma, sph_harm_y
 
 from .constants import au_time_as
-from .tdse import RadialGrid, WavefunctionState, channel_index, radial_hamiltonian
+from .tdse import RadialGrid, WavefunctionState, channel_index, channel_list, radial_hamiltonian
 
 __all__ = [
     "AngularDistribution",
@@ -46,6 +55,7 @@ __all__ = [
 MULTIMODAL_RATIO = 0.95     # second peak within 5% of the max
 
 _RENORM_LIMIT = 1e200       # Numerov under-barrier growth guard
+_GUARD_ROWS = 64            # Numerov rows per growth check
 
 
 def coulomb_phase(l: int, eta) -> np.ndarray:
@@ -65,41 +75,77 @@ def default_phi_grid(n: int = 720) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
 
+def _check_phi_grid(phi: np.ndarray) -> None:
+    """A periodic readout grid: finite, spacing 2 pi / n, any start."""
+    if phi.ndim != 1 or len(phi) < 8:
+        raise ValueError("phi must be a 1-D grid of at least 8 angles")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi must be finite")
+    dphi = 2.0 * math.pi / len(phi)
+    if np.max(np.abs(np.diff(phi) - dphi)) > 1e-9 * dphi:
+        raise ValueError("phi must be increasing with spacing 2 pi / len(phi), "
+                         "as from default_phi_grid")
+
+
 def continuum_waves(zeff: float, grid: RadialGrid, l: int,
                     p: np.ndarray) -> np.ndarray:
     """Regular radial continuum waves u_pl(r) for every momentum in p.
 
-    Shape (len(p), n_points), energy-normalized: the asymptotic
-    amplitude is sqrt(2/(pi p)).  zeff = 0 gives free spherical waves.
-    Momenta whose WKB window is classically forbidden (possible for
-    high l at very low p) come back as all-zero rows.
+    Shape (len(p), n_points), C-contiguous, energy-normalized: the
+    asymptotic amplitude is sqrt(2/(pi p)).  zeff = 0 gives free
+    spherical waves.  Momenta whose WKB window is classically forbidden
+    (possible for high l at very low p) come back as all-zero rows.
+    p must be finite and positive; anything else raises ValueError.
+    Numerov steps one radius at a time over contiguous (n_points, len(p))
+    rows; the result is transposed once at the end.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("p must be a nonempty 1-D array")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p must be finite")
     if np.any(p <= 0.0):
         raise ValueError("p = 0 is excluded: continuum normalization is singular")
     r = grid.radii()
     dr = grid.dr
     n = grid.n_points
     # u'' = w(r) u for E = p^2/2 and the -zeff/r potential
-    w = (l * (l + 1) / (r * r) - 2.0 * zeff / r)[None, :] - (p * p)[:, None]
-    t = (dr * dr / 12.0) * w
+    b = (l * (l + 1) / (r * r) - 2.0 * zeff / r)[:, None] - (p * p)[None, :]
+    b *= dr * dr / 12.0                    # t = dr^2 w / 12
+    a = 10.0 * b
+    a += 2.0                               # 2 + 10 t
+    np.subtract(1.0, b, out=b)             # 1 - t
 
-    u = np.empty((len(p), n))
+    u = np.empty((n, len(p)))
     # two-term Frobenius start: u ~ r^(l+1) (1 + c1 r + c2 r^2)
     c1 = -zeff / (l + 1)
     c2 = (2.0 * zeff * zeff / (l + 1) - p * p) / (4 * l + 6)
     for j in (0, 1):
-        u[:, j] = r[j] ** (l + 1) * (1.0 + c1 * r[j] + c2 * r[j] ** 2)
-    for j in range(1, n - 1):
-        u[:, j + 1] = ((2.0 + 10.0 * t[:, j]) * u[:, j]
-                       - (1.0 - t[:, j - 1]) * u[:, j - 1]) / (1.0 - t[:, j + 1])
-        big = np.abs(u[:, j + 1]) > _RENORM_LIMIT
-        if np.any(big):
+        u[j] = r[j] ** (l + 1) * (1.0 + c1 * r[j] + c2 * r[j] ** 2)
+    tmp = np.empty(len(p))
+    j = 1
+    while j < n - 1:
+        stop = min(j + _GUARD_ROWS, n - 1)
+        # rows past the first one over the limit are recomputed, so an
+        # overflow in them is harmless
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(j, stop):
+                nxt = u[k + 1]
+                np.multiply(a[k], u[k], out=nxt)
+                np.multiply(b[k - 1], u[k - 1], out=tmp)
+                nxt -= tmp
+                nxt /= b[k + 1]
+        # the growth guard, once per block: the rows up to the first one
+        # over the limit are exactly those of a check after every step
+        big = np.abs(u[j + 1:stop + 1]) > _RENORM_LIMIT
+        hits = np.flatnonzero(big.any(axis=1))
+        if hits.size:
             # overall scale is fixed later, but keep values finite
-            factor = np.where(big, np.abs(u[:, j + 1]), 1.0)
-            u[:, j:j + 2] /= factor[:, None]
+            stop = j + 1 + hits[0]
+            u[stop - 1:stop + 1] /= np.where(big[hits[0]], np.abs(u[stop]), 1.0)
+        j = stop
+    del a, b
+    u = np.ascontiguousarray(u.T)
 
     # normalize against the WKB amplitude in a window near the box edge
     jw = np.nonzero((r >= 0.80 * grid.r_max) & (r <= 0.90 * grid.r_max))[0]
@@ -187,6 +233,8 @@ def project_scattering_states(state: WavefunctionState, system,
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) < 2:
         raise ValueError("p must be a 1-D grid of at least 2 momenta")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p must be finite")
     if np.any(p <= 0.0):
         raise ValueError("p = 0 is excluded: continuum normalization is singular")
     if np.any(np.diff(p) <= 0.0):
@@ -201,8 +249,10 @@ def project_scattering_states(state: WavefunctionState, system,
         waves = continuum_waves(zeff, state.grid, l, p)
         phase = (-1j) ** l * np.exp(1j * coulomb_phase(l, eta)) * inv_sqrt_p
         i0 = channel_index(l, -l)
-        block = cleaned.psi[i0:i0 + 2 * l + 1]
-        a[i0:i0 + 2 * l + 1] = (waves @ block.T * dr).T * phase[None, :]
+        # the waves are real: one real product on the (re, im) pairs
+        pairs = np.ascontiguousarray(cleaned.psi[i0:i0 + 2 * l + 1].T).view(np.float64)
+        proj = (waves @ pairs).view(np.complex128)      # (len(p), 2l+1)
+        a[i0:i0 + 2 * l + 1] = (proj * dr).T * phase[None, :]
     return IonizationAmplitudes(p=p, l_max=state.l_max, zeff=zeff, a=a,
                                 bound_removed=removed)
 
@@ -233,19 +283,28 @@ class MomentumDistribution:
 
 def momentum_distribution(amps: IonizationAmplitudes, p: np.ndarray,
                           phi: np.ndarray) -> MomentumDistribution:
-    """Coherent partial-wave sum evaluated at polar angle pi/2."""
+    """Coherent partial-wave sum evaluated at polar angle pi/2.
+
+    On the equator Y_lm(pi/2, phi) = Y_lm(pi/2, 0) e^(i m phi), which
+    vanishes for odd l + m, so the sum is the Fourier series
+    psi(p, phi) = sum_m c_m(p) e^(i m phi) with
+    c_m = sum_l a_lm Y_lm(pi/2, 0).  phi must be finite with spacing
+    2 pi / len(phi), as from ``default_phi_grid`` (any start angle);
+    other grids raise ValueError, since the periodic weight of
+    ``integrate`` fixes the rescaling.
+    """
     p = np.asarray(p, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if p.shape != amps.p.shape or not np.array_equal(p, amps.p):
         raise ValueError("p grid does not match the amplitude table")
-    if phi.ndim != 1 or len(phi) < 8:
-        raise ValueError("phi must be a 1-D grid of at least 8 angles")
-    ylm = np.empty((amps.a.shape[0], len(phi)), dtype=np.complex128)
-    half_pi = np.full_like(phi, math.pi / 2.0)
-    for l in range(amps.l_max + 1):
-        for m in range(-l, l + 1):
-            ylm[channel_index(l, m)] = sph_harm_y(l, m, half_pi, phi)
-    psi = amps.a.T @ ylm
+    _check_phi_grid(phi)
+    l_max = amps.l_max
+    c = np.zeros((2 * l_max + 1, len(p)), dtype=np.complex128)
+    for ch, (l, m) in enumerate(channel_list(l_max)):
+        if (l + m) % 2 == 0:
+            c[l_max + m] += sph_harm_y(l, m, math.pi / 2.0, 0.0).real * amps.a[ch]
+    m = np.arange(-l_max, l_max + 1)
+    psi = c.T @ np.exp(1j * m[:, None] * phi[None, :])
     density = np.abs(psi) ** 2
     dist = MomentumDistribution(p=p, phi=phi, density=density)
     raw = dist.integrate()
@@ -299,6 +358,7 @@ def offset_angle_and_delay(ang: AngularDistribution, pulse) -> OffsetResult:
     omega = pulse.omega if hasattr(pulse, "omega") else float(pulse)
     if not omega > 0.0:
         raise ValueError(f"carrier frequency must be positive, got {omega}")
+    _check_phi_grid(np.asarray(ang.phi, dtype=float))
     v = ang.values
     n = len(v)
     i = int(np.argmax(v))

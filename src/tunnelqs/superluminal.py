@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .atomic import (
     AtomicSystem,
@@ -262,6 +261,9 @@ def critical_fields(system: AtomicSystem) -> CriticalFields:
     lo, hi = f_a * 1e-9, f_a * (1.0 - 1e-12)
     f_zeta1 = None
     if g(lo) * g(hi) < 0.0:
+        # imported here: scipy.optimize costs every CLI process ~0.2 s to load
+        from scipy.optimize import brentq
+
         f_zeta1 = brentq(g, lo, hi, xtol=f_a * 1e-14, rtol=8.9e-16)
     return CriticalFields(
         f_atomic=f_a,

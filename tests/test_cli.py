@@ -1,12 +1,14 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import tunnelqs
 from tunnelqs.cli import (
     CRIT_SPEC,
     DELAYS_SPEC,
@@ -592,3 +594,24 @@ def test_console_script_help():
     assert proc.returncode == 0
     for cmd in ("delays", "scan", "zeta-qs", "critical-fields", "tdse"):
         assert cmd in proc.stdout
+
+
+def test_light_commands_skip_scipy_optimize():
+    # scipy.optimize is imported only where critical_fields needs brentq
+    child = (
+        "import sys\n"
+        "from tunnelqs.cli import main\n"
+        "for argv in (['delays', '--Z', '1', '--F', '0.05'],\n"
+        "             ['scan', '--Z', '1', '--F', '0.05', '--zeta', '0.5'],\n"
+        "             ['tdse', '--Z', '1', '--F', '0.5', '--omega', '0.8', '--dry-run']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'scipy.optimize' not in sys.modules, argv\n"
+        "print('ok')\n"
+    )
+    src = os.path.dirname(os.path.dirname(tunnelqs.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")

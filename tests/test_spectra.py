@@ -1,16 +1,19 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import spherical_jn
+from scipy.special import sph_harm_y, spherical_jn
 
 from tunnelqs.atomic import AtomicSystem
 from tunnelqs.constants import au_time_as
 from tunnelqs.spectra import (
     MULTIMODAL_RATIO,
     AngularDistribution,
+    IonizationAmplitudes,
     MomentumDistribution,
     bound_states,
     continuum_waves,
@@ -28,6 +31,7 @@ from tunnelqs.tdse import (
     RadialGrid,
     build_ground_state,
     channel_index,
+    channel_list,
 )
 
 
@@ -85,6 +89,58 @@ class TestContinuumWaves:
             continuum_waves(1.0, grid, 0, np.array([[0.5]]))
         with pytest.raises(ValueError):
             continuum_waves(1.0, grid, 0, np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momenta_rejected(self, grid, bad):
+        with pytest.raises(ValueError, match="finite"):
+            continuum_waves(1.0, grid, 0, np.array([0.5, bad]))
+
+    # frozen sha256 of continuum_waves(...).tobytes(): a faster recurrence
+    # must reproduce the waves bit for bit
+    FROZEN = [
+        (0.0, 0.1, 120.0, 0, "c88ad6d3f894d2043f7307a3bc39fe89ed29dcaf71030da701e8084a66f19803"),
+        (0.0, 0.1, 120.0, 5, "ae8ca1ec7a430921b9fd2bca4f0888577505595ad7d8aedb329eb7ab8a3932c7"),
+        (0.0, 0.1, 120.0, 16, "52d97fd4a5c234f035c78aefb8d4bc7bde2be20cb2fafad6c809e56c4c3b00c1"),
+        (1.0, 0.1, 120.0, 0, "de36930962966f38b6d09dbe8d7d8e64413729a921c922567cd320be472b5cf7"),
+        (1.0, 0.1, 120.0, 5, "59dc4be56ced037682e366adb38e612ff6cc1e0b3111b3fcf6a17fb115709688"),
+        (1.0, 0.1, 120.0, 16, "4a6c8621b745903d18ceb7db2e13d835a79c0b3c14f3a804740a947b3110e722"),
+    ]
+
+    @pytest.mark.parametrize("zeff,dr,r_max,l,digest", FROZEN)
+    def test_frozen_values(self, zeff, dr, r_max, l, digest):
+        u = continuum_waves(zeff, RadialGrid(dr=dr, r_max=r_max), l,
+                            np.linspace(0.05, 2.5, 800))
+        assert u.shape == (800, 1200) and u.flags.c_contiguous
+        assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dr,r_max,l,p,digest", [
+        # deep under the barrier at p = 0.02, with no renormalization step
+        (0.1, 60.0, 30, np.linspace(0.02, 1.0, 50),
+         "18b3a698db8b72f79b10b0c3c7a177be99ffe1933ae9e0a0a0e41375a4db36eb"),
+        # the growth guard renormalizes on two steps; p = 0.02 comes back
+        # as a zero row (forbidden window), p = 0.5 and 2.0 as waves
+        (0.5, 400.0, 150, np.array([0.02, 0.5, 2.0]),
+         "6f375f64dfb6c64a81b1e29fd1c7aa847878c2af623ee17c8ecfff36cee8acab"),
+        # renormalized on 15 steps, several within one block of rows
+        (1.0, 600.0, 180, np.linspace(0.3, 1.0, 20),
+         "f0448b4a98da92bfa784df3153ea3bf2f890dce39361665abc96606533990ef1"),
+    ])
+    def test_frozen_values_under_the_barrier(self, dr, r_max, l, p, digest):
+        u = continuum_waves(1.0, RadialGrid(dr=dr, r_max=r_max), l, p)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
+    def test_memory_peak(self):
+        grid = RadialGrid(dr=0.1, r_max=120.0)
+        p = np.linspace(0.05, 2.5, 800)
+        continuum_waves(1.0, grid, 3, p)   # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            u = continuum_waves(1.0, grid, 3, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # coefficients 2 + 10 t and 1 - t plus the waves: 3.0x the result
+        assert peak <= 3.25 * u.nbytes
 
     @pytest.mark.parametrize("l", [0, 1, 4])
     def test_free_waves_are_bessel(self, grid, l):
@@ -190,6 +246,14 @@ class TestProjection:
             project_scattering_states(smoke_run.state, hydrogen,
                                       np.array([-0.1, 0.5]))
 
+    @pytest.mark.parametrize("p", [[0.5, 1.0, np.inf], [np.nan, 0.5, 1.0],
+                                   [0.5, np.nan]])
+    def test_non_finite_momenta_rejected(self, hydrogen, p):
+        state, _ = build_ground_state(hydrogen, RadialGrid(dr=0.1, r_max=20.0),
+                                      l_max=1)
+        with pytest.raises(ValueError, match="finite"):
+            project_scattering_states(state, hydrogen, np.array(p))
+
     def test_plane_wave_oracle(self):
         # Zeff = 0 turns the scattering states into spherical Bessel
         # waves; a handmade packet in one channel then has a closed-form
@@ -246,6 +310,60 @@ class TestMomentumDistribution:
         # the bare plane slice does not integrate to the 3-D total, so the
         # declared rescaling is a real factor
         assert abs(dist.scale - 1.0) > 1e-3
+
+    def test_fourier_sum_is_the_ylm_sum(self):
+        # random amplitudes on every channel, odd l + m included
+        l_max, p = 12, np.linspace(0.1, 2.0, 40)
+        rng = np.random.default_rng(11)
+        n_ch = (l_max + 1) ** 2
+        a = rng.normal(size=(n_ch, len(p))) + 1j * rng.normal(size=(n_ch, len(p)))
+        amps = IonizationAmplitudes(p=p, l_max=l_max, zeff=1.0, a=a,
+                                    bound_removed=0.0)
+        phi = default_phi_grid(360)
+        dist = momentum_distribution(amps, p, phi)
+        ylm = np.array([sph_harm_y(l, m, math.pi / 2.0, phi)
+                        for l, m in channel_list(l_max)])
+        direct = np.abs(a.T @ ylm) ** 2
+        direct *= dist.scale
+        np.testing.assert_allclose(dist.density, direct, rtol=0.0,
+                                   atol=1e-13 * float(direct.max()))
+
+    @pytest.mark.parametrize("phi", [
+        np.r_[default_phi_grid(16)[:-1], np.nan],
+        np.linspace(0.0, 1.0, 10),
+        default_phi_grid(16)[::-1],
+        np.linspace(0.0, 2.0 * math.pi, 16),      # endpoint included
+        np.sort(np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, 16)),
+        default_phi_grid(16)[:, None],
+        default_phi_grid(16)[:4],
+    ])
+    def test_phi_grid_validation(self, phi):
+        p = np.linspace(0.2, 1.5, 5)
+        amps = IonizationAmplitudes(p=p, l_max=1, zeff=1.0,
+                                    a=np.ones((4, 5), dtype=np.complex128),
+                                    bound_removed=0.0)
+        with pytest.raises(ValueError, match="phi"):
+            momentum_distribution(amps, p, phi)
+        if phi.ndim == 1 and len(phi) >= 8:
+            with pytest.raises(ValueError, match="phi"):
+                offset_angle_and_delay(
+                    AngularDistribution(phi, np.ones(len(phi))), 1.0)
+
+    def test_offset_start_is_a_rotation(self):
+        # a grid starting at 5 cells rotates the samples by 5 cells
+        p = np.linspace(0.2, 1.5, 5)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+        amps = IonizationAmplitudes(p=p, l_max=2, zeff=1.0, a=a,
+                                    bound_removed=0.0)
+        phi = default_phi_grid(64)
+        base = momentum_distribution(amps, p, phi)
+        shifted = momentum_distribution(amps, p, phi + phi[5])
+        np.testing.assert_allclose(shifted.density,
+                                   np.roll(base.density, -5, axis=1),
+                                   rtol=1e-12)
+        assert shifted.integrate() == pytest.approx(amps.total_ionized(),
+                                                    rel=1e-12)
 
     def test_single_m_channel_is_isotropic(self):
         free = AtomicSystem(Z=1.0, Zeff=0.0, Ip=0.5)
