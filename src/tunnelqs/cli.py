@@ -323,7 +323,7 @@ def cmd_scan(args, resolved: dict) -> int:
         path = resolve_out_path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         emit_table(table, dest=path, **emit)
-        print(f"wrote {len(table)} rows to {path}")
+        print(f"wrote {len(table)} rows to {path}", file=sys.stderr)
     else:
         sys.stdout.write(emit_table(table, **emit))
         print(f"{len(table)} rows", file=sys.stderr)

@@ -10,13 +10,17 @@ or any other structured array, as CSV or JSON.  Quantities that do not
 apply at a point (no zeta given, or F beyond the barrier-suppression
 threshold) are NaN, and out-of-domain points are kept and flagged
 instead of being dropped.  Identical grids give byte-identical tables.
+
+The writer works on columns too: it formats each column of a block of
+rows once per distinct value, joins the cells with one row template and
+streams the text block after block.  Its bytes are those of formatting
+row by row with ``repr`` and ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -173,6 +177,32 @@ def run_scan(grid: ScanGrid) -> np.ndarray:
                     cols["F"], cols.get("zeta"))
 
 
+# rows formatted and written at a time: bounds the writer's transient
+# memory while keeping its numpy calls per row few
+_BLOCK_ROWS = 4096
+
+# float and bool reprs that JSON spells differently
+_JSON_SPELLING = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity",
+                  "True": "true", "False": "false"}
+
+
+def _column_cells(col: np.ndarray, fmt: str, indent: int) -> list[str]:
+    """The cell texts of one column of a block, in row order; ``indent``
+    is the nesting depth of a JSON cell."""
+    if col.ndim == 1 and col.dtype.kind in "biuf" and col.itemsize in (1, 2, 4, 8):
+        # each distinct bit pattern is formatted once: keyed on bits,
+        # -0.0 stays apart from 0.0 and no two NaNs are merged wrongly
+        bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        texts = list(map(repr, bits.view(col.dtype).tolist()))
+        if fmt == "json":
+            texts = [_JSON_SPELLING.get(t, t) for t in texts]
+        return np.array(texts, dtype=object)[inverse].tolist()
+    if fmt == "csv":
+        return list(map(repr, col.tolist()))
+    return [json.dumps(None if v != v else v, indent=1).replace("\n", "\n" + " " * indent)
+            for v in col.tolist()]
+
+
 def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=None):
     """Serialize a table, any numpy structured array (the scan table of
     :func:`tabulate` among them), to CSV or JSON, one column per field.
@@ -180,32 +210,51 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
     CSV: optional ``# key=value`` comment lines, one header row naming
     every column, comma separated, ``.`` decimal point, LF endings,
     full round-trip double precision (shortest repr).  JSON: an array of
-    flat objects, one per row (NaN encoded as null); with ``config``
-    given, a wrapper object {"config": ..., "records": [...]} so the file
-    carries its own provenance.
+    flat objects, one per row (NaN encoded as null, infinities as
+    Infinity), in the layout of ``json.dumps(..., indent=1)``; with
+    ``config`` given, a wrapper object {"config": ..., "records": [...]}
+    so the file carries its own provenance.
 
-    The text goes to the file at path ``dest``, or is returned when
-    ``dest`` is None.
+    The writer is column-wise and streams blocks of ``_BLOCK_ROWS`` rows.
+    Each column of a block is formatted into its cell texts, each
+    distinct value once (numeric columns; other dtypes value by value),
+    and one row template per table joins them into lines.  The bytes are
+    those of ``",".join(map(repr, row))`` per CSV row and of
+    ``json.dumps`` of a list of row dicts.  The blocks go to the file at
+    path ``dest``, or are joined and returned when ``dest`` is None.
     """
     names = table.dtype.names
     if fmt == "csv":
-        cells = [map(repr, table[c].tolist()) for c in names]
-        lines = chain((f"# {c}" for c in header_comments), [",".join(names)],
-                      map(",".join, zip(*cells)))
-        pieces = (f"{line}\n" for line in lines)
+        head = "".join(f"# {c}\n" for c in header_comments) + ",".join(names) + "\n"
+        row, sep, tail, indent = ",".join(["%s"] * len(names)) + "\n", "", "", 0
     elif fmt == "json":
-        cells = [[None if v != v else v for v in table[c].tolist()] for c in names]
-        payload = [dict(zip(names, row)) for row in zip(*cells)]
-        if config is not None:
-            payload = {"config": config, "records": payload}
-        pieces = [json.dumps(payload, indent=1) + "\n"]
+        # the rows go where json.dumps puts the empty list, one level
+        # deeper inside the config wrapper
+        empty = json.dumps([] if config is None else {"config": config, "records": []},
+                           indent=1)
+        pad = " " if config is None else "  "
+        at = empty.rindex("[]")
+        head, tail = empty[:at] + "[\n", f"\n{pad[1:]}]{empty[at + 2:]}\n"
+        if len(table) == 0:
+            head, tail = empty + "\n", ""
+        keys = (json.dumps(c).replace("%", "%%") for c in names)
+        row = f"{pad}{{\n" + ",\n".join(f"{pad} {k}: %s" for k in keys) + f"\n{pad}}}"
+        sep, indent = ",\n", len(pad) + 1
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
+    def pieces():
+        yield head
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            cells = [_column_cells(block[c], fmt, indent) for c in names]
+            yield (sep if start else "") + sep.join(map(row.__mod__, zip(*cells)))
+        yield tail
+
     if dest is None:
-        return "".join(pieces)
+        return "".join(pieces())
     with open(dest, "w", newline="") as fh:
-        fh.writelines(pieces)
+        fh.writelines(pieces())
     return None
 
 

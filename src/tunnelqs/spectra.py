@@ -154,8 +154,16 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
         - l * (l + 1) / (r[jw] * r[jw])[None, :]
     valid = np.all(k2 > 0.0, axis=1)
     k = np.sqrt(np.where(k2 > 0.0, k2, 1.0))
-    du = (u[:, jw + 1] - u[:, jw - 1]) / (2.0 * dr)
-    amp = np.sqrt(u[:, jw] ** 2 + (du / k) ** 2)
+    uw = u[:, jw]
+    dk = (u[:, jw + 1] - u[:, jw - 1]) / (2.0 * dr) / k
+    with np.errstate(over="ignore"):
+        amp = np.sqrt(uw ** 2 + dk ** 2)
+    # Numerov values may grow to the renormalization limit, and their
+    # squares overflow above about 1e154: those rows take hypot, which
+    # does not overflow (the other rows keep their exact rounding)
+    huge = np.isinf(amp).any(axis=1)
+    if huge.any():
+        amp[huge] = np.hypot(uw[huge], dk[huge])
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.mean(np.sqrt(2.0 / (math.pi * k)) / amp, axis=1)
     good = valid & np.isfinite(scale)

@@ -234,7 +234,7 @@ class TestScan:
     def test_preset_to_file(self, capsys, tmp_path):
         dest = tmp_path / "fig4.csv"
         assert main(["scan", "--preset", "fig4", "--out", str(dest)]) == EXIT_OK
-        assert "wrote 2000 rows" in capsys.readouterr().out
+        assert "wrote 2000 rows" in capsys.readouterr().err
         lines = dest.read_text().splitlines()
         data = [ln for ln in lines if not ln.startswith("#")]
         assert len(data) == 2001  # header + rows

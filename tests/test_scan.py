@@ -1,5 +1,8 @@
 import json
 import math
+import tracemalloc
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +20,12 @@ from tunnelqs import (
     q_imed_a,
     q_imed_b,
     q_nad,
+    scan,
     zeta_qs,
 )
 from tunnelqs.constants import au_time_as, c_au
 from tunnelqs.scan import (
+    _BLOCK_ROWS,
     COLUMNS,
     FLAG_COLUMNS,
     PRESET_NAMES,
@@ -271,6 +276,123 @@ class TestEmitTable:
                                                AxisSpec("F", 1.0, 10.0, 3)))),
                        fmt="csv")
         assert a == b
+
+
+def old_emit_table(table, fmt, header_comments=(), config=None):
+    """The per-row formulation emit_table replaced: the oracle for its bytes."""
+    names = table.dtype.names
+    if fmt == "csv":
+        cells = [map(repr, table[c].tolist()) for c in names]
+        lines = chain((f"# {c}" for c in header_comments), [",".join(names)],
+                      map(",".join, zip(*cells)))
+        return "".join(f"{line}\n" for line in lines)
+    cells = [[None if v != v else v for v in table[c].tolist()] for c in names]
+    payload = [dict(zip(names, row)) for row in zip(*cells)]
+    if config is not None:
+        payload = {"config": config, "records": payload}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+SPECIAL_FLOATS = [
+    math.nan, -math.nan, np.uint64(0x7FF8000000000001).view(np.float64),
+    math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4,
+    0.1, 123456789012345680.0, 1.7976931348623157e308,
+]
+
+# a pool of a few distinct values per column, drawn into rows; every
+# float pool holds all the special values
+COLUMN_POOLS = {
+    "f8": st.lists(st.floats(), max_size=4).map(SPECIAL_FLOATS.__add__),
+    "f4": st.lists(st.floats(width=32), max_size=4).map(SPECIAL_FLOATS[:7].__add__),
+    "i8": st.lists(st.sampled_from([0, 1]) | st.integers(-2 ** 63, 2 ** 63 - 1),
+                   min_size=1, max_size=4),
+    "?": st.lists(st.booleans(), min_size=1, max_size=2),
+    "U3": st.lists(st.text(alphabet='ab"%\\\u00e9', max_size=3), min_size=1, max_size=3),
+}
+
+FIELD_NAMES = st.lists(st.text(alphabet='ab"%, \u00e9\u4e2d', min_size=1, max_size=4),
+                       min_size=1, max_size=5, unique=True)
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+CONFIGS = st.none() | st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6),
+    max_size=3)
+
+
+@st.composite
+def tables(draw, block):
+    names = draw(FIELD_NAMES)
+    kinds = [draw(st.sampled_from(sorted(COLUMN_POOLS))) for _ in names]
+    n_rows = draw(st.sampled_from([0, 1, block, block + 1, 2 * block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = np.empty(n_rows, dtype=list(zip(names, kinds)))
+    for name, kind in zip(names, kinds):
+        pool = np.array(draw(COLUMN_POOLS[kind]), dtype=kind)
+        # rows as many as the pool or more hold each of its values
+        table[name] = pool[rng.permutation(np.resize(np.arange(len(pool)), n_rows))]
+    return table
+
+
+class TestEmitTableOracle:
+    """emit_table writes the bytes of the per-row formulation it replaced."""
+
+    @given(data=st.data(), block=st.integers(1, 4),
+           header_comments=st.lists(st.text(max_size=6), max_size=3), config=CONFIGS)
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_as_per_row_formulation(self, data, block, header_comments, config):
+        # a small block size puts the block boundaries within a few rows
+        table = data.draw(tables(block))
+        with mock.patch.object(scan, "_BLOCK_ROWS", block):
+            for fmt in ("csv", "json"):
+                for cfg in (None, config):
+                    assert emit_table(table, fmt, header_comments=header_comments,
+                                      config=cfg) \
+                        == old_emit_table(table, fmt, header_comments, cfg)
+
+    def test_empty_tables(self):
+        table = np.empty(0, dtype=[("a", "f8"), ("b", "i8")])
+        assert emit_table(table, "csv", header_comments=("x=1",)) == "# x=1\na,b\n"
+        assert emit_table(table, "json") == "[]\n"
+        assert emit_table(table, "json", config={"x": []}) == (
+            '{\n "config": {\n  "x": []\n },\n "records": []\n}\n')
+
+    @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("config", [None, {"preset": "demo", "list": [1, []]}])
+    def test_block_boundary(self, n_rows, config, tmp_path):
+        # exactly one block and one block plus a row, with every kind of
+        # column: subarray and string fields are formatted value by value,
+        # and nested JSON values keep the indentation of their depth
+        table = np.zeros(n_rows, dtype=[("x", "f8"), ("flag", "i8"), ("ok", "?"),
+                                        ("v", "f8", (2,)), ("s", "U4")])
+        specials = np.array(SPECIAL_FLOATS)
+        table["x"] = np.resize(np.concatenate([specials, np.arange(20) / 3.0]), n_rows)
+        table["flag"][1::3] = 1
+        table["ok"][::2] = True
+        table["v"][:, 1] = np.arange(n_rows) / 7.0
+        table["s"][::2] = 'a"%'
+        for fmt in ("csv", "json"):
+            text = emit_table(table, fmt, header_comments=("n=1",), config=config)
+            assert text == old_emit_table(table, fmt, ("n=1",), config)
+            dest = tmp_path / f"table.{fmt}"
+            emit_table(table, fmt, dest=dest, header_comments=("n=1",), config=config)
+            assert dest.read_bytes() == text.encode()
+
+    def test_blocks_bound_the_writer_memory(self, tmp_path):
+        # 144,000 rows as in tdse_momentum.csv: written block by block,
+        # the transient memory does not grow with the table
+        p, phi = np.linspace(0.01, 2.0, 200), np.linspace(0.0, 6.28, 720)
+        table = np.rec.fromarrays([np.repeat(p, 720), np.tile(phi, 200),
+                                   np.linspace(0.0, 1.0, 144000) ** 3],
+                                  names="p,phi,density")
+        tracemalloc.start()
+        try:
+            emit_table(table, dest=tmp_path / "momentum.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6   # the whole-table formulation peaked at 13.9 MB
 
 
 class TestPresets:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,27 @@ class TestContinuumWaves:
         # forbidden, so the wave is declared absent rather than garbage
         u = continuum_waves(1.0, grid, 30, np.array([0.05]))
         assert float(np.abs(u).max()) == 0.0
+
+    def test_window_values_past_the_square_limit(self):
+        # at l = 200 the window values of 18 allowed momenta reach 1e154
+        # and more, whose squares overflow: they must still be normalized
+        # to the WKB amplitude, not zeroed with a RuntimeWarning
+        grid = RadialGrid(dr=0.5, r_max=200.0)
+        l, p = 200, np.linspace(0.5, 3.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = continuum_waves(1.0, grid, l, p)
+        r = grid.radii()
+        jw = np.nonzero((r >= 160.0) & (r <= 180.0))[0]
+        k2 = (p * p)[:, None] + 2.0 / r[jw] - l * (l + 1) / r[jw] ** 2
+        allowed = np.all(k2 > 0.0, axis=1)
+        assert allowed.sum() == 35
+        assert np.all(np.abs(u[~allowed]).max(axis=1) == 0.0)
+        k = np.sqrt(k2[allowed])
+        du = (u[allowed][:, jw + 1] - u[allowed][:, jw - 1]) / (2.0 * grid.dr)
+        amp = np.sqrt(u[allowed][:, jw] ** 2 + (du / k) ** 2)
+        ratio = np.mean(np.sqrt(2.0 / (math.pi * k)) / amp, axis=1)
+        np.testing.assert_allclose(ratio, 1.0, rtol=1e-12)
 
 
 class TestBoundStates:
