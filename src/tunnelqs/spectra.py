@@ -140,9 +140,10 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
         big = np.abs(u[j + 1:stop + 1]) > _RENORM_LIMIT
         hits = np.flatnonzero(big.any(axis=1))
         if hits.size:
-            # overall scale is fixed later, but keep values finite
+            # overall scale is fixed later, but keep values finite: every
+            # row so far, so that no earlier row keeps its unscaled peak
             stop = j + 1 + hits[0]
-            u[stop - 1:stop + 1] /= np.where(big[hits[0]], np.abs(u[stop]), 1.0)
+            u[:stop + 1] /= np.where(big[hits[0]], np.abs(u[stop]), 1.0)
         j = stop
     del a, b
     u = np.ascontiguousarray(u.T)

@@ -9,14 +9,16 @@ the polarization plane.
 
 Propagation uses the implicit midpoint (Crank-Nicolson) step.  Because
 A . p changes l + m by 0 or +-2, the channels split into two parity
-sectors (l + m even and odd) that never mix; the operators are assembled
-once per sector, and a step propagates only the sectors that hold
-amplitude, so a run from the (0, 0) ground state never touches the odd
-one.  Within a sector the field-free part is inverted exactly by one
-LU-factored tridiagonal solve over its channels, whose off-diagonal is
-cut at each channel edge; the channel-coupling interaction, two sparse
-matrices, is folded in by fixed-point iteration with a per-step defect
-tolerance, which keeps the step unitary to that tolerance for any dt.
+sectors (l + m even and odd) that never mix; a sector's operators are
+assembled on its first occupied step, and a step propagates only the
+sectors that hold amplitude, so a run from the (0, 0) ground state never
+builds the odd one.  Within a sector the field-free part is inverted
+exactly by one LU-factored tridiagonal solve over its channels, whose
+off-diagonal is cut at each channel edge; the channel-coupling
+interaction, two sparse matrices, is folded in by fixed-point iteration
+with a per-step defect tolerance, which keeps the step unitary to that
+tolerance for any dt.  A pulse of length T1 is n = ceil(T1/dt) equal
+steps taken by one :class:`Propagator`, so dt is the largest step.
 
 The iteration starts from the quadratic extrapolation of the last three
 step-start states.  H_int is linear in the vector potential, so the
@@ -339,39 +341,32 @@ def coupling_operators(l_max: int):
 
 
 class _Sector:
-    """Operators and work buffers of one l + m parity sector, assembled
-    once per dt.
+    """Operators and work buffers of one l + m parity sector.
 
-    ``idx`` lists the sector's channels in the full (l, m) layout; the
-    arrays here are indexed by position in ``idx``.  ``couple`` is the
-    stacked coupling [D+ ; D-] restricted to the sector, with the
-    1/(2 dr) of the central difference folded into its derivative
-    columns, so it acts on s = [2 dr du/dr ; u/r].  The work buffers
-    (b, the two iterates, H_int x and s) are allocated once, so a step
-    allocates no array of the sector's size; ``stacked`` holds s and is
-    scratch outside ``apply_interaction``.  ``states`` and ``pairs`` are
-    rings, newest first, of the last step-start states and their
-    coupling products [D+ s ; D- s]; a step needs only the two newest of
-    the previous ones, so the oldest entry of each ring is free: a state
-    is gathered into it, and the oldest pair takes the extrapolated
-    product and then every coupling product of the iteration.
-    ``history`` counts the entries behind the newest that the next step
-    may extrapolate from, and ``produced`` is the state the last step
-    left.
+    ``idx`` lists the sector's channels in the full (l, m) layout and
+    ``ls`` their l; the arrays here are indexed by position in ``idx``.
+    :meth:`Propagator._build` assembles everything else on the sector's
+    first occupied step (``lu`` is None until then), so a sector a run
+    never occupies costs no memory.  ``couple`` is the stacked coupling
+    [D+ ; D-] restricted to the sector, with the 1/(2 dr) of the central
+    difference folded into its derivative columns, so it acts on
+    s = [2 dr du/dr ; u/r].  The work buffers (b, the two iterates, H_int
+    x and s) are allocated with the operators, so a step allocates no
+    array of the sector's size; ``stacked`` holds s and is scratch outside
+    ``apply_interaction``.  ``states`` and ``pairs`` are rings, newest
+    first, of the last step-start states and their coupling products
+    [D+ s ; D- s]; a step needs only the two newest of the previous ones,
+    so the oldest entry of each ring is free: a state is gathered into
+    it, and the oldest pair takes the extrapolated product and then every
+    coupling product of the iteration.  ``history`` counts the entries
+    behind the newest that the next step may extrapolate from, and
+    ``produced`` is the state the last step left.
     """
 
-    def __init__(self, idx, couple, diag, lu):
+    def __init__(self, idx, ls):
         self.idx = idx
-        self.couple = couple
-        self.diag = diag.astype(np.complex128)   # no cast per product
-        self.lu = lu
-        shape = diag.shape
-        pair_shape = (2 * shape[0], shape[1])
-        self.b, self.x, self.xn, self.h_x = (
-            np.empty(shape, dtype=np.complex128) for _ in range(4))
-        self.stacked = np.empty(pair_shape, dtype=np.complex128)
-        self.states = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
-        self.pairs = [np.empty(pair_shape, dtype=np.complex128) for _ in range(3)]
+        self.ls = ls
+        self.lu = None
         self.history = 0
         self.produced = None
 
@@ -406,7 +401,8 @@ class Propagator:
     One instance owns, for each l + m parity sector of a fixed
     (system, grid, l_max, dt), the sector's channel diagonals, the LU
     factors of its block-tridiagonal (1 + i dt/2 H_atom), its rows and
-    columns of the coupling operators and its work buffers.
+    columns of the coupling operators and its work buffers, all built on
+    the sector's first occupied step (see :meth:`_build`).
     ``apply_atomic``, ``apply_interaction`` and ``_solve_implicit`` act on
     one sector's channel array, ``psi[sector.idx]`` of the full (l, m)
     layout; given ``out``, the first two write their result there, and
@@ -437,26 +433,38 @@ class Propagator:
         self.dt = dt
         self.tol = tol
         self._t_end = None      # where the last step ended, if it succeeded
-        n = grid.n_points
         nch = (l_max + 1) ** 2
-        h_by_l = [radial_hamiltonian(system.Zeff, grid, l) for l in range(l_max + 1)]
-        self.off = h_by_l[0][1][0]   # the same constant for every l
+        self._h_by_l = [radial_hamiltonian(system.Zeff, grid, l) for l in range(l_max + 1)]
+        self.off = self._h_by_l[0][1][0]   # the same constant for every l
         self.inv_r = (1.0 / grid.radii()).astype(np.complex128)   # no cast per product
-        couple = vstack(coupling_operators(l_max), format="csr")
-        couple.data[couple.indices < nch] /= 2.0 * grid.dr
+        self._couple = vstack(coupling_operators(l_max), format="csr")
+        self._couple.data[self._couple.indices < nch] /= 2.0 * grid.dr
         self.sectors = []
         for parity in (0, 1):
             channels = [(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == parity]
-            if not channels:
-                continue  # l_max = 0 has no odd sector
-            idx = np.array([channel_index(l, m) for l, m in channels])
-            cols = np.concatenate([idx, nch + idx])
-            diag = np.array([h_by_l[l][0] for l, _ in channels])
-            # one tridiagonal over the sector's channels, cut at each channel edge
-            off = np.full(diag.size - 1, 0.5j * dt * self.off)
-            off[n - 1::n] = 0.0
-            lu = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
-            self.sectors.append(_Sector(idx, couple[cols][:, cols], diag, lu))
+            if channels:   # l_max = 0 has no odd sector
+                self.sectors.append(_Sector(
+                    np.array([channel_index(l, m) for l, m in channels]),
+                    [l for l, _ in channels]))
+
+    def _build(self, sec: _Sector) -> None:
+        """Assemble the sector's operators and allocate its work buffers."""
+        n = self.grid.n_points
+        nch = (self.l_max + 1) ** 2
+        cols = np.concatenate([sec.idx, nch + sec.idx])
+        sec.couple = self._couple[cols][:, cols]
+        diag = np.array([self._h_by_l[l][0] for l in sec.ls])
+        # one tridiagonal over the sector's channels, cut at each channel edge
+        off = np.full(diag.size - 1, 0.5j * self.dt * self.off)
+        off[n - 1::n] = 0.0
+        sec.lu = zgttrf(off, 1.0 + 0.5j * self.dt * diag.ravel(), off)[:5]
+        sec.diag = diag.astype(np.complex128)   # no cast per product
+        shape, pair_shape = diag.shape, (2 * len(diag), n)
+        sec.b, sec.x, sec.xn, sec.h_x = (
+            np.empty(shape, dtype=np.complex128) for _ in range(4))
+        sec.stacked = np.empty(pair_shape, dtype=np.complex128)
+        sec.states = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
+        sec.pairs = [np.empty(pair_shape, dtype=np.complex128) for _ in range(3)]
 
     def apply_atomic(self, psi: np.ndarray, sector: _Sector,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -509,27 +517,31 @@ class Propagator:
         """Advance the state by dt in place; returns (iterations, defect).
 
         Only the parity sectors holding amplitude are propagated; an empty
-        sector is exactly zero and stays so.  Each sector iterates to the
-        tolerance on its own, and the step reports the largest iteration
-        count and defect over the propagated sectors.
+        sector is exactly zero and stays so, and one never occupied is
+        never built.  Each sector iterates to the tolerance on its own,
+        and the step reports the largest iteration count and defect over
+        the propagated sectors.
         """
         ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
         atilde = complex(ax, ay)
         continued = state.t == self._t_end
         self._t_end = None
+        occupied = state.psi.any(axis=1)   # one flag per channel
         iterations, defect, done = 0, 0.0, []
         for sec in self.sectors:
+            if not occupied[sec.idx].any():
+                sec.history = 0
+                continue
+            if sec.lu is None:
+                self._build(sec)
             # mode="clip" gathers straight into the buffer ("raise" buffers)
             psi = np.take(state.psi, sec.idx, axis=0, out=sec.states[-1], mode="clip")
             if not (continued and np.array_equal(psi, sec.produced)):
                 sec.history = 0
-            if psi.any():
-                sec.rotate()
-                new, it, d = self._step_sector(psi, atilde, sec, step_index)
-                done.append((sec, new))
-                iterations, defect = max(iterations, it), max(defect, d)
-            else:
-                sec.history = 0
+            sec.rotate()
+            new, it, d = self._step_sector(psi, atilde, sec, step_index)
+            done.append((sec, new))
+            iterations, defect = max(iterations, it), max(defect, d)
         # written back only once every sector has converged
         for sec, new in done:
             state.psi[sec.idx] = new
@@ -578,27 +590,17 @@ def default_dt(zeff: float) -> float:
     return min(0.02, 0.02 / (zeff * zeff))
 
 
-def _step_schedule(duration: float, dt: float) -> tuple[int, float]:
-    """(n_full, remainder): n_full steps of dt and, if remainder > 0, one
-    of the remainder end at ``duration``; a remainder below 1e-12
-    duration is roundoff of a whole number of steps and is dropped."""
-    n_full = int(duration / dt)
-    remainder = duration - n_full * dt
-    if remainder < 1e-12 * duration:
-        remainder = 0.0
-    return n_full, remainder
-
-
 def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
              dt: float | None = None,
              max_channels: int = DEFAULT_MAX_CHANNELS,
              tol: float = DEFAULT_TOL) -> tuple[int, int, list[str]]:
     """Validate a run and report (n_steps, n_channels, warnings).
 
-    n_steps is the count :func:`run_pulse` takes: int(T1/dt) steps of dt
-    and a shortened last one, unless the rest is below 1e-12 T1.  Raises
-    :class:`TdseConfigError` when the channel count exceeds the memory
-    guard or dt or tol is not a positive finite number.
+    n_steps is the count :func:`run_pulse` takes, ceil(T1/dt), except
+    that a rest T1 - int(T1/dt) dt below 1e-12 T1 is roundoff and adds no
+    step: the run takes n_steps equal steps of T1/n_steps, so dt is the
+    largest step.  Raises :class:`TdseConfigError` when the channel count
+    exceeds the memory guard or dt or tol is not a positive finite number.
     Oversized-but-allowed configurations come back with a warning instead
     of an error, so published-scale parameters can be planned on a desk
     machine without being run by accident.
@@ -613,18 +615,19 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     if dt is None:
         dt = default_dt(system.Zeff)
     _require_positive(dt=dt, tol=tol)
-    n_full, remainder = _step_schedule(pulse.duration, dt)
+    n_steps = int(pulse.duration / dt)
+    n_steps += pulse.duration - n_steps * dt >= 1e-12 * pulse.duration
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS:
-        # psi, the LU factors and diagonals of both parity sectors (about
-        # 5 psi) and the 15 work buffers of the occupied one (each about
-        # half of psi), for the one live Propagator: at l_max = 20 runs with
-        # and without a shortened last step both peaked at 15.4 psi
-        mb = nch * grid.n_points * 16 * 15 / 1e6
+        # psi, and for each occupied parity sector (from the ground state
+        # only the even one, about half of psi) its diagonals and LU
+        # factors (5 of its size) and its work buffers (15 of its size): a
+        # ground-state run at l_max = 20 peaked at 12.3 psi
+        mb = nch * grid.n_points * 16 * 12 / 1e6
         warnings.append(
             f"not desk scale: {nch} channels x {grid.n_points} points "
             f"(roughly {mb:.0f} MB of working set)")
-    return n_full + (remainder > 0.0), nch, warnings
+    return n_steps, nch, warnings
 
 
 @dataclass
@@ -650,9 +653,8 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
               checkpoint_path=None, checkpoint_every: int = 0) -> PulseResult:
     """Propagate the field-free ground state through the whole pulse.
 
-    The run takes the steps :func:`plan_run` counts; the shortened last
-    one lands the state on t = T1 and gets its own :class:`Propagator`,
-    built after the one for dt is dropped, so at most one is alive.  A
+    The run takes the n steps :func:`plan_run` counts, all of length
+    T1/n, with one :class:`Propagator`, so the state lands on t = T1.  A
     step still above ``tol`` after ``MAX_ITER`` iterations writes the
     crash checkpoint and raises :class:`PropagationError`.  The tail
     fraction in the two highest l blocks is the usual check that l_max
@@ -661,19 +663,13 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     n_steps, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol)
     if checkpoint_every < 0:
         raise TdseConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-    if dt is None:
-        dt = default_dt(system.Zeff)
     state, energy0 = build_ground_state(system, grid, l_max)
     norm0 = state.norm()
 
-    n_full, remainder = _step_schedule(pulse.duration, dt)
+    prop = Propagator(system, grid, l_max, pulse.duration / n_steps, tol=tol)
     max_it, max_defect, max_drift, prev_norm = 0, 0.0, 0.0, norm0
     try:
         for k in range(n_steps):
-            if k in (0, n_full):
-                prop = None   # dropped first: one Propagator alive at a time
-                prop = Propagator(system, grid, l_max, dt if k < n_full else remainder,
-                                  tol=tol)
             it, defect = prop.step(state, pulse, step_index=k)
             max_it = max(max_it, it)
             max_defect = max(max_defect, defect)
@@ -735,8 +731,10 @@ def save_checkpoint(path, state: WavefunctionState, system) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (state, system)."""
-    from .atomic import AtomicSystem
+    """Inverse of :func:`save_checkpoint`; returns (state, system).
+    Raises ValueError unless psi and t are finite and ``make_system``
+    accepts Z, Zeff and Ip."""
+    from .atomic import make_system
 
     with np.load(path) as data:
         version = int(data["version"])
@@ -749,10 +747,9 @@ def load_checkpoint(path):
             psi=np.array(data["psi"], dtype=np.complex128),
             t=float(data["t"]),
         )
-        system = AtomicSystem(
-            Z=float(data["Z"]),
-            Zeff=float(data["Zeff"]),
-            Ip=float(data["Ip"]),
-            relativistic=bool(int(data["relativistic"])),
-        )
+        system = make_system(float(data["Z"]), float(data["Zeff"]),
+                             relativistic=bool(int(data["relativistic"])),
+                             Ip=float(data["Ip"]))
+    if not (math.isfinite(state.t) and np.isfinite(state.psi).all()):
+        raise ValueError("checkpoint psi and t must be finite")
     return state, system

@@ -121,10 +121,10 @@ class TestContinuumWaves:
         # the growth guard renormalizes on two steps; p = 0.02 comes back
         # as a zero row (forbidden window), p = 0.5 and 2.0 as waves
         (0.5, 400.0, 150, np.array([0.02, 0.5, 2.0]),
-         "6f375f64dfb6c64a81b1e29fd1c7aa847878c2af623ee17c8ecfff36cee8acab"),
+         "2a4431697f913af572311d8123787802328af66fd95afbdb8a7c5f6958d0e22a"),
         # renormalized on 15 steps, several within one block of rows
         (1.0, 600.0, 180, np.linspace(0.3, 1.0, 20),
-         "f0448b4a98da92bfa784df3153ea3bf2f890dce39361665abc96606533990ef1"),
+         "fa5727042de74c18c540e7fe6dc3210ada8c21682ac739005443ff4d38fbb5a2"),
     ])
     def test_frozen_values_under_the_barrier(self, dr, r_max, l, p, digest):
         u = continuum_waves(1.0, RadialGrid(dr=dr, r_max=r_max), l, p)
@@ -204,6 +204,15 @@ class TestContinuumWaves:
         amp = np.sqrt(u[allowed][:, jw] ** 2 + (du / k) ** 2)
         ratio = np.mean(np.sqrt(2.0 / (math.pi * k)) / amp, axis=1)
         np.testing.assert_allclose(ratio, 1.0, rtol=1e-12)
+
+    def test_renormalized_rows_stay_small(self):
+        # the growth guard scales every row before a hit, not just the
+        # rows at it: no row under the barrier may keep a peak far above
+        # the asymptotic amplitude
+        p = np.linspace(0.5, 3.0, 50)
+        u = continuum_waves(1.0, RadialGrid(dr=0.5, r_max=200.0), 200, p)
+        ratio = np.abs(u).max(axis=1) / np.sqrt(2.0 / (math.pi * p))
+        assert ratio.max() <= 10.0
 
 
 class TestBoundStates:

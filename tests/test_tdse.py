@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tunnelqs import make_system
+from tunnelqs import make_system, tdse
 from tunnelqs.spectra import (
     default_phi_grid,
     momentum_distribution,
@@ -34,6 +34,20 @@ from tunnelqs.tdse import (
     save_checkpoint,
     vector_potential,
 )
+
+
+@pytest.fixture()
+def propagators_made(monkeypatch):
+    """Every Propagator that run_pulse constructs, in order."""
+    made = []
+
+    class Recorded(Propagator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(tdse, "Propagator", Recorded)
+    return made
 
 
 class TestRadialGrid:
@@ -215,7 +229,10 @@ class TestInteraction:
     def prop(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=20.0)
-        return Propagator(s, grid, l_max=4, dt=0.02)
+        prop = Propagator(s, grid, l_max=4, dt=0.02)
+        for sec in prop.sectors:   # otherwise built on its first occupied step
+            prop._build(sec)
+        return prop
 
     def test_hermitian(self, prop):
         rng = np.random.default_rng(7)
@@ -365,6 +382,19 @@ class TestParitySectors:
         even = [channel_index(l, m) for l, m in channel_list(3) if (l + m) % 2 == 0]
         assert np.all(state.psi[even] == 0.0)
 
+    def test_lazy_sectors_step_as_built_ones(self, setup):
+        # a sector built on its first occupied step gives the bits of one
+        # built up front
+        grid, pulse, lazy = setup
+        eager = Propagator(lazy.system, grid, 3, lazy.dt)
+        for sec in eager.sectors:
+            eager._build(sec)
+        a = self._state(grid, pulse, [(0, 0)])
+        b = a.copy()
+        for _ in range(5):
+            assert lazy.step(a, pulse) == eager.step(b, pulse)
+        assert np.array_equal(a.psi, b.psi)
+
     def test_mixed_state_steps_as_sum_of_sectors(self, setup):
         grid, pulse, prop = setup
         mixed = self._state(grid, pulse, [(0, 0), (1, 0)])
@@ -475,13 +505,14 @@ class TestPropagation:
         assert pops[0] > 0.5
         assert pops[8] < 1e-8
 
-    def test_remainder_step_lands_on_t1(self):
+    def test_equal_steps_land_on_t1(self, propagators_made):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.2, r_max=10.0)
         pulse = PulseParams(F0=0.05, omega=1.1)
         res = run_pulse(s, grid, pulse, l_max=1, dt=0.03)
-        assert res.state.t == pytest.approx(pulse.duration, rel=1e-12)
         assert res.steps == math.ceil(pulse.duration / 0.03)
+        assert propagators_made[0].dt == pulse.duration / res.steps
+        assert res.state.t == pytest.approx(pulse.duration, rel=1e-12)
 
     def test_plan_is_the_run(self):
         # dt = T1/(k + eps) near a whole step count, where a remainder
@@ -499,23 +530,22 @@ class TestPropagation:
             assert res.steps == n_steps, k
             assert res.state.t == pytest.approx(pulse.duration, rel=1e-12)
 
-    def test_one_propagator_alive(self):
-        # the shortened last step needs its own Propagator; with the main
-        # one still alive the run would peak near twice as high
+    def test_one_propagator_alive(self, propagators_made):
+        # T1/dt is not whole, yet every step has the same length
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=30.0)
         pulse = PulseParams(F0=0.1, omega=4.0)
+        assert pulse.duration / 0.02 % 1.0 > 0.05
+        run_pulse(s, grid, pulse, l_max=6, dt=0.02)
+        assert len(propagators_made) == 1
 
-        def peak(dt):
-            tracemalloc.start()
-            try:
-                run_pulse(s, grid, pulse, l_max=6, dt=dt)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert pulse.duration / 0.02 % 1.0 > 0.05   # a shortened last step
-        assert peak(0.02) <= 1.1 * peak(pulse.duration / 40)
+    def test_ground_state_run_never_builds_odd_sector(self, propagators_made):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=20.0)
+        run_pulse(s, grid, PulseParams(F0=0.5, omega=2.0), l_max=3, dt=0.05)
+        even, odd = propagators_made[0].sectors
+        assert even.lu is not None
+        assert odd.lu is None
 
     def test_divergence_reports_position(self):
         s = make_system(1.0)
@@ -526,7 +556,8 @@ class TestPropagation:
         err = exc.value
         assert err.defect > err.tol
         assert err.step >= 0
-        assert err.t_last == pytest.approx(err.step * 0.5, rel=1e-12)
+        n_steps = plan_run(s, grid, pulse, l_max=1, dt=0.5)[0]
+        assert err.t_last == pytest.approx(err.step * pulse.duration / n_steps, rel=1e-12)
         assert "defect" in str(err)
 
 
@@ -666,6 +697,29 @@ class TestCheckpoint:
         data["version"] = np.int64(99)
         np.savez(path, **data)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("psi", None, "psi and t must be finite"),
+        ("t", math.nan, "psi and t must be finite"),
+        ("Z", math.nan, "Z must be positive"),
+        ("Zeff", -1.0, "Zeff must be positive"),
+        ("Ip", math.nan, "Ip must be positive"),
+    ])
+    def test_bad_contents_rejected(self, tmp_path, key, value, match):
+        # each used to load silently, and spectra then gave NaN
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=8.0)
+        state, _ = build_ground_state(s, grid, l_max=1)
+        path = tmp_path / "state.npz"
+        save_checkpoint(path, state, s)
+        data = dict(np.load(path))
+        if key == "psi":
+            data["psi"][0, 3] = complex(math.nan, 0.0)
+        else:
+            data[key] = np.float64(value)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
 
     def test_periodic_checkpoints_during_run(self, tmp_path):
