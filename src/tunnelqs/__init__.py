@@ -38,6 +38,7 @@ from .spectra import (
     IonizationAmplitudes,
     MomentumDistribution,
     OffsetResult,
+    attoclock_readout,
     momentum_distribution,
     offset_angle_and_delay,
     project_scattering_states,

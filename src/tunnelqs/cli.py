@@ -21,15 +21,16 @@ output paths honor the ``TUNNELQS_OUT_DIR`` environment variable.
 and its text lines; ``print_report`` prints either and writes the
 payload to ``--out``.  ``delays`` prints one row of ``scan.tabulate``,
 the evaluator ``scan`` uses; ``scan.emit_table`` writes any structured
-table, tdse's CSVs too.
+table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 
 Exit codes: 0 success, 2 configuration error (also a config key set
-twice, tdse spectra or checkpoint settings that would fail only after
-propagating, and a setting that would change nothing: ``scan`` preset
-with Z/F/zeta/rel, ``zeta-qs`` thick without F, ``tdse`` rel), 3 domain
-error (invalid physical inputs, barrier-suppression regime), 4
-numerical failure.  JSON reports write non-finite numbers as null (scan
-tables: NaN as null, inf as Infinity).
+twice, a tdse dt with T1/dt not finite, tdse spectra or checkpoint
+settings that would fail only after propagating, and a setting that
+would change nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs``
+thick without F, ``tdse`` rel), 3 domain error (invalid physical
+inputs, barrier-suppression regime), 4 numerical failure.  JSON reports
+write non-finite numbers as null (scan tables: NaN as null, inf as
+Infinity).
 """
 
 from __future__ import annotations
@@ -51,13 +52,7 @@ from .atomic import (
 )
 from .constants import au_time_as, field_to_intensity
 from .scan import PRESET_NAMES, ScanGrid, emit_table, run_preset, run_scan, tabulate
-from .spectra import (
-    default_phi_grid,
-    momentum_distribution,
-    offset_angle_and_delay,
-    project_scattering_states,
-    radial_integrate,
-)
+from .spectra import attoclock_readout, default_phi_grid
 from .superluminal import critical_fields, q_imed_b, zeta_qs
 from .tdse import (
     PropagationError,
@@ -75,8 +70,6 @@ EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "TUNNELQS_OUT_DIR"
-
-NO_IONIZATION_FLOOR = 1e-12
 
 
 class ConfigError(ValueError):
@@ -437,6 +430,10 @@ def cmd_tdse(args, resolved: dict) -> int:
             ("checkpoint_every", resolved["checkpoint_every"] >= 0, ">= 0")):
         if not ok:
             raise ConfigError(f"{key} must be {need}, got {resolved[key]!r}")
+    p = np.linspace(resolved["p_min"], resolved["p_max"], resolved["n_p"])
+    if not np.all(np.diff(p) > 0.0):
+        raise ConfigError("p_min, p_max and n_p must give strictly increasing momenta, "
+                          f"got {resolved['p_min']!r}, {resolved['p_max']!r}, {resolved['n_p']}")
     system = _system_from(resolved)
     grid = RadialGrid(dr=resolved["dr"], r_max=resolved["r_max"])
     pulse = PulseParams(F0=resolved["F0"], omega=resolved["omega"],
@@ -475,8 +472,8 @@ def cmd_tdse(args, resolved: dict) -> int:
           f"max per-step drift {result.max_step_norm_drift:.3e}, "
           f"max defect {result.max_defect:.3e}")
 
-    p = np.linspace(resolved["p_min"], resolved["p_max"], resolved["n_p"])
-    amps = project_scattering_states(result.state, system, p)
+    amps, dist, ang, offset = attoclock_readout(
+        result.state, system, pulse, p, default_phi_grid(resolved["n_phi"]))
     total = amps.total_ionized()
     report = {
         "config": config_echo(resolved),
@@ -494,14 +491,10 @@ def cmd_tdse(args, resolved: dict) -> int:
         "total_ionized": total,
     }
 
-    if total < NO_IONIZATION_FLOOR:
+    if offset is None:
         report.update(no_ionization=True, theta=None, tau_au=None, tau_as=None)
         print("no ionization: offset angle and delay are undefined")
     else:
-        phi = default_phi_grid(resolved["n_phi"])
-        dist = momentum_distribution(amps, p, phi)
-        ang = radial_integrate(dist)
-        offset = offset_angle_and_delay(ang, pulse)
         report.update(no_ionization=False, theta=offset.theta, tau_au=offset.tau,
                       tau_as=offset.tau_as, phi_peak=offset.phi_peak,
                       multimodal=offset.multimodal, secondary_ratio=offset.secondary_ratio)

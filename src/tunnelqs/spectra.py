@@ -3,9 +3,9 @@
 The final state is projected on energy-normalized Coulomb continuum
 waves of the same effective charge (ingoing-wave phase convention), the
 coherent partial-wave sum is evaluated in the polarization plane, and
-the attoclock observables are read off the angular distribution: the
-offset angle theta, measured from the -y direction with positive sense
-toward +x, and the delay tau = theta / omega.
+``attoclock_readout`` reads off the angular distribution the offset
+angle theta, from -y toward +x, and the delay tau = theta / omega, or
+nothing when less than ``NO_IONIZATION_FLOOR`` is ionized.
 
 Continuum waves are integrated with Numerov's method on the state's own
 grid, one radius at a time over all momenta (contiguous rows of a
@@ -40,6 +40,7 @@ __all__ = [
     "IonizationAmplitudes",
     "MomentumDistribution",
     "OffsetResult",
+    "attoclock_readout",
     "bound_states",
     "continuum_waves",
     "coulomb_phase",
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 MULTIMODAL_RATIO = 0.95     # second peak within 5% of the max
+NO_IONIZATION_FLOOR = 1e-12  # ionized probability below which no angle is read
 
 _RENORM_LIMIT = 1e200       # Numerov under-barrier growth guard
 _GUARD_ROWS = 64            # Numerov rows per growth check
@@ -222,7 +224,6 @@ class IonizationAmplitudes:
 
     p: np.ndarray
     l_max: int
-    zeff: float
     a: np.ndarray
     bound_removed: float
 
@@ -262,8 +263,7 @@ def project_scattering_states(state: WavefunctionState, system,
         pairs = np.ascontiguousarray(cleaned.psi[i0:i0 + 2 * l + 1].T).view(np.float64)
         proj = (waves @ pairs).view(np.complex128)      # (len(p), 2l+1)
         a[i0:i0 + 2 * l + 1] = (proj * dr).T * phase[None, :]
-    return IonizationAmplitudes(p=p, l_max=state.l_max, zeff=zeff, a=a,
-                                bound_removed=removed)
+    return IonizationAmplitudes(p=p, l_max=state.l_max, a=a, bound_removed=removed)
 
 
 @dataclass
@@ -345,7 +345,6 @@ class OffsetResult:
     """Attoclock readout: offset angle from the -y direction and delay."""
 
     phi_peak: float           # interpolated maximum, [0, 2 pi)
-    peak_value: float
     theta: float              # offset angle, (-pi, pi], positive toward +x
     tau: float                # theta / omega, a.u.
     multimodal: bool
@@ -377,7 +376,6 @@ def offset_angle_and_delay(ang: AngularDistribution, pulse) -> OffsetResult:
     delta = min(0.5, max(-0.5, delta))
     dphi = 2.0 * math.pi / n
     phi_peak = (ang.phi[i] + delta * dphi) % (2.0 * math.pi)
-    peak_value = y0 - 0.25 * (ym - yp) * delta
 
     left = np.roll(v, 1)
     right = np.roll(v, -1)
@@ -387,9 +385,19 @@ def offset_angle_and_delay(ang: AngularDistribution, pulse) -> OffsetResult:
 
     return OffsetResult(
         phi_peak=float(phi_peak),
-        peak_value=float(peak_value),
         theta=wrap_angle(phi_peak + math.pi / 2.0),
         tau=wrap_angle(phi_peak + math.pi / 2.0) / omega,
         multimodal=secondary_ratio >= MULTIMODAL_RATIO,
         secondary_ratio=secondary_ratio,
     )
+
+
+def attoclock_readout(state: WavefunctionState, system, pulse, p, phi) -> tuple:
+    """(amps, distribution, angular, offset) of a final-time state, the
+    last three None when less than ``NO_IONIZATION_FLOOR`` is ionized."""
+    amps = project_scattering_states(state, system, p)
+    if amps.total_ionized() < NO_IONIZATION_FLOOR:
+        return amps, None, None, None
+    dist = momentum_distribution(amps, p, phi)
+    ang = radial_integrate(dist)
+    return amps, dist, ang, offset_angle_and_delay(ang, pulse)

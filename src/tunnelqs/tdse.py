@@ -70,6 +70,7 @@ DEFAULT_MAX_CHANNELS = 16384
 # above these the run is accepted but flagged as beyond desk scale
 DESK_CHANNELS = 1500
 DESK_POINTS = 10000
+DESK_STEPS = 100_000
 
 
 class TdseConfigError(ValueError):
@@ -600,10 +601,9 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     that a rest T1 - int(T1/dt) dt below 1e-12 T1 is roundoff and adds no
     step: the run takes n_steps equal steps of T1/n_steps, so dt is the
     largest step.  Raises :class:`TdseConfigError` when the channel count
-    exceeds the memory guard or dt or tol is not a positive finite number.
-    Oversized-but-allowed configurations come back with a warning instead
-    of an error, so published-scale parameters can be planned on a desk
-    machine without being run by accident.
+    exceeds the memory guard, dt or tol is not positive and finite, or
+    T1/dt overflows.  Oversized-but-allowed runs warn instead, so
+    published-scale parameters can be planned on a desk machine.
     """
     if l_max < 0:
         raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
@@ -615,18 +615,20 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     if dt is None:
         dt = default_dt(system.Zeff)
     _require_positive(dt=dt, tol=tol)
+    if not math.isfinite(pulse.duration / dt):
+        raise TdseConfigError(f"dt = {dt!r} is too small: T1/dt is not finite")
     n_steps = int(pulse.duration / dt)
     n_steps += pulse.duration - n_steps * dt >= 1e-12 * pulse.duration
     warnings = []
-    if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS:
+    if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
         # psi, and for each occupied parity sector (from the ground state
         # only the even one, about half of psi) its diagonals and LU
         # factors (5 of its size) and its work buffers (15 of its size): a
         # ground-state run at l_max = 20 peaked at 12.3 psi
         mb = nch * grid.n_points * 16 * 12 / 1e6
         warnings.append(
-            f"not desk scale: {nch} channels x {grid.n_points} points "
-            f"(roughly {mb:.0f} MB of working set)")
+            f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
+            f"points (roughly {mb:.0f} MB of working set)")
     return n_steps, nch, warnings
 
 

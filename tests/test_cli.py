@@ -501,6 +501,21 @@ class TestTdse:
         assert rc == EXIT_NUMERICAL
         assert str(tmp_path / "tdse_checkpoint.npz") in capsys.readouterr().err
 
+    def test_uncountable_dt_rejected_on_dry_run(self, tmp_path, capsys):
+        # T1/dt overflows to inf, which used to exit 4 as a numerical failure
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\ndt = 1e-320\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: dt = 1e-320 is too small" in captured.err
+        assert captured.out == ""
+
+    def test_huge_step_count_warns_on_dry_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\ndt = 1e-300\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "warning: not desk scale: 1.57e+301 steps" in captured.err
+        assert "plan: 15707963267948966" in captured.out
+
     def test_zero_tol_rejected_on_dry_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\ntol = 0\n")
         assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
@@ -512,6 +527,10 @@ class TestTdse:
         ("p_max = 0.01", "p_max must be above p_min, got 0.01"),
         ("n_phi = 4", "n_phi must be >= 8, got 4"),
         ("checkpoint_every = -3", "checkpoint_every must be >= 0, got -3"),
+        # linspace gives equal neighbours one ulp apart
+        ("p_min = 1\np_max = 1.000000000000001",
+         "p_min, p_max and n_p must give strictly increasing momenta, "
+         "got 1.0, 1.000000000000001, 200"),
     ])
     def test_bad_spectra_or_checkpoint_setting_on_dry_run(self, setting, message,
                                                           tmp_path, capsys):

@@ -13,9 +13,11 @@ from tunnelqs.atomic import AtomicSystem
 from tunnelqs.constants import au_time_as
 from tunnelqs.spectra import (
     MULTIMODAL_RATIO,
+    NO_IONIZATION_FLOOR,
     AngularDistribution,
     IonizationAmplitudes,
     MomentumDistribution,
+    attoclock_readout,
     bound_states,
     continuum_waves,
     coulomb_phase,
@@ -33,6 +35,7 @@ from tunnelqs.tdse import (
     build_ground_state,
     channel_index,
     channel_list,
+    run_pulse,
 )
 
 
@@ -348,8 +351,7 @@ class TestMomentumDistribution:
         rng = np.random.default_rng(11)
         n_ch = (l_max + 1) ** 2
         a = rng.normal(size=(n_ch, len(p))) + 1j * rng.normal(size=(n_ch, len(p)))
-        amps = IonizationAmplitudes(p=p, l_max=l_max, zeff=1.0, a=a,
-                                    bound_removed=0.0)
+        amps = IonizationAmplitudes(p=p, l_max=l_max, a=a, bound_removed=0.0)
         phi = default_phi_grid(360)
         dist = momentum_distribution(amps, p, phi)
         ylm = np.array([sph_harm_y(l, m, math.pi / 2.0, phi)
@@ -370,7 +372,7 @@ class TestMomentumDistribution:
     ])
     def test_phi_grid_validation(self, phi):
         p = np.linspace(0.2, 1.5, 5)
-        amps = IonizationAmplitudes(p=p, l_max=1, zeff=1.0,
+        amps = IonizationAmplitudes(p=p, l_max=1,
                                     a=np.ones((4, 5), dtype=np.complex128),
                                     bound_removed=0.0)
         with pytest.raises(ValueError, match="phi"):
@@ -385,8 +387,7 @@ class TestMomentumDistribution:
         p = np.linspace(0.2, 1.5, 5)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
-        amps = IonizationAmplitudes(p=p, l_max=2, zeff=1.0, a=a,
-                                    bound_removed=0.0)
+        amps = IonizationAmplitudes(p=p, l_max=2, a=a, bound_removed=0.0)
         phi = default_phi_grid(64)
         base = momentum_distribution(amps, p, phi)
         shifted = momentum_distribution(amps, p, phi + phi[5])
@@ -537,6 +538,32 @@ class TestOffsetReadout:
         ang = AngularDistribution(phi=phi, values=ridge(phi, 0.5))
         with pytest.raises(ValueError):
             offset_angle_and_delay(ang, 0.0)
+
+
+class TestAttoclockReadout:
+    def test_is_the_chain(self):
+        s = AtomicSystem(Z=1.0, Zeff=1.0, Ip=0.5)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state = run_pulse(s, RadialGrid(dr=0.2, r_max=20.0), pulse, l_max=2,
+                          dt=0.05).state
+        p, phi = np.linspace(0.05, 2.5, 80), default_phi_grid(180)
+        amps, dist, ang, offset = attoclock_readout(state, s, pulse, p, phi)
+        want_amps = project_scattering_states(state, s, p)
+        want_dist = momentum_distribution(want_amps, p, phi)
+        want_ang = radial_integrate(want_dist)
+        assert np.array_equal(amps.a, want_amps.a)
+        assert np.array_equal(dist.density, want_dist.density)
+        assert np.array_equal(ang.values, want_ang.values)
+        assert offset.theta == offset_angle_and_delay(want_ang, pulse).theta
+        assert amps.total_ionized() > 1e-4
+
+    def test_no_ionization_reads_no_angle(self):
+        s = AtomicSystem(Z=1.0, Zeff=1.0, Ip=0.5)
+        state, _ = build_ground_state(s, RadialGrid(dr=0.1, r_max=40.0), l_max=2)
+        amps, *rest = attoclock_readout(state, s, PulseParams(F0=0.0, omega=0.8),
+                                        np.linspace(0.1, 2.0, 50), default_phi_grid())
+        assert rest == [None, None, None]
+        assert amps.total_ionized() < NO_IONIZATION_FLOOR
 
 
 class TestRotationEquivariance:

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from tunnelqs import make_system, tdse
-from tunnelqs.spectra import (
-    default_phi_grid,
-    momentum_distribution,
-    offset_angle_and_delay,
-    project_scattering_states,
-    radial_integrate,
-)
+from tunnelqs.spectra import attoclock_readout, default_phi_grid
 from tunnelqs.tdse import (
     DEFAULT_MAX_CHANNELS,
     DEFAULT_TOL,
@@ -573,9 +567,9 @@ class TestZScaling:
         pulse = PulseParams(F0=f0, omega=omega)
         res = run_pulse(system, RadialGrid(dr=dr, r_max=r_max), pulse, l_max=4, dt=dt)
         p = z * np.linspace(0.05, 1.5, 60)
-        amps = project_scattering_states(res.state, system, p)
-        dist = momentum_distribution(amps, p, default_phi_grid(180))
-        return res, amps.total_ionized(), offset_angle_and_delay(radial_integrate(dist), pulse)
+        amps, _, _, offset = attoclock_readout(res.state, system, pulse, p,
+                                               default_phi_grid(180))
+        return res, amps.total_ionized(), offset
 
     def test_z2_ion_is_scaled_hydrogen(self):
         res_h, ion_h, off_h = self._run(1.0, 0.2, 30.0, 0.04, 0.3, 0.8)
