@@ -24,13 +24,14 @@ the evaluator ``scan`` uses; ``scan.emit_table`` writes any structured
 table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 
 Exit codes: 0 success, 2 configuration error (also a config key set
-twice, a tdse dt with T1/dt not finite, tdse spectra or checkpoint
-settings that would fail only after propagating, and a setting that
-would change nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs``
-thick without F, ``tdse`` rel), 3 domain error (invalid physical
-inputs, barrier-suppression regime), 4 numerical failure.  JSON reports
-write non-finite numbers as null (scan tables: NaN as null, inf as
-Infinity).
+twice, an ``--out`` that cannot be written, a tdse grid with dr <= 0,
+r_max <= dr or r_max/dr not whole, a tdse dt with T1/dt not finite,
+tdse spectra or checkpoint settings that would fail only after
+propagating, and a setting that would change nothing: ``scan`` preset
+with Z/F/zeta/rel, ``zeta-qs`` thick without F, ``tdse`` rel), 3 domain
+error (invalid physical inputs, barrier-suppression regime), 4
+numerical failure.  JSON reports write non-finite numbers as null (scan
+tables: NaN as null, inf as Infinity).
 """
 
 from __future__ import annotations
@@ -573,7 +574,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, resolve_settings(args, args.spec))
-    except (ConfigError, TdseConfigError) as exc:
+    except (ConfigError, TdseConfigError, OSError) as exc:   # OSError: writing --out
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:  # BarrierSuppressionError among them

@@ -275,28 +275,13 @@ def _f_axis(system, lo=None, hi=None, count=_POINTS) -> AxisSpec:
                     hi if hi is not None else f_a, count)
 
 
-def _fig2() -> list[ScanGrid]:
-    sys18 = make_system(18.0)
-    return [ScanGrid(fixed={"Z": 18.0}, axes=(_f_axis(sys18),))]
+def _f_sweeps(zs: tuple[float, ...]) -> list[ScanGrid]:
+    """One F sweep up to F_a per Z."""
+    return [ScanGrid(fixed={"Z": z}, axes=(_f_axis(make_system(z)),)) for z in zs]
 
 
 def _fig3a() -> list[ScanGrid]:
     return [ScanGrid(fixed={"F": 1.0}, axes=(AxisSpec("Z", 3.0, 40.0, _POINTS),))]
-
-
-def _fig3b() -> list[ScanGrid]:
-    # width band straddles the c/8 threshold charge
-    grids = []
-    for z in (5.0, 10.0, c_au / 8.0, 25.0, 40.0):
-        grids.append(ScanGrid(fixed={"Z": z}, axes=(_f_axis(make_system(z)),)))
-    return grids
-
-
-def _fig4() -> list[ScanGrid]:
-    grids = []
-    for z in (15.0, 30.0, 35.0, 40.0, 50.0):
-        grids.append(ScanGrid(fixed={"Z": z}, axes=(_f_axis(make_system(z)),)))
-    return grids
 
 
 def _fig5a() -> list[ScanGrid]:
@@ -347,11 +332,12 @@ def _fig7() -> list[ScanGrid]:
 
 
 _PRESETS = {
-    "fig2a": _fig2,
-    "fig2b": _fig2,
+    "fig2a": lambda: _f_sweeps((18.0,)),
+    "fig2b": lambda: _f_sweeps((18.0,)),
     "fig3a": _fig3a,
-    "fig3b": _fig3b,
-    "fig4": _fig4,
+    # fig3b's width band straddles the c/8 threshold charge
+    "fig3b": lambda: _f_sweeps((5.0, 10.0, c_au / 8.0, 25.0, 40.0)),
+    "fig4": lambda: _f_sweeps((15.0, 30.0, 35.0, 40.0, 50.0)),
     "fig5a": _fig5a,
     "fig5b": _fig5b,
     "fig6a": lambda: _fig6_zeta_curves(35.0),

@@ -8,25 +8,25 @@ the total norm is sum_lm integral |u_lm|^2 dr.  The field couples only
 the polarization plane.
 
 Propagation uses the implicit midpoint (Crank-Nicolson) step.  Because
-A . p changes l + m by 0 or +-2, the channels split into two parity
-sectors (l + m even and odd) that never mix; a sector's operators are
-assembled on its first occupied step, and a step propagates only the
-sectors that hold amplitude, so a run from the (0, 0) ground state never
-builds the odd one.  Within a sector the field-free part is inverted
-exactly by one LU-factored tridiagonal solve over its channels, whose
-off-diagonal is cut at each channel edge; the channel-coupling
-interaction, two sparse matrices, is folded in by fixed-point iteration
-with a per-step defect tolerance, which keeps the step unitary to that
-tolerance for any dt.  A pulse of length T1 is n = ceil(T1/dt) equal
-steps taken by one :class:`Propagator`, so dt is the largest step.
+A . p changes l + m by 0 or +-2, the channels with even l + m never mix
+with the odd ones, and a run from the (0, 0) ground state fills only the
+even ones; the :class:`Propagator` builds its operators for those alone,
+once, and refuses a state with amplitude in an odd channel.  The
+field-free part is inverted exactly by one LU-factored tridiagonal solve
+over the even channels, whose off-diagonal is cut at each channel edge;
+the channel-coupling interaction, two sparse matrices, is folded in by
+fixed-point iteration with a per-step defect tolerance, which keeps the
+step unitary to that tolerance for any dt.  A pulse of length T1 is
+n = ceil(T1/dt) equal steps taken by one :class:`Propagator`, so dt is
+the largest step.
 
 The iteration starts from the quadratic extrapolation of the last three
 step-start states.  H_int is linear in the vector potential, so the
 products of the two coupling matrices with those states, kept from
 their steps, give H_int of the start without another product; a state
-the stepper did not produce itself starts from psi.  Every array of a
-sector's size that a step needs is a work buffer allocated with the
-sector, so the step loop allocates no large temporaries.
+the stepper did not produce itself starts from psi.  Every array of the
+even block's size that a step needs is a work buffer allocated with the
+operators, so the step loop allocates no large temporaries.
 """
 
 from __future__ import annotations
@@ -126,12 +126,12 @@ class RadialGrid:
     def __post_init__(self):
         _require_finite(dr=self.dr, r_max=self.r_max)
         if not self.dr > 0.0:
-            raise ValueError(f"dr must be positive, got {self.dr}")
+            raise TdseConfigError(f"dr must be positive, got {self.dr}")
         if not self.r_max > self.dr:
-            raise ValueError(f"r_max must exceed dr, got {self.r_max}")
+            raise TdseConfigError(f"r_max must exceed dr, got {self.r_max}")
         ratio = self.r_max / self.dr
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ValueError(
+            raise TdseConfigError(
                 f"r_max/dr = {ratio:g} must be an integer number of spacings")
 
     @property
@@ -341,52 +341,6 @@ def coupling_operators(l_max: int):
     return tuple(ops)
 
 
-class _Sector:
-    """Operators and work buffers of one l + m parity sector.
-
-    ``idx`` lists the sector's channels in the full (l, m) layout and
-    ``ls`` their l; the arrays here are indexed by position in ``idx``.
-    :meth:`Propagator._build` assembles everything else on the sector's
-    first occupied step (``lu`` is None until then), so a sector a run
-    never occupies costs no memory.  ``couple`` is the stacked coupling
-    [D+ ; D-] restricted to the sector, with the 1/(2 dr) of the central
-    difference folded into its derivative columns, so it acts on
-    s = [2 dr du/dr ; u/r].  The work buffers (b, the two iterates, H_int
-    x and s) are allocated with the operators, so a step allocates no
-    array of the sector's size; ``stacked`` holds s and is scratch outside
-    ``apply_interaction``.  ``states`` and ``pairs`` are rings, newest
-    first, of the last step-start states and their coupling products
-    [D+ s ; D- s]; a step needs only the two newest of the previous ones,
-    so the oldest entry of each ring is free: a state is gathered into
-    it, and the oldest pair takes the extrapolated product and then every
-    coupling product of the iteration.  ``history`` counts the entries
-    behind the newest that the next step may extrapolate from, and
-    ``produced`` is the state the last step left.
-    """
-
-    def __init__(self, idx, ls):
-        self.idx = idx
-        self.ls = ls
-        self.lu = None
-        self.history = 0
-        self.produced = None
-
-    def rotate(self):
-        """Make the oldest ring entries the newest."""
-        self.states.insert(0, self.states.pop())
-        self.pairs.insert(0, self.pairs.pop())
-
-    def combine(self, pair: np.ndarray, atilde: complex, out: np.ndarray) -> np.ndarray:
-        """H_int = -(i/2) [conj(Atilde) D+ + Atilde D-] applied, from
-        pair = [D+ s ; D- s]; pair is left unchanged, ``stacked`` is
-        overwritten."""
-        n = len(out)
-        np.multiply(-0.5j * np.conj(atilde), pair[:n], out=out)
-        term = np.multiply(-0.5j * atilde, pair[n:], out=self.stacked[:n])
-        out += term
-        return out
-
-
 def _extrapolate(out: np.ndarray, now: np.ndarray, prev: np.ndarray,
                  prev2: np.ndarray, tmp: np.ndarray) -> None:
     """out = 3 now - 3 prev + prev2, the quadratic through three equally
@@ -397,30 +351,45 @@ def _extrapolate(out: np.ndarray, now: np.ndarray, prev: np.ndarray,
 
 
 class Propagator:
-    """Crank-Nicolson stepper with operators assembled once per dt.
+    """Crank-Nicolson stepper of the even l + m channels, with operators
+    assembled once per dt.
 
-    One instance owns, for each l + m parity sector of a fixed
-    (system, grid, l_max, dt), the sector's channel diagonals, the LU
-    factors of its block-tridiagonal (1 + i dt/2 H_atom), its rows and
-    columns of the coupling operators and its work buffers, all built on
-    the sector's first occupied step (see :meth:`_build`).
-    ``apply_atomic``, ``apply_interaction`` and ``_solve_implicit`` act on
-    one sector's channel array, ``psi[sector.idx]`` of the full (l, m)
-    layout; given ``out``, the first two write their result there, and
-    the solve overwrites a contiguous right-hand side with the solution.
+    One instance owns, for a fixed (system, grid, l_max, dt), the even
+    channels' diagonals, the LU factors of their block-tridiagonal
+    (1 + i dt/2 H_atom), their rows and columns of the coupling operators
+    and the work buffers, all built in the constructor.  ``idx`` lists
+    the even channels in the full (l, m) layout; ``apply_atomic``,
+    ``apply_interaction`` and ``_solve_implicit`` act on their channel
+    array ``psi[idx]``.  Given ``out``, the first two write their result
+    there, and the solve overwrites a contiguous right-hand side with the
+    solution.  A . p never fills the odd channels from the (0, 0) ground
+    state, and :meth:`step` raises ``ValueError`` for a state with
+    amplitude in one.
+
+    ``couple`` is the stacked coupling [D+ ; D-] restricted to the even
+    channels, with the 1/(2 dr) of the central difference folded into its
+    derivative columns, so it acts on s = [2 dr du/dr ; u/r].  The work
+    buffers are b, the two iterates, H_int x and s (``stacked``, scratch
+    outside ``apply_interaction``).  ``states`` and ``pairs`` are rings,
+    newest first, of the last step-start states and their coupling
+    products [D+ s ; D- s]; a step needs only the two newest of the
+    previous ones, so the oldest entry of each ring is free: a state is
+    gathered into it, and the oldest pair takes the extrapolated product
+    and then every coupling product of the iteration.
 
     The fixed-point iteration of a step starts from the quadratic
     extrapolation 3 psi_n - 3 psi_(n-1) + psi_(n-2) of the last three
     step-start states.  Its H_int product is combined from the stored
-    [D+ s ; D- s] of those states, so the start costs no extra coupling
-    product.  The history is valid only for the state this instance
-    produced last, unchanged, at the time its last step ended; any other
-    state (another state, an edited one, a different t, or a step after a
-    field-free step or a failure) starts from psi_n, as the first two
-    steps do.  The start changes only the iteration count: every step
-    iterates until successive iterates differ by at most ``tol``, and a
-    step still above it after ``MAX_ITER`` (50) iterations raises
-    :class:`PropagationError`.
+    pairs of those states, so the start costs no extra coupling product.
+    ``history`` counts the ring entries behind the newest that the next
+    step may extrapolate from.  The history is valid only for the state
+    this instance produced last (``produced``), unchanged, at the time
+    its last step ended; any other state (another state, an edited one, a
+    different t, or a step after a field-free step or a failure) starts
+    from psi_n, as the first two steps do.  The start changes only the
+    iteration count: every step iterates until successive iterates differ
+    by at most ``tol``, and a step still above it after ``MAX_ITER`` (50)
+    iterations raises :class:`PropagationError`.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -434,155 +403,148 @@ class Propagator:
         self.dt = dt
         self.tol = tol
         self._t_end = None      # where the last step ended, if it succeeded
+        self.history = 0
+        self.produced = None
+        n = grid.n_points
         nch = (l_max + 1) ** 2
-        self._h_by_l = [radial_hamiltonian(system.Zeff, grid, l) for l in range(l_max + 1)]
-        self.off = self._h_by_l[0][1][0]   # the same constant for every l
+        even = [(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == 0]
+        self.idx = np.array([channel_index(l, m) for l, m in even])
+        self.odd = np.ones(nch, dtype=bool)
+        self.odd[self.idx] = False
+        h_by_l = [radial_hamiltonian(system.Zeff, grid, l) for l in range(l_max + 1)]
+        self.off = h_by_l[0][1][0]   # the same constant for every l
         self.inv_r = (1.0 / grid.radii()).astype(np.complex128)   # no cast per product
-        self._couple = vstack(coupling_operators(l_max), format="csr")
-        self._couple.data[self._couple.indices < nch] /= 2.0 * grid.dr
-        self.sectors = []
-        for parity in (0, 1):
-            channels = [(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == parity]
-            if channels:   # l_max = 0 has no odd sector
-                self.sectors.append(_Sector(
-                    np.array([channel_index(l, m) for l, m in channels]),
-                    [l for l, _ in channels]))
-
-    def _build(self, sec: _Sector) -> None:
-        """Assemble the sector's operators and allocate its work buffers."""
-        n = self.grid.n_points
-        nch = (self.l_max + 1) ** 2
-        cols = np.concatenate([sec.idx, nch + sec.idx])
-        sec.couple = self._couple[cols][:, cols]
-        diag = np.array([self._h_by_l[l][0] for l in sec.ls])
-        # one tridiagonal over the sector's channels, cut at each channel edge
-        off = np.full(diag.size - 1, 0.5j * self.dt * self.off)
+        couple = vstack(coupling_operators(l_max), format="csr")
+        couple.data[couple.indices < nch] /= 2.0 * grid.dr
+        cols = np.concatenate([self.idx, nch + self.idx])
+        self.couple = couple[cols][:, cols]
+        diag = np.array([h_by_l[l][0] for l, _ in even])
+        # one tridiagonal over the even channels, cut at each channel edge
+        off = np.full(diag.size - 1, 0.5j * dt * self.off)
         off[n - 1::n] = 0.0
-        sec.lu = zgttrf(off, 1.0 + 0.5j * self.dt * diag.ravel(), off)[:5]
-        sec.diag = diag.astype(np.complex128)   # no cast per product
+        self.lu = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
+        self.diag = diag.astype(np.complex128)   # no cast per product
         shape, pair_shape = diag.shape, (2 * len(diag), n)
-        sec.b, sec.x, sec.xn, sec.h_x = (
+        self.b, self.x, self.xn, self.h_x = (
             np.empty(shape, dtype=np.complex128) for _ in range(4))
-        sec.stacked = np.empty(pair_shape, dtype=np.complex128)
-        sec.states = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
-        sec.pairs = [np.empty(pair_shape, dtype=np.complex128) for _ in range(3)]
+        self.stacked = np.empty(pair_shape, dtype=np.complex128)
+        self.states = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
+        self.pairs = [np.empty(pair_shape, dtype=np.complex128) for _ in range(3)]
 
-    def apply_atomic(self, psi: np.ndarray, sector: _Sector,
-                     out: np.ndarray | None = None) -> np.ndarray:
+    def apply_atomic(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty_like(psi)
-        np.multiply(sector.diag, psi, out=out)
+        np.multiply(self.diag, psi, out=out)
         # the first half of the stacked buffer holds the shifted products
-        shifted = sector.stacked[:len(psi), 1:]
+        shifted = self.stacked[:len(psi), 1:]
         np.multiply(self.off, psi[:, 1:], out=shifted)
         out[:, :-1] += shifted
         np.multiply(self.off, psi[:, :-1], out=shifted)
         out[:, 1:] += shifted
         return out
 
-    def apply_interaction(self, psi: np.ndarray, atilde: complex, sector: _Sector,
+    def _combine(self, pair: np.ndarray, atilde: complex, out: np.ndarray) -> np.ndarray:
+        """H_int = -(i/2) [conj(Atilde) D+ + Atilde D-] applied, from
+        pair = [D+ s ; D- s]; pair is left unchanged, ``stacked`` is
+        overwritten."""
+        n = len(out)
+        np.multiply(-0.5j * np.conj(atilde), pair[:n], out=out)
+        term = np.multiply(-0.5j * atilde, pair[n:], out=self.stacked[:n])
+        out += term
+        return out
+
+    def apply_interaction(self, psi: np.ndarray, atilde: complex,
                           out: np.ndarray | None = None,
                           pair: np.ndarray | None = None) -> np.ndarray:
         """A . p applied to the channel array for Atilde = A_x + i A_y.
 
         The coupling product [D+ s ; D- s] of the stacked radial array
         s is left in ``pair`` (default: the oldest, free entry of the
-        sector's ring), from which the result is combined.
+        ring), from which the result is combined.
         """
         # the kernel of csr @ dense, without allocating the result
         from scipy.sparse._sparsetools import csr_matvecs
 
-        s = sector.stacked
+        s = self.stacked
         diff, over_r = s[:len(psi)], s[len(psi):]
         np.subtract(psi[:, 2:], psi[:, :-2], out=diff[:, 1:-1])
         diff[:, 0] = psi[:, 1]                     # u = 0 at r = 0
         np.negative(psi[:, -2], out=diff[:, -1])   # u = 0 beyond the box
         np.multiply(psi, self.inv_r, out=over_r)
         if pair is None:
-            pair = sector.pairs[-1]
+            pair = self.pairs[-1]
         pair.fill(0.0)
         # the operator is real: one real product on the (re, im) pairs
-        c = sector.couple
+        c = self.couple
         csr_matvecs(c.shape[0], c.shape[1], 2 * psi.shape[1], c.indptr, c.indices,
                     c.data, s.view(np.float64).ravel(), pair.view(np.float64).ravel())
-        return sector.combine(pair, atilde, np.empty_like(psi) if out is None else out)
+        return self._combine(pair, atilde, np.empty_like(psi) if out is None else out)
 
-    def _solve_implicit(self, rhs: np.ndarray, sector: _Sector) -> np.ndarray:
+    def _solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
         """(1 + i dt/2 H_atom)^-1 rhs; a contiguous rhs is overwritten
         with the solution."""
-        x, _ = zgttrs(*sector.lu, rhs.reshape(-1, 1), overwrite_b=1)
+        x, _ = zgttrs(*self.lu, rhs.reshape(-1, 1), overwrite_b=1)
         return x.reshape(rhs.shape)
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
              step_index: int = 0) -> tuple[int, float]:
         """Advance the state by dt in place; returns (iterations, defect).
 
-        Only the parity sectors holding amplitude are propagated; an empty
-        sector is exactly zero and stays so, and one never occupied is
-        never built.  Each sector iterates to the tolerance on its own,
-        and the step reports the largest iteration count and defect over
-        the propagated sectors.
+        Raises ``ValueError``, leaving the state unchanged, when an odd
+        l + m channel holds amplitude.
         """
+        if state.psi.any(axis=1)[self.odd].any():
+            raise ValueError("odd l + m channels hold amplitude; only the even "
+                             "channels, which A . p fills from (0, 0), are propagated")
         ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
-        atilde = complex(ax, ay)
         continued = state.t == self._t_end
         self._t_end = None
-        occupied = state.psi.any(axis=1)   # one flag per channel
-        iterations, defect, done = 0, 0.0, []
-        for sec in self.sectors:
-            if not occupied[sec.idx].any():
-                sec.history = 0
-                continue
-            if sec.lu is None:
-                self._build(sec)
-            # mode="clip" gathers straight into the buffer ("raise" buffers)
-            psi = np.take(state.psi, sec.idx, axis=0, out=sec.states[-1], mode="clip")
-            if not (continued and np.array_equal(psi, sec.produced)):
-                sec.history = 0
-            sec.rotate()
-            new, it, d = self._step_sector(psi, atilde, sec, step_index)
-            done.append((sec, new))
-            iterations, defect = max(iterations, it), max(defect, d)
-        # written back only once every sector has converged
-        for sec, new in done:
-            state.psi[sec.idx] = new
-            sec.produced = new
+        # mode="clip" gathers straight into the buffer ("raise" buffers)
+        psi = np.take(state.psi, self.idx, axis=0, out=self.states[-1], mode="clip")
+        if not (continued and np.array_equal(psi, self.produced)):
+            self.history = 0
+        # the oldest ring entries become the newest
+        self.states.insert(0, self.states.pop())
+        self.pairs.insert(0, self.pairs.pop())
+        new, iterations, defect = self._advance(psi, complex(ax, ay), step_index)
+        state.psi[self.idx] = new
+        self.produced = new
         state.t += self.dt
         self._t_end = state.t
         return iterations, defect
 
-    def _step_sector(self, psi: np.ndarray, atilde: complex, sec: _Sector,
-                     step_index: int) -> tuple[np.ndarray, int, float]:
+    def _advance(self, psi: np.ndarray, atilde: complex,
+                 step_index: int) -> tuple[np.ndarray, int, float]:
         half = 0.5j * self.dt
-        b = self.apply_atomic(psi, sec, out=sec.b)
+        b = self.apply_atomic(psi, out=self.b)
         if atilde == 0.0:
-            sec.history = 0   # no coupling product to extrapolate from
+            self.history = 0   # no coupling product to extrapolate from
             np.multiply(half, b, out=b)
             np.subtract(psi, b, out=b)
-            return self._solve_implicit(b, sec), 1, 0.0
-        h_x = self.apply_interaction(psi, atilde, sec, out=sec.h_x, pair=sec.pairs[0])
+            return self._solve_implicit(b), 1, 0.0
+        h_x = self.apply_interaction(psi, atilde, out=self.h_x, pair=self.pairs[0])
         b += h_x
         np.multiply(half, b, out=b)
         np.subtract(psi, b, out=b)
-        x, xn = sec.x, sec.xn
-        if sec.history == 2:
-            _extrapolate(x, *sec.states, tmp=x)
-            _extrapolate(sec.pairs[-1], *sec.pairs, tmp=sec.stacked)
-            h_x = sec.combine(sec.pairs[-1], atilde, sec.h_x)
+        x, xn = self.x, self.xn
+        if self.history == 2:
+            _extrapolate(x, *self.states, tmp=x)
+            _extrapolate(self.pairs[-1], *self.pairs, tmp=self.stacked)
+            h_x = self._combine(self.pairs[-1], atilde, self.h_x)
         else:
             np.copyto(x, psi)   # H_int psi is already in h_x
         scale = math.sqrt(self.grid.dr)
         for it in range(1, MAX_ITER + 1):
             np.multiply(half, h_x, out=xn)
             np.subtract(b, xn, out=xn)
-            xn = self._solve_implicit(xn, sec)
+            xn = self._solve_implicit(xn)
             diff = np.subtract(xn, x, out=x)       # x is not needed again
             defect = math.sqrt(np.vdot(diff, diff).real) * scale
             if defect <= self.tol:
-                sec.history = min(sec.history + 1, 2)
+                self.history = min(self.history + 1, 2)
                 return xn, it, defect
             x, xn = xn, x
-            h_x = self.apply_interaction(x, atilde, sec, out=sec.h_x)
+            h_x = self.apply_interaction(x, atilde, out=self.h_x)
         raise PropagationError(defect, self.tol, step_index)
 
 
@@ -621,10 +583,10 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     n_steps += pulse.duration - n_steps * dt >= 1e-12 * pulse.duration
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
-        # psi, and for each occupied parity sector (from the ground state
-        # only the even one, about half of psi) its diagonals and LU
-        # factors (5 of its size) and its work buffers (15 of its size): a
-        # ground-state run at l_max = 20 peaked at 12.3 psi
+        # psi, and for the even channels (about half of psi) their
+        # diagonals and LU factors (5 of their size) and the work buffers
+        # (15 of their size): a ground-state run at l_max = 20 peaked at
+        # 12.3 psi
         mb = nch * grid.n_points * 16 * 12 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "

@@ -543,6 +543,18 @@ class TestTdse:
         assert f"config error: {message}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("setting,message", [
+        ("dr = -0.1", "dr must be positive, got -0.1"),
+        ("dr = 0.07", "must be an integer number of spacings"),
+        ("r_max = 0.05", "r_max must exceed dr, got 0.05"),
+    ])
+    def test_bad_grid_rejected_on_dry_run(self, setting, message, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"Z = 1\nF0 = 0.5\nomega = 0.8\n{setting}\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: " in captured.err and message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags", [["--F", "nan", "--omega", "0.8"],
                                        ["--F", "0.5", "--omega", "inf"]])
     def test_non_finite_input_is_config_error(self, flags, capsys):
@@ -573,6 +585,20 @@ class TestTdse:
         assert "# rel=false" in out
         assert "81 channels" not in out  # l_max 4 -> 25 channels
         assert "25 channels" in out
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["tdse", "--Z", "1", "--F", "0.5", "--omega", "0.8"], "file"),
+    (["delays", "--Z", "1", "--F", "0.05"], "dir"),
+    (["scan", "--Z", "1", "--F", "0.05"], "file/x.csv"),
+])
+def test_unwritable_out_is_config_error(argv, target, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    assert main([*argv, "--out", str(tmp_path / target)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
 
 
 SPECS = {"delays": DELAYS_SPEC, "scan": SCAN_SPEC, "zeta-qs": ZETA_SPEC,

@@ -217,45 +217,36 @@ class TestGroundState:
 
 
 class TestInteraction:
-    """The operators act on one parity sector's channels, psi[sec.idx]."""
+    """The operators act on the even channels' array, psi[prop.idx]."""
 
     @pytest.fixture()
     def prop(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=20.0)
-        prop = Propagator(s, grid, l_max=4, dt=0.02)
-        for sec in prop.sectors:   # otherwise built on its first occupied step
-            prop._build(sec)
-        return prop
+        return Propagator(s, grid, l_max=4, dt=0.02)
 
     def test_hermitian(self, prop):
         rng = np.random.default_rng(7)
-        shape = (25, prop.grid.n_points)
+        shape = (len(prop.idx), prop.grid.n_points)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         atilde = complex(0.3, -0.8)
-        for sec in prop.sectors:
-            hy = prop.apply_interaction(y[sec.idx], atilde, sec)
-            hx = prop.apply_interaction(x[sec.idx], atilde, sec)
-            lhs = np.vdot(x[sec.idx], hy)
-            rhs = np.vdot(hx, y[sec.idx])
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        hy = prop.apply_interaction(y, atilde)
+        hx = prop.apply_interaction(x, atilde)
+        assert np.vdot(x, hy) == pytest.approx(np.vdot(hx, y), rel=1e-12)
 
     def test_atomic_hermitian(self, prop):
         rng = np.random.default_rng(8)
-        shape = (25, prop.grid.n_points)
+        shape = (len(prop.idx), prop.grid.n_points)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for sec in prop.sectors:
-            xs, ys = x[sec.idx], y[sec.idx]
-            assert np.vdot(xs, prop.apply_atomic(ys, sec)) == pytest.approx(
-                np.vdot(prop.apply_atomic(xs, sec), ys), rel=1e-12)
+        assert np.vdot(x, prop.apply_atomic(y)) == pytest.approx(
+            np.vdot(prop.apply_atomic(x), y), rel=1e-12)
 
     def test_zero_field_shortcut(self, prop):
-        psi = np.ones((25, prop.grid.n_points), dtype=np.complex128)
-        for sec in prop.sectors:
-            assert not prop.apply_interaction(psi[sec.idx], 0.0, sec).any()
-        # without a field a step is one atomic half-step solve per sector
+        psi = np.ones((len(prop.idx), prop.grid.n_points), dtype=np.complex128)
+        assert not prop.apply_interaction(psi, 0.0).any()
+        # without a field a step is one atomic half-step solve
         state, _ = build_ground_state(prop.system, prop.grid, prop.l_max)
         pulse = PulseParams(F0=0.5, omega=0.8)
         state.t = pulse.duration
@@ -265,13 +256,10 @@ class TestInteraction:
         # (1 + i dt/2 H_atom) applied, then solved: any coupling across a
         # channel edge in the factorization would show at the block ends
         rng = np.random.default_rng(9)
-        shape = (25, prop.grid.n_points)
+        shape = (len(prop.idx), prop.grid.n_points)
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for sec in prop.sectors:
-            part = psi[sec.idx]
-            back = prop._solve_implicit(
-                part + 0.5j * prop.dt * prop.apply_atomic(part, sec), sec)
-            np.testing.assert_allclose(back, part, rtol=0.0, atol=1e-12)
+        back = prop._solve_implicit(psi + 0.5j * prop.dt * prop.apply_atomic(psi))
+        np.testing.assert_allclose(back, psi, rtol=0.0, atol=1e-12)
 
     def test_interaction_from_s_channel(self, prop):
         rng = np.random.default_rng(10)
@@ -280,9 +268,8 @@ class TestInteraction:
         psi = np.zeros((25, n), dtype=np.complex128)
         psi[channel_index(0, 0)] = u
         atilde = complex(0.3, -0.8)
-        out = np.empty_like(psi)
-        for sec in prop.sectors:
-            out[sec.idx] = prop.apply_interaction(psi[sec.idx], atilde, sec)
+        out = np.zeros_like(psi)
+        out[prop.idx] = prop.apply_interaction(psi[prop.idx], atilde)
         # central difference with u = 0 at r = 0 and beyond the box
         padded = np.concatenate([[0.0], u, [0.0]])
         radial = ((padded[2:] - padded[:-2]) / (2.0 * prop.grid.dr)
@@ -297,7 +284,7 @@ class TestInteraction:
         assert float(np.abs(others).max()) == 0.0
 
     def test_coupling_keeps_parity(self):
-        # the Propagator's split into l + m parity sectors relies on this
+        # why the Propagator need only step the even l + m channels
         l_max = 4
         nch = (l_max + 1) ** 2
         parity = np.empty(nch, dtype=int)
@@ -341,68 +328,18 @@ class TestSelectionRules:
         assert first > 1e3 * second > 0.0
         assert second > 1e3 * third > 0.0
 
-
-class TestParitySectors:
-    """A . p keeps l + m parity, so the even and odd channels are two
-    independent problems; a step propagates each occupied one."""
-
-    @pytest.fixture()
-    def setup(self):
+    def test_odd_amplitude_rejected(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=30.0)
         pulse = PulseParams(F0=0.5, omega=0.8)
-        return grid, pulse, Propagator(s, grid, 3, 0.02)
-
-    @staticmethod
-    def _state(grid, pulse, channels):
-        r = grid.radii()
-        psi = np.zeros((16, grid.n_points), dtype=np.complex128)
-        for l, m in channels:
-            psi[channel_index(l, m)] = r ** (l + 1) * np.exp(-r / (l + 1))
-        psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dr)
-        # field well on
-        return WavefunctionState(grid=grid, l_max=3, psi=psi, t=0.45 * pulse.duration)
-
-    def test_odd_sector_propagated(self, setup):
-        grid, pulse, prop = setup
-        state = self._state(grid, pulse, [(1, 0)])
-        norm0 = state.norm()
-        for _ in range(20):
-            prop.step(state, pulse)
-        pops = state.populations()
-        assert abs(state.norm() - norm0) < 1e-8
-        assert pops[channel_index(2, 1)] > 1e-7
-        assert pops[channel_index(2, -1)] > 1e-7
-        even = [channel_index(l, m) for l, m in channel_list(3) if (l + m) % 2 == 0]
-        assert np.all(state.psi[even] == 0.0)
-
-    def test_lazy_sectors_step_as_built_ones(self, setup):
-        # a sector built on its first occupied step gives the bits of one
-        # built up front
-        grid, pulse, lazy = setup
-        eager = Propagator(lazy.system, grid, 3, lazy.dt)
-        for sec in eager.sectors:
-            eager._build(sec)
-        a = self._state(grid, pulse, [(0, 0)])
-        b = a.copy()
-        for _ in range(5):
-            assert lazy.step(a, pulse) == eager.step(b, pulse)
-        assert np.array_equal(a.psi, b.psi)
-
-    def test_mixed_state_steps_as_sum_of_sectors(self, setup):
-        grid, pulse, prop = setup
-        mixed = self._state(grid, pulse, [(0, 0), (1, 0)])
-        parts = []
-        for parity in (0, 1):
-            part = mixed.copy()
-            for l, m in channel_list(3):
-                if (l + m) % 2 != parity:
-                    part.psi[channel_index(l, m)] = 0.0
-            prop.step(part, pulse)
-            parts.append(part.psi)
-        prop.step(mixed, pulse)
-        np.testing.assert_allclose(mixed.psi, parts[0] + parts[1],
-                                   rtol=0.0, atol=prop.tol)
+        state, _ = build_ground_state(s, grid, l_max=3)
+        state.t = 0.45 * pulse.duration
+        state.psi[channel_index(2, 1)] = 1e-3 * state.psi[channel_index(0, 0)]
+        before = state.copy()
+        with pytest.raises(ValueError, match="odd l \\+ m"):
+            Propagator(s, grid, 3, 0.02).step(state, pulse)
+        assert np.array_equal(state.psi, before.psi)
+        assert state.t == before.t
 
 
 class TestPredictorHistory:
@@ -533,14 +470,6 @@ class TestPropagation:
         run_pulse(s, grid, pulse, l_max=6, dt=0.02)
         assert len(propagators_made) == 1
 
-    def test_ground_state_run_never_builds_odd_sector(self, propagators_made):
-        s = make_system(1.0)
-        grid = RadialGrid(dr=0.2, r_max=20.0)
-        run_pulse(s, grid, PulseParams(F0=0.5, omega=2.0), l_max=3, dt=0.05)
-        even, odd = propagators_made[0].sectors
-        assert even.lu is not None
-        assert odd.lu is None
-
     def test_divergence_reports_position(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.5, r_max=10.0)
@@ -585,7 +514,7 @@ class TestZScaling:
 
 class TestStepAllocations:
     def test_mid_pulse_steps_allocate_little(self):
-        # every array of a sector's size lives in the Propagator's buffers;
+        # every array of the even block's size lives in the Propagator's buffers;
         # fresh temporaries per step used to reach six times psi
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=60.0)
@@ -595,7 +524,7 @@ class TestStepAllocations:
         prop = Propagator(s, grid, 8, 0.02)
         for _ in range(3):
             prop.step(state, pulse)
-        sector_bytes = max(state.psi[sec.idx].nbytes for sec in prop.sectors)
+        block_bytes = state.psi[prop.idx].nbytes
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -605,7 +534,7 @@ class TestStepAllocations:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * sector_bytes
+        assert peak <= 4 * block_bytes
 
 
 class TestPlanning:
