@@ -18,8 +18,8 @@ preset, which fixes its whole grid, records only its name.  Relative
 output paths honor the ``TUNNELQS_OUT_DIR`` environment variable.
 
 ``delays``, ``zeta-qs`` and ``critical-fields`` each build one payload
-and its text lines; ``print_report`` prints either and writes the
-payload to ``--out``.  ``delays`` prints one row of ``scan.tabulate``,
+and its text lines; ``print_report`` writes the payload to ``--out``
+and then prints either.  ``delays`` prints one row of ``scan.tabulate``,
 the evaluator ``scan`` uses; ``scan.emit_table`` writes any structured
 table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 
@@ -199,17 +199,17 @@ def _system_from(resolved: dict):
 
 
 def print_report(args, resolved: dict, payload: dict, lines: list[str]) -> int:
-    """Print the payload (after its config echo) as JSON, or its text
-    lines, and write it as JSON to ``--out`` when given."""
+    """Write the payload (after its config echo) as JSON to ``--out`` when
+    given, then print it as JSON or its text lines."""
     payload = _jsonable({"config": config_echo(resolved), **payload})
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print("\n".join(lines))
     if args.out:
         path = resolve_out_path(args.out)
         _write_json(path, payload)
         print(f"wrote report to {path}", file=sys.stderr)
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, allow_nan=False))
+    else:
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ window near the box edge, so no closed-form Coulomb functions are
 needed.  Bound content is projected out with eigenstates of the same
 discrete Hamiltonian before projection, since bound population aliases
 into low momenta otherwise.  The waves are real, so each l's projection
-is one real matrix product on the (re, im) pairs of the channel block.
+is one real matrix product on the (re, im) pairs of its l + 1 rows.
 
 On the polarization plane Y_lm(pi/2, phi) = Y_lm(pi/2, 0) e^(i m phi),
 so the partial-wave sum is a Fourier series in phi with 2 l_max + 1
@@ -33,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import loggamma, sph_harm_y
 
 from .constants import au_time_as
-from .tdse import RadialGrid, WavefunctionState, channel_index, channel_list, radial_hamiltonian
+from .tdse import RadialGrid, WavefunctionState, even_index, radial_hamiltonian
 
 __all__ = [
     "AngularDistribution",
@@ -204,9 +204,9 @@ def remove_bound(state: WavefunctionState, zeff: float) -> tuple[WavefunctionSta
         basis = bound_states(zeff, state.grid, l)
         if basis.shape[0] == 0:
             continue
-        i0 = channel_index(l, -l)
-        block = out.psi[i0:i0 + 2 * l + 1]
-        coef = block @ basis.T * dr           # (2l+1, k)
+        i0 = even_index(l, -l)
+        block = out.psi[i0:i0 + l + 1]
+        coef = block @ basis.T * dr           # (l+1, k)
         block -= coef @ basis
         removed += float(np.sum(np.abs(coef) ** 2))
     return out, removed
@@ -216,8 +216,8 @@ def remove_bound(state: WavefunctionState, zeff: float) -> tuple[WavefunctionSta
 class IonizationAmplitudes:
     """Partial-wave ionization amplitudes a_lm(p).
 
-    ``a`` has shape (n_channels, len(p)) in the fixed channel ordering;
-    the total ionized probability is sum over channels of
+    ``a`` has shape (n_channels, len(p)), its rows ordered like the
+    state's; the total ionized probability is sum over channels of
     integral |a|^2 p^2 dp.  ``bound_removed`` is the probability that
     was projected out as bound content before the projection.
     """
@@ -253,16 +253,16 @@ def project_scattering_states(state: WavefunctionState, system,
     cleaned, removed = remove_bound(state, zeff)
     dr = state.grid.dr
     eta = -zeff / p
-    a = np.zeros((state.n_channels, len(p)), dtype=np.complex128)
+    a = np.empty((state.n_channels, len(p)), dtype=np.complex128)
     inv_sqrt_p = 1.0 / np.sqrt(p)
     for l in range(state.l_max + 1):
         waves = continuum_waves(zeff, state.grid, l, p)
         phase = (-1j) ** l * np.exp(1j * coulomb_phase(l, eta)) * inv_sqrt_p
-        i0 = channel_index(l, -l)
+        i0 = even_index(l, -l)
         # the waves are real: one real product on the (re, im) pairs
-        pairs = np.ascontiguousarray(cleaned.psi[i0:i0 + 2 * l + 1].T).view(np.float64)
-        proj = (waves @ pairs).view(np.complex128)      # (len(p), 2l+1)
-        a[i0:i0 + 2 * l + 1] = (proj * dr).T * phase[None, :]
+        pairs = np.ascontiguousarray(cleaned.psi[i0:i0 + l + 1].T).view(np.float64)
+        proj = (waves @ pairs).view(np.complex128)      # (len(p), l+1)
+        a[i0:i0 + l + 1] = (proj * dr).T * phase[None, :]
     return IonizationAmplitudes(p=p, l_max=state.l_max, a=a, bound_removed=removed)
 
 
@@ -295,8 +295,8 @@ def momentum_distribution(amps: IonizationAmplitudes, p: np.ndarray,
     """Coherent partial-wave sum evaluated at polar angle pi/2.
 
     On the equator Y_lm(pi/2, phi) = Y_lm(pi/2, 0) e^(i m phi), which
-    vanishes for odd l + m, so the sum is the Fourier series
-    psi(p, phi) = sum_m c_m(p) e^(i m phi) with
+    vanishes for odd l + m, the channels the amplitudes do not hold; the
+    sum is the Fourier series psi(p, phi) = sum_m c_m(p) e^(i m phi) with
     c_m = sum_l a_lm Y_lm(pi/2, 0).  phi must be finite with spacing
     2 pi / len(phi), as from ``default_phi_grid`` (any start angle);
     other grids raise ValueError, since the periodic weight of
@@ -309,9 +309,10 @@ def momentum_distribution(amps: IonizationAmplitudes, p: np.ndarray,
     _check_phi_grid(phi)
     l_max = amps.l_max
     c = np.zeros((2 * l_max + 1, len(p)), dtype=np.complex128)
-    for ch, (l, m) in enumerate(channel_list(l_max)):
-        if (l + m) % 2 == 0:
-            c[l_max + m] += sph_harm_y(l, m, math.pi / 2.0, 0.0).real * amps.a[ch]
+    for l in range(l_max + 1):
+        i0 = even_index(l, -l)
+        y = sph_harm_y(l, np.arange(-l, l + 1, 2), math.pi / 2.0, 0.0).real
+        c[l_max - l:l_max + l + 1:2] += y[:, None] * amps.a[i0:i0 + l + 1]
     m = np.arange(-l_max, l_max + 1)
     psi = c.T @ np.exp(1j * m[:, None] * phi[None, :])
     density = np.abs(psi) ** 2

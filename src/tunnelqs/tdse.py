@@ -8,24 +8,23 @@ the total norm is sum_lm integral |u_lm|^2 dr.  The field couples only
 the polarization plane.
 
 Propagation uses the implicit midpoint (Crank-Nicolson) step.  Because
-A . p changes l + m by 0 or +-2, the channels with even l + m never mix
-with the odd ones, and a run from the (0, 0) ground state fills only the
-even ones; the :class:`Propagator` builds its operators for those alone,
-once, and refuses a state with amplitude in an odd channel.  The
-field-free part is inverted exactly by one LU-factored tridiagonal solve
-over the even channels, whose off-diagonal is cut at each channel edge;
-the channel-coupling interaction, two sparse matrices, is folded in by
-fixed-point iteration with a per-step defect tolerance, which keeps the
-step unitary to that tolerance for any dt.  A pulse of length T1 is
-n = ceil(T1/dt) equal steps taken by one :class:`Propagator`, so dt is
-the largest step.
+A . p changes l + m by 0 or +-2, a run from the (0, 0) ground state
+fills only the channels with even l + m, and a state holds those alone:
+row :func:`even_index` (l, m) of ``psi``, so each l is l + 1 adjacent
+rows.  The field-free part is inverted exactly by one LU-factored
+tridiagonal solve over all rows, whose off-diagonal is cut at each
+channel edge; the channel-coupling interaction, two sparse matrices, is
+folded in by fixed-point iteration with a per-step defect tolerance,
+which keeps the step unitary to that tolerance for any dt.  A pulse of
+length T1 is n = ceil(T1/dt) equal steps taken by one
+:class:`Propagator`, so dt is the largest step.
 
 The iteration starts from the quadratic extrapolation of the last three
 step-start states.  H_int is linear in the vector potential, so the
 products of the two coupling matrices with those states, kept from
 their steps, give H_int of the start without another product; a state
-the stepper did not produce itself starts from psi.  Every array of the
-even block's size that a step needs is a work buffer allocated with the
+the stepper did not produce itself starts from psi.  Every array of
+psi's size that a step needs is a work buffer allocated with the
 operators, so the step loop allocates no large temporaries.
 """
 
@@ -53,6 +52,7 @@ __all__ = [
     "coupling_operators",
     "cusp_correction",
     "envelope",
+    "even_index",
     "load_checkpoint",
     "plan_run",
     "radial_hamiltonian",
@@ -61,7 +61,7 @@ __all__ = [
     "vector_potential",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2      # 1: psi in the full channel_index layout
 
 DEFAULT_TOL = 1e-10       # per-step fixed-point defect
 MAX_ITER = 50             # fixed-point iterations per step before PropagationError
@@ -149,6 +149,11 @@ def channel_index(l: int, m: int) -> int:
 
 def channel_list(l_max: int) -> list[tuple[int, int]]:
     return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+
+
+def even_index(l: int, m: int) -> int:
+    """Row of channel (l, m), l + m even, in a state: l(l+1)/2 + (l+m)/2."""
+    return l * (l + 1) // 2 + (l + m) // 2
 
 
 @dataclass(frozen=True)
@@ -242,11 +247,13 @@ def radial_hamiltonian(zeff: float, grid: RadialGrid,
 
 @dataclass
 class WavefunctionState:
-    """Channel wavefunctions u_lm(r) at time t.
+    """Channel wavefunctions u_lm(r) at time t, even l + m only.
 
-    ``psi`` has shape (n_channels, n_points) with channels in the fixed
-    (l, m) ordering of :func:`channel_index`.  A state is owned by a
-    single propagation driver; share copies, not the live array.
+    ``psi`` is complex128, channel (l, m) in row :func:`even_index` (l, m).
+    A psi in the full (l_max + 1)^2 layout of :func:`channel_index` keeps
+    its even rows, or raises ValueError if an odd one holds amplitude.  A
+    state is owned by a single propagation driver; share copies, not the
+    live array.
     """
 
     grid: RadialGrid
@@ -255,28 +262,32 @@ class WavefunctionState:
     t: float = 0.0
 
     def __post_init__(self):
-        expect = ((self.l_max + 1) ** 2, self.grid.n_points)
-        if self.psi.shape != expect:
-            raise ValueError(f"psi shape {self.psi.shape} != {expect}")
+        psi = np.asarray(self.psi, dtype=np.complex128)
+        if psi.shape == ((self.l_max + 1) ** 2, self.grid.n_points):
+            even = np.array([(l + m) % 2 == 0 for l, m in channel_list(self.l_max)])
+            if psi.any(axis=1)[~even].any():
+                raise ValueError("odd l + m channels hold amplitude; only the even "
+                                 "channels, which A . p fills from (0, 0), are propagated")
+            psi = psi[even]
+        expect = (self.n_channels, self.grid.n_points)
+        if psi.shape != expect:
+            raise ValueError(f"psi shape {psi.shape} != {expect}")
+        self.psi = psi
 
     @property
     def n_channels(self) -> int:
-        return (self.l_max + 1) ** 2
+        return (self.l_max + 1) * (self.l_max + 2) // 2
 
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.psi, self.psi).real * self.grid.dr)
 
     def populations(self) -> np.ndarray:
-        """Per-channel norm^2, ordered like the channels."""
+        """Per-channel norm^2, ordered like the rows of psi."""
         return np.sum(np.abs(self.psi) ** 2, axis=1) * self.grid.dr
 
     def populations_by_l(self) -> np.ndarray:
-        pops = self.populations()
-        out = np.zeros(self.l_max + 1)
-        for l in range(self.l_max + 1):
-            i0 = channel_index(l, -l)
-            out[l] = pops[i0:i0 + 2 * l + 1].sum()
-        return out
+        starts = [even_index(l, -l) for l in range(self.l_max + 1)]
+        return np.add.reduceat(self.populations(), starts)
 
     def copy(self) -> "WavefunctionState":
         return replace(self, psi=self.psi.copy())
@@ -297,8 +308,8 @@ def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[Wavefuncti
     u = u / math.sqrt(np.sum(u * u) * grid.dr)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
-    psi = np.zeros(((l_max + 1) ** 2, grid.n_points), dtype=np.complex128)
-    psi[channel_index(0, 0)] = u
+    psi = np.zeros(((l_max + 1) * (l_max + 2) // 2, grid.n_points), dtype=np.complex128)
+    psi[even_index(0, 0)] = u
     return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(w[0])
 
 
@@ -351,20 +362,17 @@ def _extrapolate(out: np.ndarray, now: np.ndarray, prev: np.ndarray,
 
 
 class Propagator:
-    """Crank-Nicolson stepper of the even l + m channels, with operators
-    assembled once per dt.
+    """Crank-Nicolson stepper of a state's even l + m channels, with
+    operators assembled once per dt.
 
-    One instance owns, for a fixed (system, grid, l_max, dt), the even
+    One instance owns, for a fixed (system, grid, l_max, dt), the
     channels' diagonals, the LU factors of their block-tridiagonal
-    (1 + i dt/2 H_atom), their rows and columns of the coupling operators
-    and the work buffers, all built in the constructor.  ``idx`` lists
-    the even channels in the full (l, m) layout; ``apply_atomic``,
-    ``apply_interaction`` and ``_solve_implicit`` act on their channel
-    array ``psi[idx]``.  Given ``out``, the first two write their result
-    there, and the solve overwrites a contiguous right-hand side with the
-    solution.  A . p never fills the odd channels from the (0, 0) ground
-    state, and :meth:`step` raises ``ValueError`` for a state with
-    amplitude in one.
+    (1 + i dt/2 H_atom), the coupling operators restricted to them and
+    the work buffers, all built in the constructor.  ``apply_atomic``,
+    ``apply_interaction`` and ``_solve_implicit`` act on an array shaped
+    like ``WavefunctionState.psi``.  Given ``out``, the first two write
+    their result there, and the solve overwrites a contiguous right-hand
+    side with the solution.
 
     ``couple`` is the stacked coupling [D+ ; D-] restricted to the even
     channels, with the 1/(2 dr) of the central difference folded into its
@@ -374,7 +382,7 @@ class Propagator:
     newest first, of the last step-start states and their coupling
     products [D+ s ; D- s]; a step needs only the two newest of the
     previous ones, so the oldest entry of each ring is free: a state is
-    gathered into it, and the oldest pair takes the extrapolated product
+    copied into it, and the oldest pair takes the extrapolated product
     and then every coupling product of the iteration.
 
     The fixed-point iteration of a step starts from the quadratic
@@ -407,16 +415,14 @@ class Propagator:
         self.produced = None
         n = grid.n_points
         nch = (l_max + 1) ** 2
-        even = [(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == 0]
-        self.idx = np.array([channel_index(l, m) for l, m in even])
-        self.odd = np.ones(nch, dtype=bool)
-        self.odd[self.idx] = False
+        even = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1, 2)]
+        idx = np.array([channel_index(l, m) for l, m in even])
         h_by_l = [radial_hamiltonian(system.Zeff, grid, l) for l in range(l_max + 1)]
         self.off = h_by_l[0][1][0]   # the same constant for every l
         self.inv_r = (1.0 / grid.radii()).astype(np.complex128)   # no cast per product
         couple = vstack(coupling_operators(l_max), format="csr")
         couple.data[couple.indices < nch] /= 2.0 * grid.dr
-        cols = np.concatenate([self.idx, nch + self.idx])
+        cols = np.concatenate([idx, nch + idx])
         self.couple = couple[cols][:, cols]
         diag = np.array([h_by_l[l][0] for l, _ in even])
         # one tridiagonal over the even channels, cut at each channel edge
@@ -488,26 +494,19 @@ class Propagator:
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
              step_index: int = 0) -> tuple[int, float]:
-        """Advance the state by dt in place; returns (iterations, defect).
-
-        Raises ``ValueError``, leaving the state unchanged, when an odd
-        l + m channel holds amplitude.
-        """
-        if state.psi.any(axis=1)[self.odd].any():
-            raise ValueError("odd l + m channels hold amplitude; only the even "
-                             "channels, which A . p fills from (0, 0), are propagated")
+        """Advance the state by dt in place; returns (iterations, defect)."""
         ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
         continued = state.t == self._t_end
         self._t_end = None
-        # mode="clip" gathers straight into the buffer ("raise" buffers)
-        psi = np.take(state.psi, self.idx, axis=0, out=self.states[-1], mode="clip")
+        psi = self.states[-1]
+        np.copyto(psi, state.psi)
         if not (continued and np.array_equal(psi, self.produced)):
             self.history = 0
         # the oldest ring entries become the newest
         self.states.insert(0, self.states.pop())
         self.pairs.insert(0, self.pairs.pop())
         new, iterations, defect = self._advance(psi, complex(ax, ay), step_index)
-        state.psi[self.idx] = new
+        np.copyto(state.psi, new)
         self.produced = new
         state.t += self.dt
         self._t_end = state.t
@@ -583,11 +582,10 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     n_steps += pulse.duration - n_steps * dt >= 1e-12 * pulse.duration
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
-        # psi, and for the even channels (about half of psi) their
-        # diagonals and LU factors (5 of their size) and the work buffers
-        # (15 of their size): a ground-state run at l_max = 20 peaked at
-        # 12.3 psi
-        mb = nch * grid.n_points * 16 * 12 / 1e6
+        # psi (the even channels), their diagonals and LU factors (5 psi)
+        # and the work buffers (15 psi): a whole run at l_max = 20,
+        # r_max = 200 peaked at 22.2 psi
+        mb = (l_max + 1) * (l_max + 2) // 2 * grid.n_points * 16 * 22 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")
@@ -695,20 +693,20 @@ def save_checkpoint(path, state: WavefunctionState, system) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (state, system).
-    Raises ValueError unless psi and t are finite and ``make_system``
-    accepts Z, Zeff and Ip."""
+    """Inverse of :func:`save_checkpoint`, also of version 1 (full-layout
+    psi); returns (state, system).  Raises ValueError unless psi and t are
+    finite and ``make_system`` accepts Z, Zeff and Ip."""
     from .atomic import make_system
 
     with np.load(path) as data:
         version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         grid = RadialGrid(dr=float(data["dr"]), r_max=float(data["r_max"]))
         state = WavefunctionState(
             grid=grid,
             l_max=int(data["l_max"]),
-            psi=np.array(data["psi"], dtype=np.complex128),
+            psi=data["psi"],
             t=float(data["t"]),
         )
         system = make_system(float(data["Z"]), float(data["Zeff"]),

@@ -230,6 +230,18 @@ def test_subnormal_field_is_domain_error(command, capsys):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("argv", [["delays", "--Z", "1", "--F", "0.05"],
+                                  ["zeta-qs", "--Z", "35", "--F", "1"],
+                                  ["critical-fields", "--Z", "35"]], ids=lambda a: a[0])
+def test_failed_out_write_prints_no_report(argv, tmp_path, capsys):
+    # --out is a directory: the report used to reach stdout before the
+    # write failed, so a failed call looked complete
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
 class TestScan:
     def test_preset_to_file(self, capsys, tmp_path):
         dest = tmp_path / "fig4.csv"

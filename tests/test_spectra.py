@@ -32,9 +32,11 @@ from tunnelqs.spectra import (
 from tunnelqs.tdse import (
     PulseParams,
     RadialGrid,
+    WavefunctionState,
     build_ground_state,
     channel_index,
     channel_list,
+    even_index,
     run_pulse,
 )
 
@@ -234,7 +236,7 @@ class TestBoundStates:
     def test_matches_propagation_ground_state(self, grid):
         s = AtomicSystem(Z=1.0, Zeff=1.0, Ip=0.5)
         state, _ = build_ground_state(s, grid, l_max=0)
-        u0 = np.real(state.psi[channel_index(0, 0)])
+        u0 = np.real(state.psi[even_index(0, 0)])
         basis = bound_states(1.0, grid, 0)
         overlap = abs(float(basis[0] @ u0) * grid.dr)
         assert overlap == pytest.approx(1.0, rel=1e-12)
@@ -296,20 +298,19 @@ class TestProjection:
         grid = RadialGrid(dr=0.1, r_max=40.0)
         r = grid.radii()
         u = np.exp(-((r - 15.0) ** 2) / 8.0)
-        psi = np.zeros((9, grid.n_points), dtype=np.complex128)
-        psi[channel_index(2, 1)] = u
-        from tunnelqs.tdse import WavefunctionState
+        psi = np.zeros((6, grid.n_points), dtype=np.complex128)
+        psi[even_index(2, 0)] = u
         state = WavefunctionState(grid=grid, l_max=2, psi=psi, t=0.0)
         p = np.linspace(0.3, 1.5, 40)
         amps = project_scattering_states(state, free, p)
-        a_pkg = amps.a[channel_index(2, 1)]
+        a_pkg = amps.a[even_index(2, 0)]
         for i, pi in enumerate(p):
             wave = math.sqrt(2.0 / (math.pi * pi)) * pi * r \
                 * spherical_jn(2, pi * r)
             a_ref = (-1j) ** 2 * float(wave @ u) * grid.dr / math.sqrt(pi)
             assert abs(a_pkg[i] - a_ref) < 5e-3 * float(np.abs(a_pkg).max())
         # every other channel stays empty
-        others = np.delete(np.arange(9), channel_index(2, 1))
+        others = np.delete(np.arange(6), even_index(2, 0))
         assert float(np.abs(amps.a[others]).max()) == 0.0
 
     def test_smoke_completeness(self, smoke_run, smoke_amps):
@@ -346,12 +347,14 @@ class TestMomentumDistribution:
         assert abs(dist.scale - 1.0) > 1e-3
 
     def test_fourier_sum_is_the_ylm_sum(self):
-        # random amplitudes on every channel, odd l + m included
+        # random amplitudes on every channel; the odd l + m ones, which
+        # vanish on the equator, enter only the direct sum
         l_max, p = 12, np.linspace(0.1, 2.0, 40)
         rng = np.random.default_rng(11)
         n_ch = (l_max + 1) ** 2
         a = rng.normal(size=(n_ch, len(p))) + 1j * rng.normal(size=(n_ch, len(p)))
-        amps = IonizationAmplitudes(p=p, l_max=l_max, a=a, bound_removed=0.0)
+        even = [channel_index(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == 0]
+        amps = IonizationAmplitudes(p=p, l_max=l_max, a=a[even], bound_removed=0.0)
         phi = default_phi_grid(360)
         dist = momentum_distribution(amps, p, phi)
         ylm = np.array([sph_harm_y(l, m, math.pi / 2.0, phi)
@@ -373,7 +376,7 @@ class TestMomentumDistribution:
     def test_phi_grid_validation(self, phi):
         p = np.linspace(0.2, 1.5, 5)
         amps = IonizationAmplitudes(p=p, l_max=1,
-                                    a=np.ones((4, 5), dtype=np.complex128),
+                                    a=np.ones((3, 5), dtype=np.complex128),
                                     bound_removed=0.0)
         with pytest.raises(ValueError, match="phi"):
             momentum_distribution(amps, p, phi)
@@ -386,7 +389,7 @@ class TestMomentumDistribution:
         # a grid starting at 5 cells rotates the samples by 5 cells
         p = np.linspace(0.2, 1.5, 5)
         rng = np.random.default_rng(5)
-        a = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+        a = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
         amps = IonizationAmplitudes(p=p, l_max=2, a=a, bound_removed=0.0)
         phi = default_phi_grid(64)
         base = momentum_distribution(amps, p, phi)
@@ -401,9 +404,8 @@ class TestMomentumDistribution:
         free = AtomicSystem(Z=1.0, Zeff=0.0, Ip=0.5)
         grid = RadialGrid(dr=0.1, r_max=40.0)
         r = grid.radii()
-        psi = np.zeros((4, grid.n_points), dtype=np.complex128)
-        psi[channel_index(1, 1)] = np.exp(-((r - 12.0) ** 2) / 6.0)
-        from tunnelqs.tdse import WavefunctionState
+        psi = np.zeros((3, grid.n_points), dtype=np.complex128)
+        psi[even_index(1, 1)] = np.exp(-((r - 12.0) ** 2) / 6.0)
         state = WavefunctionState(grid=grid, l_max=1, psi=psi, t=0.0)
         p = np.linspace(0.2, 1.5, 30)
         amps = project_scattering_states(state, free, p)
@@ -418,10 +420,9 @@ class TestMomentumDistribution:
         grid = RadialGrid(dr=0.1, r_max=40.0)
         r = grid.radii()
         packet = np.exp(-((r - 12.0) ** 2) / 6.0)
-        psi = np.zeros((9, grid.n_points), dtype=np.complex128)
-        psi[channel_index(1, 1)] = packet
-        psi[channel_index(2, 2)] = 0.7j * packet
-        from tunnelqs.tdse import WavefunctionState
+        psi = np.zeros((6, grid.n_points), dtype=np.complex128)
+        psi[even_index(1, 1)] = packet
+        psi[even_index(2, 2)] = 0.7j * packet
         state = WavefunctionState(grid=grid, l_max=2, psi=psi, t=0.0)
         p = np.linspace(0.2, 1.5, 30)
         dist = momentum_distribution(

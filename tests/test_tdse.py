@@ -21,6 +21,7 @@ from tunnelqs.tdse import (
     coupling_operators,
     default_dt,
     envelope,
+    even_index,
     load_checkpoint,
     plan_run,
     radial_hamiltonian,
@@ -80,6 +81,13 @@ class TestChannels:
         assert len(chans) == 49
         for k, (l, m) in enumerate(chans):
             assert channel_index(l, m) == k
+
+    def test_even_index_layout(self):
+        # the rows of a state: the even l + m channels of channel_list, in order
+        even = [(l, m) for l, m in channel_list(6) if (l + m) % 2 == 0]
+        assert len(even) == 7 * 8 // 2
+        assert [even_index(l, m) for l, m in even] == list(range(len(even)))
+        assert even_index(2, -2) == 3
 
 
 class TestPulse:
@@ -203,8 +211,8 @@ class TestGroundState:
     def test_deterministic_sign(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=40.0)
-        u1 = build_ground_state(s, grid, 0)[0].psi[channel_index(0, 0)]
-        u2 = build_ground_state(s, grid, 0)[0].psi[channel_index(0, 0)]
+        u1 = build_ground_state(s, grid, 0)[0].psi[even_index(0, 0)]
+        u2 = build_ground_state(s, grid, 0)[0].psi[even_index(0, 0)]
         assert float(np.real(u1[np.argmax(np.abs(u1))])) > 0.0
         np.testing.assert_array_equal(u1, u2)
 
@@ -215,9 +223,24 @@ class TestGroundState:
                               psi=np.zeros((4, 3), dtype=np.complex128),
                               t=0.0)
 
+    def test_real_psi_steps_like_complex(self):
+        # a state holds complex128, so a step writes its imaginary part back
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=30.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state, _ = build_ground_state(s, grid, l_max=3)
+        state.t = 0.45 * pulse.duration
+        real = WavefunctionState(grid, 3, state.psi.real, state.t)
+        assert real.psi.dtype == np.complex128
+        for st in (state, real):
+            prop = Propagator(s, grid, 3, 0.02)
+            for _ in range(3):
+                prop.step(st, pulse)
+        assert np.array_equal(real.psi, state.psi)
+
 
 class TestInteraction:
-    """The operators act on the even channels' array, psi[prop.idx]."""
+    """The operators act on an array shaped like a state's psi."""
 
     @pytest.fixture()
     def prop(self):
@@ -225,9 +248,12 @@ class TestInteraction:
         grid = RadialGrid(dr=0.1, r_max=20.0)
         return Propagator(s, grid, l_max=4, dt=0.02)
 
-    def test_hermitian(self, prop):
+    @pytest.fixture()
+    def shape(self, prop):
+        return build_ground_state(prop.system, prop.grid, prop.l_max)[0].psi.shape
+
+    def test_hermitian(self, prop, shape):
         rng = np.random.default_rng(7)
-        shape = (len(prop.idx), prop.grid.n_points)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         atilde = complex(0.3, -0.8)
@@ -235,16 +261,15 @@ class TestInteraction:
         hx = prop.apply_interaction(x, atilde)
         assert np.vdot(x, hy) == pytest.approx(np.vdot(hx, y), rel=1e-12)
 
-    def test_atomic_hermitian(self, prop):
+    def test_atomic_hermitian(self, prop, shape):
         rng = np.random.default_rng(8)
-        shape = (len(prop.idx), prop.grid.n_points)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.vdot(x, prop.apply_atomic(y)) == pytest.approx(
             np.vdot(prop.apply_atomic(x), y), rel=1e-12)
 
-    def test_zero_field_shortcut(self, prop):
-        psi = np.ones((len(prop.idx), prop.grid.n_points), dtype=np.complex128)
+    def test_zero_field_shortcut(self, prop, shape):
+        psi = np.ones(shape, dtype=np.complex128)
         assert not prop.apply_interaction(psi, 0.0).any()
         # without a field a step is one atomic half-step solve
         state, _ = build_ground_state(prop.system, prop.grid, prop.l_max)
@@ -252,39 +277,37 @@ class TestInteraction:
         state.t = pulse.duration
         assert prop.step(state, pulse) == (1, 0.0)
 
-    def test_solve_inverts_atomic_half_step(self, prop):
+    def test_solve_inverts_atomic_half_step(self, prop, shape):
         # (1 + i dt/2 H_atom) applied, then solved: any coupling across a
         # channel edge in the factorization would show at the block ends
         rng = np.random.default_rng(9)
-        shape = (len(prop.idx), prop.grid.n_points)
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         back = prop._solve_implicit(psi + 0.5j * prop.dt * prop.apply_atomic(psi))
         np.testing.assert_allclose(back, psi, rtol=0.0, atol=1e-12)
 
-    def test_interaction_from_s_channel(self, prop):
+    def test_interaction_from_s_channel(self, prop, shape):
         rng = np.random.default_rng(10)
         n = prop.grid.n_points
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi = np.zeros((25, n), dtype=np.complex128)
-        psi[channel_index(0, 0)] = u
+        psi = np.zeros(shape, dtype=np.complex128)
+        psi[even_index(0, 0)] = u
         atilde = complex(0.3, -0.8)
-        out = np.zeros_like(psi)
-        out[prop.idx] = prop.apply_interaction(psi[prop.idx], atilde)
+        out = prop.apply_interaction(psi, atilde)
         # central difference with u = 0 at r = 0 and beyond the box
         padded = np.concatenate([[0.0], u, [0.0]])
         radial = ((padded[2:] - padded[:-2]) / (2.0 * prop.grid.dr)
                   - u / prop.grid.radii())
         w = math.sqrt(2.0 / 3.0)
         expect = np.zeros_like(psi)
-        expect[channel_index(1, 1)] = -0.5j * np.conj(atilde) * -w * radial
-        expect[channel_index(1, -1)] = -0.5j * atilde * w * radial
+        expect[even_index(1, 1)] = -0.5j * np.conj(atilde) * -w * radial
+        expect[even_index(1, -1)] = -0.5j * atilde * w * radial
         np.testing.assert_allclose(out, expect, rtol=0.0,
                                    atol=1e-13 * np.abs(expect).max())
-        others = np.delete(out, [channel_index(1, 1), channel_index(1, -1)], axis=0)
+        others = np.delete(out, [even_index(1, 1), even_index(1, -1)], axis=0)
         assert float(np.abs(others).max()) == 0.0
 
     def test_coupling_keeps_parity(self):
-        # why the Propagator need only step the even l + m channels
+        # why a state need only hold the even l + m channels
         l_max = 4
         nch = (l_max + 1) ** 2
         parity = np.empty(nch, dtype=int)
@@ -309,37 +332,38 @@ class TestSelectionRules:
         return state.populations()
 
     def test_parity_of_l_plus_m_conserved(self, stepped):
-        # A.p moves (l, m) by (+-1, +-1), so channels with odd l + m
-        # stay exactly empty when starting from (0, 0)
-        for l, m in [(1, 0), (2, 1), (2, -1), (3, 0), (3, 2), (3, -2)]:
-            assert stepped[channel_index(l, m)] == 0.0
+        # A.p moves (l, m) by (+-1, +-1), so from (0, 0) the channels with
+        # odd l + m stay exactly empty: a state holds a row for each even
+        # channel, l by l, and none for the odd ones
+        even = [(l, m) for l in range(4) for m in range(-l, l + 1, 2)]
+        assert stepped.shape == (len(even),) == (10,)
+        assert [even_index(l, m) for l, m in even] == list(range(10))
 
     def test_first_order_channels(self, stepped):
-        assert stepped[channel_index(1, 1)] > 1e-7
-        assert stepped[channel_index(1, -1)] > 1e-7
+        assert stepped[even_index(1, 1)] > 1e-7
+        assert stepped[even_index(1, -1)] > 1e-7
         # one midpoint-field step gives symmetric +-m weights
-        assert stepped[channel_index(1, 1)] == pytest.approx(
-            stepped[channel_index(1, -1)], rel=1e-10)
+        assert stepped[even_index(1, 1)] == pytest.approx(
+            stepped[even_index(1, -1)], rel=1e-10)
 
     def test_order_hierarchy(self, stepped):
-        first = stepped[channel_index(1, 1)]
-        second = stepped[channel_index(2, 2)]
-        third = stepped[channel_index(3, 3)]
+        first = stepped[even_index(1, 1)]
+        second = stepped[even_index(2, 2)]
+        third = stepped[even_index(3, 3)]
         assert first > 1e3 * second > 0.0
         assert second > 1e3 * third > 0.0
 
     def test_odd_amplitude_rejected(self):
-        s = make_system(1.0)
+        # a psi in the full channel_index layout keeps its even rows, and
+        # amplitude in an odd one is refused when the state is made
         grid = RadialGrid(dr=0.1, r_max=30.0)
-        pulse = PulseParams(F0=0.5, omega=0.8)
-        state, _ = build_ground_state(s, grid, l_max=3)
-        state.t = 0.45 * pulse.duration
-        state.psi[channel_index(2, 1)] = 1e-3 * state.psi[channel_index(0, 0)]
-        before = state.copy()
+        state, _ = build_ground_state(make_system(1.0), grid, l_max=3)
+        full = np.zeros((16, grid.n_points), dtype=np.complex128)
+        full[channel_index(0, 0)] = state.psi[even_index(0, 0)]
+        assert np.array_equal(WavefunctionState(grid, 3, full.copy()).psi, state.psi)
+        full[channel_index(2, 1)] = 1e-3 * full[channel_index(0, 0)]
         with pytest.raises(ValueError, match="odd l \\+ m"):
-            Propagator(s, grid, 3, 0.02).step(state, pulse)
-        assert np.array_equal(state.psi, before.psi)
-        assert state.t == before.t
+            WavefunctionState(grid, 3, full)
 
 
 class TestPredictorHistory:
@@ -378,7 +402,7 @@ class TestPredictorHistory:
     def test_two_states_alternately(self, setup):
         prop, pulse, a = setup
         b = a.copy()
-        b.psi[channel_index(1, 1)] += 0.1 * b.psi[channel_index(0, 0)]
+        b.psi[even_index(1, 1)] += 0.1 * b.psi[even_index(0, 0)]
         # b starts where the last step ended, so only its contents tell it
         # apart; later steps of either state follow one of the other
         for _ in range(3):
@@ -389,7 +413,7 @@ class TestPredictorHistory:
     def test_edited_state(self, setup, edit):
         prop, pulse, state = setup
         if edit == "psi":
-            state.psi[channel_index(2, 2)] *= 0.5
+            state.psi[even_index(2, 2)] *= 0.5
         else:
             state.t += 0.25 * prop.dt
         self._step_as_fresh(prop, pulse, state)
@@ -406,13 +430,13 @@ class TestPropagation:
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=30.0)
         state, _ = build_ground_state(s, grid, l_max=2)
-        u0 = state.psi[channel_index(0, 0)].copy()
+        u0 = state.psi[even_index(0, 0)].copy()
         pulse = PulseParams(F0=0.0, omega=0.8)
         prop = Propagator(s, grid, 2, 0.02)
         norm0 = state.norm()
         for _ in range(100):
             prop.step(state, pulse)
-        overlap = abs(np.sum(np.conj(u0) * state.psi[channel_index(0, 0)]) * grid.dr)
+        overlap = abs(np.sum(np.conj(u0) * state.psi[even_index(0, 0)]) * grid.dr)
         assert overlap >= 0.9999
         assert abs(state.norm() - norm0) < 1e-10
 
@@ -524,7 +548,7 @@ class TestStepAllocations:
         prop = Propagator(s, grid, 8, 0.02)
         for _ in range(3):
             prop.step(state, pulse)
-        block_bytes = state.psi[prop.idx].nbytes
+        block_bytes = state.psi.nbytes
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -603,6 +627,9 @@ class TestCheckpoint:
         state.t = 3.25
         path = tmp_path / "state.npz"
         save_checkpoint(path, state, s)
+        with np.load(path) as data:
+            assert int(data["version"]) == 2
+            assert data["psi"].shape == (3 * 4 // 2, grid.n_points)
         loaded, sys2 = load_checkpoint(path)
         assert loaded.t == 3.25
         assert loaded.l_max == 2
@@ -617,9 +644,55 @@ class TestCheckpoint:
         path = tmp_path / "state.npz"
         save_checkpoint(path, state, s)
         data = dict(np.load(path))
-        data["version"] = np.int64(99)
+        for version in (0, 3, 99):
+            data["version"] = np.int64(version)
+            np.savez(path, **data)
+            with pytest.raises(ValueError, match="unsupported checkpoint version"):
+                load_checkpoint(path)
+
+    @staticmethod
+    def _version_1_file(path, state, system):
+        """The state as the version-1 format stored it: every channel of
+        channel_index, the odd ones zero; returns that full psi."""
+        full = np.zeros(((state.l_max + 1) ** 2, state.grid.n_points), dtype=np.complex128)
+        for l, m in channel_list(state.l_max):
+            if (l + m) % 2 == 0:
+                full[channel_index(l, m)] = state.psi[even_index(l, m)]
+        np.savez(path, version=np.int64(1), dr=state.grid.dr, r_max=state.grid.r_max,
+                 l_max=np.int64(state.l_max), t=state.t, psi=full, Z=system.Z,
+                 Zeff=system.Zeff, Ip=system.Ip, relativistic=np.int64(0))
+        return full
+
+    @pytest.fixture()
+    def stepped(self):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=10.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state, _ = build_ground_state(s, grid, l_max=3)
+        state.t = 0.45 * pulse.duration
+        prop = Propagator(s, grid, 3, 0.02)
+        for _ in range(3):
+            prop.step(state, pulse)
+        return state, s
+
+    def test_version_1_loads_into_the_even_rows(self, tmp_path, stepped):
+        state, s = stepped
+        path = tmp_path / "v1.npz"
+        self._version_1_file(path, state, s)
+        loaded, sys2 = load_checkpoint(path)
+        assert sys2 == s
+        assert loaded.t == state.t
+        assert np.array_equal(loaded.psi, state.psi)
+
+    def test_version_1_odd_amplitude_rejected(self, tmp_path, stepped):
+        state, s = stepped
+        path = tmp_path / "v1.npz"
+        full = self._version_1_file(path, state, s)
+        full[channel_index(1, 0)] = 1e-3 * full[channel_index(0, 0)]
+        data = dict(np.load(path))
+        data["psi"] = full
         np.savez(path, **data)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="odd l \\+ m"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value,match", [
