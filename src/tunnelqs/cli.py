@@ -485,6 +485,7 @@ def cmd_tdse(args, resolved: dict) -> int:
         "max_step_norm_drift": result.max_step_norm_drift,
         "max_defect": result.max_defect,
         "max_iterations": result.max_iterations,
+        "iterations_total": result.iterations_total,
         "populations_by_l": result.populations_by_l.tolist(),
         "tail_fraction": result.tail_fraction,
         "warnings": result.warnings,

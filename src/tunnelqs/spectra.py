@@ -227,6 +227,12 @@ class IonizationAmplitudes:
     a: np.ndarray
     bound_removed: float
 
+    def __post_init__(self):
+        expect = ((self.l_max + 1) * (self.l_max + 2) // 2, len(self.p))
+        if np.shape(self.a) != expect:
+            raise ValueError(f"amplitude table shape {np.shape(self.a)} != {expect}: "
+                             f"one row per even l + m channel up to l_max, one column per p")
+
     def total_ionized(self) -> float:
         dens = np.sum(np.abs(self.a) ** 2, axis=0) * self.p ** 2
         return float(np.trapezoid(dens, self.p))

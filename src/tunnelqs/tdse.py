@@ -19,13 +19,15 @@ which keeps the step unitary to that tolerance for any dt.  A pulse of
 length T1 is n = ceil(T1/dt) equal steps taken by one
 :class:`Propagator`, so dt is the largest step.
 
-The iteration starts from the quadratic extrapolation of the last three
-step-start states.  H_int is linear in the vector potential, so the
-products of the two coupling matrices with those states, kept from
-their steps, give H_int of the start without another product; a state
-the stepper did not produce itself starts from psi.  Every array of
-psi's size that a step needs is a work buffer allocated with the
-operators, so the step loop allocates no large temporaries.
+The iteration starts from the order-4 (``ORDER``) extrapolation of the
+last five step-start states, kept in a ring.  H_int is linear in the
+vector potential, so the products of the two coupling matrices with
+those states, kept from their steps in a second ring, give H_int of the
+start without another product; each ring is combined in one matrix
+product, and a state the stepper did not produce itself starts from
+psi.  Every array of psi's size that a step needs, the rings included,
+is a work buffer allocated with the operators, so the step loop
+allocates no large temporaries.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ CHECKPOINT_VERSION = 2      # 1: psi in the full channel_index layout
 
 DEFAULT_TOL = 1e-10       # per-step fixed-point defect
 MAX_ITER = 50             # fixed-point iterations per step before PropagationError
+ORDER = 4                 # polynomial order of the iteration's start
 DEFAULT_MAX_CHANNELS = 16384
 
 # above these the run is accepted but flagged as beyond desk scale
@@ -352,13 +355,11 @@ def coupling_operators(l_max: int):
     return tuple(ops)
 
 
-def _extrapolate(out: np.ndarray, now: np.ndarray, prev: np.ndarray,
-                 prev2: np.ndarray, tmp: np.ndarray) -> None:
-    """out = 3 now - 3 prev + prev2, the quadratic through three equally
-    spaced values evaluated one spacing ahead; out may be tmp or prev2."""
-    np.subtract(now, prev, out=tmp)
-    tmp *= 3.0
-    np.add(prev2, tmp, out=out)
+# weights of the ring entries by age (0 the newest) for each history h:
+# the polynomial of order h through the h + 1 newest of equally spaced
+# values, evaluated one spacing ahead; comb() is zero beyond h
+_BY_AGE = np.array([[(-1) ** j * math.comb(h + 1, j + 1) for j in range(ORDER + 1)]
+                    for h in range(ORDER + 1)], dtype=float)
 
 
 class Propagator:
@@ -371,32 +372,35 @@ class Propagator:
     the work buffers, all built in the constructor.  ``apply_atomic``,
     ``apply_interaction`` and ``_solve_implicit`` act on an array shaped
     like ``WavefunctionState.psi``.  Given ``out``, the first two write
-    their result there, and the solve overwrites a contiguous right-hand
-    side with the solution.
+    their result there (``apply_atomic``, which works on the flat
+    C-contiguous block, raises ValueError for any other ``out``), and the
+    solve overwrites a contiguous right-hand side with the solution.
 
     ``couple`` is the stacked coupling [D+ ; D-] restricted to the even
     channels, with the 1/(2 dr) of the central difference folded into its
     derivative columns, so it acts on s = [2 dr du/dr ; u/r].  The work
-    buffers are b, the two iterates, H_int x and s (``stacked``, scratch
-    outside ``apply_interaction``).  ``states`` and ``pairs`` are rings,
-    newest first, of the last step-start states and their coupling
-    products [D+ s ; D- s]; a step needs only the two newest of the
-    previous ones, so the oldest entry of each ring is free: a state is
-    copied into it, and the oldest pair takes the extrapolated product
-    and then every coupling product of the iteration.
+    buffers are b, the two iterates, H_int x, s (``stacked``, scratch
+    outside ``apply_interaction``) and ``pair``, the coupling product
+    [D+ s ; D- s] of the iteration.  ``states`` and ``pairs`` are rings of
+    ORDER + 1 entries, one array each, holding the last step-start states
+    and their coupling products; ``head`` is the newest entry.
 
-    The fixed-point iteration of a step starts from the quadratic
-    extrapolation 3 psi_n - 3 psi_(n-1) + psi_(n-2) of the last three
-    step-start states.  Its H_int product is combined from the stored
-    pairs of those states, so the start costs no extra coupling product.
-    ``history`` counts the ring entries behind the newest that the next
-    step may extrapolate from.  The history is valid only for the state
-    this instance produced last (``produced``), unchanged, at the time
-    its last step ended; any other state (another state, an edited one, a
-    different t, or a step after a field-free step or a failure) starts
-    from psi_n, as the first two steps do.  The start changes only the
-    iteration count: every step iterates until successive iterates differ
-    by at most ``tol``, and a step still above it after ``MAX_ITER`` (50)
+    The fixed-point iteration of a step starts from the extrapolation of
+    order h = ``history`` through the h + 1 newest step-start states: the
+    entry of age j weighs (-1)^j C(h + 1, j + 1), so h = 2 is
+    3 psi_n - 3 psi_(n-1) + psi_(n-2).  The same weights combine the
+    stored pairs into the start's H_int product, so the start costs no
+    extra coupling product, and each combination is one real matrix
+    product over the ring.  ``history`` counts the ring entries behind
+    the newest that the next step may extrapolate from, up to ORDER (4).
+    It is valid only for the state this instance produced last
+    (``produced``), unchanged, at the time its last step ended; any other
+    state (another state, an edited one, a different t, or a step after a
+    field-free step or a failure) starts from psi_n (h = 0), and its ring
+    restarts at entry 0, so the h + 1 newest entries are always the
+    first ones or the whole ring.  The start changes only the iteration
+    count: every step iterates until successive iterates differ by at
+    most ``tol``, and a step still above it after ``MAX_ITER`` (50)
     iterations raises :class:`PropagationError`.
     """
 
@@ -412,6 +416,7 @@ class Propagator:
         self.tol = tol
         self._t_end = None      # where the last step ended, if it succeeded
         self.history = 0
+        self.head = 0
         self.produced = None
         n = grid.n_points
         nch = (l_max + 1) ** 2
@@ -433,20 +438,24 @@ class Propagator:
         shape, pair_shape = diag.shape, (2 * len(diag), n)
         self.b, self.x, self.xn, self.h_x = (
             np.empty(shape, dtype=np.complex128) for _ in range(4))
-        self.stacked = np.empty(pair_shape, dtype=np.complex128)
-        self.states = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
-        self.pairs = [np.empty(pair_shape, dtype=np.complex128) for _ in range(3)]
+        self.stacked, self.pair = (np.empty(pair_shape, dtype=np.complex128) for _ in range(2))
+        self.states = np.empty((ORDER + 1, *shape), dtype=np.complex128)
+        self.pairs = np.empty((ORDER + 1, *pair_shape), dtype=np.complex128)
 
     def apply_atomic(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
-            out = np.empty_like(psi)
-        np.multiply(self.diag, psi, out=out)
-        # the first half of the stacked buffer holds the shifted products
-        shifted = self.stacked[:len(psi), 1:]
-        np.multiply(self.off, psi[:, 1:], out=shifted)
-        out[:, :-1] += shifted
-        np.multiply(self.off, psi[:, :-1], out=shifted)
-        out[:, 1:] += shifted
+            out = np.empty(psi.shape, dtype=np.complex128)
+        flat, u, n = out.reshape(-1, copy=False), psi.reshape(-1), psi.shape[1]
+        np.multiply(self.diag.reshape(-1), u, out=flat)
+        # the neighbour products, with the terms across a channel edge
+        # zeroed, in the first half of the stacked buffer
+        shifted = self.stacked.reshape(-1)[:u.size - 1]
+        np.multiply(self.off, u[1:], out=shifted)
+        shifted[n - 1::n] = 0.0
+        flat[:-1] += shifted
+        np.multiply(self.off, u[:-1], out=shifted)
+        shifted[n - 1::n] = 0.0
+        flat[1:] += shifted
         return out
 
     def _combine(self, pair: np.ndarray, atilde: complex, out: np.ndarray) -> np.ndarray:
@@ -465,25 +474,28 @@ class Propagator:
         """A . p applied to the channel array for Atilde = A_x + i A_y.
 
         The coupling product [D+ s ; D- s] of the stacked radial array
-        s is left in ``pair`` (default: the oldest, free entry of the
-        ring), from which the result is combined.
+        s is left in ``pair`` (default: the ``pair`` buffer), from which
+        the result is combined.
         """
         # the kernel of csr @ dense, without allocating the result
         from scipy.sparse._sparsetools import csr_matvecs
 
         s = self.stacked
         diff, over_r = s[:len(psi)], s[len(psi):]
-        np.subtract(psi[:, 2:], psi[:, :-2], out=diff[:, 1:-1])
+        # the central difference over the flat rows; the two columns whose
+        # neighbours lie across a channel edge are set after it
+        u = psi.reshape(-1)
+        np.subtract(u[2:], u[:-2], out=diff.reshape(-1)[1:-1])
         diff[:, 0] = psi[:, 1]                     # u = 0 at r = 0
         np.negative(psi[:, -2], out=diff[:, -1])   # u = 0 beyond the box
         np.multiply(psi, self.inv_r, out=over_r)
         if pair is None:
-            pair = self.pairs[-1]
+            pair = self.pair
         pair.fill(0.0)
         # the operator is real: one real product on the (re, im) pairs
         c = self.couple
-        csr_matvecs(c.shape[0], c.shape[1], 2 * psi.shape[1], c.indptr, c.indices,
-                    c.data, s.view(np.float64).ravel(), pair.view(np.float64).ravel())
+        csr_matvecs(c.shape[0], c.shape[1], 2 * psi.shape[1], c.indptr, c.indices, c.data,
+                    s.view(np.float64).ravel(), pair.view(np.float64).reshape(-1, copy=False))
         return self._combine(pair, atilde, np.empty_like(psi) if out is None else out)
 
     def _solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
@@ -496,15 +508,12 @@ class Propagator:
              step_index: int = 0) -> tuple[int, float]:
         """Advance the state by dt in place; returns (iterations, defect)."""
         ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
-        continued = state.t == self._t_end
-        self._t_end = None
-        psi = self.states[-1]
-        np.copyto(psi, state.psi)
-        if not (continued and np.array_equal(psi, self.produced)):
+        if not (state.t == self._t_end and np.array_equal(state.psi, self.produced)):
             self.history = 0
-        # the oldest ring entries become the newest
-        self.states.insert(0, self.states.pop())
-        self.pairs.insert(0, self.pairs.pop())
+        self._t_end = None
+        self.head = (self.head + 1) % (ORDER + 1) if self.history else 0
+        psi = self.states[self.head]
+        np.copyto(psi, state.psi)
         new, iterations, defect = self._advance(psi, complex(ax, ay), step_index)
         np.copyto(state.psi, new)
         self.produced = new
@@ -521,17 +530,19 @@ class Propagator:
             np.multiply(half, b, out=b)
             np.subtract(psi, b, out=b)
             return self._solve_implicit(b), 1, 0.0
-        h_x = self.apply_interaction(psi, atilde, out=self.h_x, pair=self.pairs[0])
+        h_x = self.apply_interaction(psi, atilde, out=self.h_x, pair=self.pairs[self.head])
         b += h_x
         np.multiply(half, b, out=b)
         np.subtract(psi, b, out=b)
         x, xn = self.x, self.xn
-        if self.history == 2:
-            _extrapolate(x, *self.states, tmp=x)
-            _extrapolate(self.pairs[-1], *self.pairs, tmp=self.stacked)
-            h_x = self._combine(self.pairs[-1], atilde, self.h_x)
-        else:
-            np.copyto(x, psi)   # H_int psi is already in h_x
+        # the start and its coupling product, each one real matrix product
+        # over the h + 1 newest ring entries, weighted by their ages
+        h = self.history
+        weights = _BY_AGE[h, (self.head - np.arange(h + 1)) % (ORDER + 1)]
+        for ring, start in ((self.states, x), (self.pairs, self.pair)):
+            np.matmul(weights, ring.view(np.float64).reshape(ORDER + 1, -1)[:h + 1],
+                      out=start.view(np.float64).reshape(-1))
+        h_x = self._combine(self.pair, atilde, self.h_x)
         scale = math.sqrt(self.grid.dr)
         for it in range(1, MAX_ITER + 1):
             np.multiply(half, h_x, out=xn)
@@ -540,7 +551,7 @@ class Propagator:
             diff = np.subtract(xn, x, out=x)       # x is not needed again
             defect = math.sqrt(np.vdot(diff, diff).real) * scale
             if defect <= self.tol:
-                self.history = min(self.history + 1, 2)
+                self.history = min(self.history + 1, ORDER)
                 return xn, it, defect
             x, xn = xn, x
             h_x = self.apply_interaction(x, atilde, out=self.h_x)
@@ -583,9 +594,9 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
         # psi (the even channels), their diagonals and LU factors (5 psi)
-        # and the work buffers (15 psi): a whole run at l_max = 20,
-        # r_max = 200 peaked at 22.2 psi
-        mb = (l_max + 1) * (l_max + 2) // 2 * grid.n_points * 16 * 22 / 1e6
+        # and the work buffers (23 psi, 15 of them the rings): a whole run
+        # at l_max = 20, r_max = 200 peaked at 30.2 psi above the import
+        mb = (l_max + 1) * (l_max + 2) // 2 * grid.n_points * 16 * 30 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")
@@ -600,6 +611,7 @@ class PulseResult:
     energy0: float
     steps: int
     max_iterations: int
+    iterations_total: int
     max_defect: float
     norm_initial: float
     norm_final: float
@@ -629,11 +641,12 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     norm0 = state.norm()
 
     prop = Propagator(system, grid, l_max, pulse.duration / n_steps, tol=tol)
-    max_it, max_defect, max_drift, prev_norm = 0, 0.0, 0.0, norm0
+    max_it, total_it, max_defect, max_drift, prev_norm = 0, 0, 0.0, 0.0, norm0
     try:
         for k in range(n_steps):
             it, defect = prop.step(state, pulse, step_index=k)
             max_it = max(max_it, it)
+            total_it += it
             max_defect = max(max_defect, defect)
             norm = state.norm()
             max_drift = max(max_drift, abs(norm - prev_norm))
@@ -660,6 +673,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         energy0=energy0,
         steps=n_steps,
         max_iterations=max_it,
+        iterations_total=total_it,
         max_defect=max_defect,
         norm_initial=norm0,
         norm_final=state.norm(),

@@ -451,6 +451,7 @@ class TestTdse:
         assert report["no_ionization"] is False
         assert report["norm_final"] == pytest.approx(1.0, abs=1e-6)
         assert report["max_defect"] <= 1e-10
+        assert report["steps"] <= report["iterations_total"] <= 50 * report["steps"]
         assert isinstance(report["theta"], float)
         assert report["tau_as"] == pytest.approx(
             report["tau_au"] * 24.188843265857, rel=1e-12)

@@ -313,6 +313,15 @@ class TestProjection:
         others = np.delete(np.arange(6), even_index(2, 0))
         assert float(np.abs(amps.a[others]).max()) == 0.0
 
+    @pytest.mark.parametrize("rows, cols", [(9, 5), (5, 5), (6, 4)])
+    def test_amplitude_table_shape_checked(self, rows, cols):
+        # l_max 2 has six even channels; a (9, n_p) table would make
+        # total_ionized rescale the distribution by the wrong total
+        p = np.linspace(0.2, 1.5, 5)
+        with pytest.raises(ValueError, match="amplitude table shape"):
+            IonizationAmplitudes(p=p, l_max=2, a=np.ones((rows, cols), dtype=np.complex128),
+                                 bound_removed=0.0)
+
     def test_smoke_completeness(self, smoke_run, smoke_amps):
         # norm split: bound + projected continuum should account for the
         # whole wavefunction to within the projection tolerance

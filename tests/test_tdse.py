@@ -285,6 +285,48 @@ class TestInteraction:
         back = prop._solve_implicit(psi + 0.5j * prop.dt * prop.apply_atomic(psi))
         np.testing.assert_allclose(back, psi, rtol=0.0, atol=1e-12)
 
+    def test_atomic_is_the_per_row_tridiagonal(self, prop, shape):
+        # the flat kernel zeroes the terms across channel edges; row by
+        # row it must give the same bytes as each channel's tridiagonal
+        rng = np.random.default_rng(11)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        even = [(l, m) for l in range(prop.l_max + 1) for m in range(-l, l + 1, 2)]
+        expect = np.empty_like(psi)
+        for row, (l, _) in enumerate(even):
+            d, e = radial_hamiltonian(prop.system.Zeff, prop.grid, l)
+            u = psi[row]
+            expect[row] = d.astype(np.complex128) * u
+            expect[row, :-1] += e * u[1:]
+            expect[row, 1:] += e * u[:-1]
+        assert prop.apply_atomic(psi).tobytes() == expect.tobytes()
+
+    def test_non_contiguous_psi(self, prop, shape):
+        rng = np.random.default_rng(12)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fortran = np.asfortranarray(psi)
+        assert not fortran.flags.c_contiguous
+        for kernel in (prop.apply_atomic,
+                       lambda u: prop.apply_interaction(u, complex(0.3, -0.8))):
+            assert kernel(fortran).tobytes() == kernel(psi).tobytes()
+
+    def test_non_contiguous_out_works_or_raises(self, prop, shape):
+        # never a result written into a reshaped copy and lost
+        rng = np.random.default_rng(13)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kernels = (prop.apply_atomic,
+                   lambda u, out: prop.apply_interaction(u, complex(0.3, -0.8), out=out))
+        for kernel in kernels:
+            expect = kernel(psi, out=np.empty(shape, dtype=np.complex128)).copy()
+            outs = (np.empty(shape[::-1], dtype=np.complex128).T,
+                    np.empty((shape[0], 2 * shape[1]), dtype=np.complex128)[:, ::2])
+            for out in outs:
+                try:
+                    got = kernel(psi, out=out)
+                except ValueError:
+                    continue
+                assert got is out
+                assert np.array_equal(out, expect)
+
     def test_interaction_from_s_channel(self, prop, shape):
         rng = np.random.default_rng(10)
         n = prop.grid.n_points
@@ -373,14 +415,17 @@ class TestPredictorHistory:
 
     @pytest.fixture()
     def setup(self):
+        # propagated from t = 0 through the smooth turn-on, as run_pulse
+        # does: a ground state dropped into the field mid-pulse excites
+        # lattice modes that a high-order extrapolation amplifies
         s = make_system(1.0)
         grid = RadialGrid(dr=0.1, r_max=30.0)
         pulse = PulseParams(F0=0.5, omega=0.8)
         state, _ = build_ground_state(s, grid, l_max=3)
-        state.t = 0.45 * pulse.duration   # field well on
         prop = Propagator(s, grid, 3, 0.02)
-        for _ in range(3):                # two earlier states to extrapolate from
+        while state.t < 0.45 * pulse.duration:   # until the field is well on
             prop.step(state, pulse)
+        assert prop.history == tdse.ORDER
         return prop, pulse, state
 
     @staticmethod
@@ -391,8 +436,8 @@ class TestPredictorHistory:
         np.testing.assert_allclose(state.psi, twin.psi, rtol=0.0, atol=10 * prop.tol)
 
     def test_continued_state_uses_history(self, setup):
-        # the counterpart of the tests below: the fourth step of one state
-        # is no fresh start, so it needs fewer iterations
+        # the counterpart of the tests below: a continued step is no fresh
+        # start, so it needs fewer iterations
         prop, pulse, state = setup
         twin = state.copy()
         fresh = Propagator(prop.system, prop.grid, prop.l_max, prop.dt).step(twin, pulse)
@@ -417,6 +462,18 @@ class TestPredictorHistory:
         else:
             state.t += 0.25 * prop.dt
         self._step_as_fresh(prop, pulse, state)
+
+    def test_restart_ramps_up_like_fresh(self, setup):
+        # after a reset the ring refills from its first entry, and no
+        # stale entry enters the start: step for step, the same bytes as
+        # a fresh Propagator
+        prop, pulse, state = setup
+        state.psi[even_index(2, 2)] *= 0.5
+        twin = state.copy()
+        fresh = Propagator(prop.system, prop.grid, prop.l_max, prop.dt)
+        for _ in range(tdse.ORDER + 2):
+            assert prop.step(state, pulse) == fresh.step(twin, pulse)
+        assert np.array_equal(state.psi, twin.psi)
 
     def test_field_free_step_resets(self, setup):
         prop, pulse, state = setup
@@ -448,8 +505,15 @@ class TestPropagation:
         assert abs(res.norm_final - res.norm_initial) <= 1e-6
         assert res.max_defect <= 1e-10
         assert res.max_iterations <= 50
+        # the order-4 start; the quadratic one took 2,001
+        assert res.steps <= res.iterations_total < 1600
         assert res.tail_fraction < 1e-6
         assert res.warnings == []
+
+    def test_coarse_dt_iterations(self, hydrogen, smoke_grid, smoke_pulse):
+        # at dt 0.05 the quadratic start took 958 iterations
+        res = run_pulse(hydrogen, smoke_grid, smoke_pulse, l_max=8, dt=0.05)
+        assert res.iterations_total < 958
 
     def test_smoke_populations(self, smoke_run):
         pops = smoke_run.populations_by_l
