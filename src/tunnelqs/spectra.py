@@ -33,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import loggamma, sph_harm_y
 
 from .constants import au_time_as
-from .tdse import RadialGrid, WavefunctionState, even_index, radial_hamiltonian
+from .tdse import RadialGrid, WavefunctionState, even_channels, even_index, radial_hamiltonian
 
 __all__ = [
     "AngularDistribution",
@@ -228,7 +228,7 @@ class IonizationAmplitudes:
     bound_removed: float
 
     def __post_init__(self):
-        expect = ((self.l_max + 1) * (self.l_max + 2) // 2, len(self.p))
+        expect = (even_channels(self.l_max)[0].size, len(self.p))
         if np.shape(self.a) != expect:
             raise ValueError(f"amplitude table shape {np.shape(self.a)} != {expect}: "
                              f"one row per even l + m channel up to l_max, one column per p")
@@ -259,7 +259,7 @@ def project_scattering_states(state: WavefunctionState, system,
     cleaned, removed = remove_bound(state, zeff)
     dr = state.grid.dr
     eta = -zeff / p
-    a = np.empty((state.n_channels, len(p)), dtype=np.complex128)
+    a = np.empty((len(state.psi), len(p)), dtype=np.complex128)
     inv_sqrt_p = 1.0 / np.sqrt(p)
     for l in range(state.l_max + 1):
         waves = continuum_waves(zeff, state.grid, l, p)

@@ -9,12 +9,12 @@ the polarization plane.
 
 Propagation uses the implicit midpoint (Crank-Nicolson) step.  Because
 A . p changes l + m by 0 or +-2, a run from the (0, 0) ground state
-fills only the channels with even l + m, and a state holds those alone:
-row :func:`even_index` (l, m) of ``psi``, so each l is l + 1 adjacent
-rows.  The field-free part is inverted exactly by one LU-factored
-tridiagonal solve over all rows, whose off-diagonal is cut at each
-channel edge; the channel-coupling interaction, two sparse matrices, is
-folded in by fixed-point iteration with a per-step defect tolerance,
+fills only the channels with even l + m, and a state holds those alone,
+the rows of :func:`even_channels`; each l is l + 1 adjacent rows.  The
+field-free part is inverted exactly by one LU-factored tridiagonal solve
+over all rows, whose off-diagonal is cut at each channel edge; the
+channel coupling, one sparse matrix on the same rows, is folded in by
+fixed-point iteration with a per-step defect tolerance,
 which keeps the step unitary to that tolerance for any dt.  A pulse of
 length T1 is n = ceil(T1/dt) equal steps taken by one
 :class:`Propagator`, so dt is the largest step.
@@ -50,10 +50,10 @@ __all__ = [
     "WavefunctionState",
     "build_ground_state",
     "channel_index",
-    "channel_list",
     "coupling_operators",
     "cusp_correction",
     "envelope",
+    "even_channels",
     "even_index",
     "load_checkpoint",
     "plan_run",
@@ -146,17 +146,23 @@ class RadialGrid:
 
 
 def channel_index(l: int, m: int) -> int:
-    """Position of channel (l, m) in the fixed ordering l^2 + l + m."""
+    """Position of channel (l, m) in the full layout l^2 + l + m."""
     return l * l + l + m
-
-
-def channel_list(l_max: int) -> list[tuple[int, int]]:
-    return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
 
 
 def even_index(l: int, m: int) -> int:
     """Row of channel (l, m), l + m even, in a state: l(l+1)/2 + (l+m)/2."""
     return l * (l + 1) // 2 + (l + m) // 2
+
+
+def even_channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l, m) of every row of a state, as int arrays in row order: the
+    channels with even l + m up to l_max, m = -l, -l + 2, ..., l for each
+    l in turn, so row k holds the channel whose ``even_index`` is k."""
+    if l_max < 0:
+        raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
+    l = np.repeat(np.arange(l_max + 1), np.arange(1, l_max + 2))
+    return l, 2 * (np.arange(l.size) - even_index(l, -l)) - l
 
 
 @dataclass(frozen=True)
@@ -252,11 +258,11 @@ def radial_hamiltonian(zeff: float, grid: RadialGrid,
 class WavefunctionState:
     """Channel wavefunctions u_lm(r) at time t, even l + m only.
 
-    ``psi`` is complex128, channel (l, m) in row :func:`even_index` (l, m).
+    ``psi`` is complex128, one row per channel of :func:`even_channels`.
     A psi in the full (l_max + 1)^2 layout of :func:`channel_index` keeps
-    its even rows, or raises ValueError if an odd one holds amplitude.  A
-    state is owned by a single propagation driver; share copies, not the
-    live array.
+    its even rows, or raises ValueError if an odd one holds amplitude.
+    l_max < 0 raises :class:`TdseConfigError`.  A state is owned by a
+    single propagation driver; share copies, not the live array.
     """
 
     grid: RadialGrid
@@ -265,21 +271,17 @@ class WavefunctionState:
     t: float = 0.0
 
     def __post_init__(self):
+        even = channel_index(*even_channels(self.l_max))
         psi = np.asarray(self.psi, dtype=np.complex128)
         if psi.shape == ((self.l_max + 1) ** 2, self.grid.n_points):
-            even = np.array([(l + m) % 2 == 0 for l, m in channel_list(self.l_max)])
-            if psi.any(axis=1)[~even].any():
+            if np.delete(psi, even, axis=0).any():
                 raise ValueError("odd l + m channels hold amplitude; only the even "
                                  "channels, which A . p fills from (0, 0), are propagated")
             psi = psi[even]
-        expect = (self.n_channels, self.grid.n_points)
+        expect = (even.size, self.grid.n_points)
         if psi.shape != expect:
             raise ValueError(f"psi shape {psi.shape} != {expect}")
         self.psi = psi
-
-    @property
-    def n_channels(self) -> int:
-        return (self.l_max + 1) * (self.l_max + 2) // 2
 
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.psi, self.psi).real * self.grid.dr)
@@ -303,56 +305,49 @@ def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[Wavefuncti
     radial maximum) and its discrete energy, so that field-free
     propagation changes it by a global phase only.
     """
-    if l_max < 0:
-        raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
+    rows = even_channels(l_max)[0].size
     w, v = eigh_tridiagonal(*radial_hamiltonian(system.Zeff, grid, 0),
                             select="i", select_range=(0, 0))
     u = v[:, 0]
     u = u / math.sqrt(np.sum(u * u) * grid.dr)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
-    psi = np.zeros(((l_max + 1) * (l_max + 2) // 2, grid.n_points), dtype=np.complex128)
+    psi = np.zeros((rows, grid.n_points), dtype=np.complex128)
     psi[even_index(0, 0)] = u
     return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(w[0])
 
 
-def coupling_operators(l_max: int):
-    """Angular coupling of A . p as two sparse matrices (D+, D-).
+def coupling_operators(l_max: int) -> csr_matrix:
+    """Angular coupling of A . p as one sparse matrix [D+ ; D-].
 
     The operator splits into raising/lowering parts in m:
     H_int = -(i/2) [conj(Atilde) D+ + Atilde D-], Atilde = A_x + i A_y,
     where D+- move m by +-1 and l by +-1 and act radially as
-    (d/dr - (l+1)/r) going up in l and (d/dr + l/r) going down.  Each
-    matrix has shape (n_channels, 2 n_channels) and acts on the stacked
-    radial array [du/dr ; u/r]: the left half holds the Clebsch-Gordan
-    prefactor of each edge, the right half that prefactor times the
-    edge's 1/r coefficient.  With the antisymmetric first-derivative
-    stencil the assembled operator is exactly Hermitian.
+    (d/dr - (l+1)/r) going up in l and (d/dr + l/r) going down.  For the
+    R rows of :func:`even_channels`, the matrix is (2 R, 2 R) and acts on
+    the stacked radial array [du/dr ; u/r]: the left half holds the
+    Clebsch-Gordan prefactor of each edge, the right half that prefactor
+    times the edge's 1/r coefficient.  With the antisymmetric
+    first-derivative stencil the assembled operator is exactly Hermitian.
     """
-    nch = (l_max + 1) ** 2
-    entries = {+1: [], -1: []}   # m step -> (row, column, value)
-    for l, m in channel_list(l_max):
-        edges = []               # (l of the destination, m step, prefactor)
-        if l < l_max:
-            norm = (2 * l + 1) * (2 * l + 3)
-            edges.append((l + 1, +1, -math.sqrt((l + m + 1) * (l + m + 2) / norm)))
-            edges.append((l + 1, -1, math.sqrt((l - m + 1) * (l - m + 2) / norm)))
-        norm = (2 * l - 1) * (2 * l + 1)
-        if l >= 1 and abs(m + 1) <= l - 1:
-            edges.append((l - 1, +1, math.sqrt((l - m) * (l - m - 1) / norm)))
-        if l >= 1 and abs(m - 1) <= l - 1:
-            edges.append((l - 1, -1, -math.sqrt((l + m) * (l + m - 1) / norm)))
-        src = channel_index(l, m)
-        for l_dst, dm, prefactor in edges:
-            dst = channel_index(l_dst, m + dm)
-            rcoef = -(l + 1.0) if l_dst > l else float(l)
-            entries[dm] += [(dst, src, prefactor), (dst, nch + src, prefactor * rcoef)]
-    ops = []
-    for dm in (+1, -1):
-        rows, cols, vals = np.array(entries[dm]).reshape(-1, 3).T
-        ops.append(csr_matrix((vals, (rows.astype(np.intp), cols.astype(np.intp))),
-                              shape=(nch, 2 * nch)))
-    return tuple(ops)
+    l, m = even_channels(l_max)
+    rows = l.size
+    up, down = (2 * l + 1) * (2 * l + 3), (2 * l - 1) * (2 * l + 1)
+    # (l step, m step, prefactor) of the edges out of every row; a prefactor
+    # is zero where (l - 1, m +- 1) is not a channel
+    families = ((+1, +1, -np.sqrt((l + m + 1) * (l + m + 2) / up)),
+                (+1, -1, np.sqrt((l - m + 1) * (l - m + 2) / up)),
+                (-1, +1, np.sqrt((l - m) * (l - m - 1) / down)),
+                (-1, -1, -np.sqrt((l + m) * (l + m - 1) / down)))
+    dst, src, vals = [], [], []
+    for dl, dm, prefactor in families:
+        k = np.flatnonzero((prefactor != 0.0) & (l + dl <= l_max))
+        to = even_index(l[k] + dl, m[k] + dm) + (0 if dm > 0 else rows)   # D- below D+
+        dst += [to, to]
+        src += [k, rows + k]
+        vals += [prefactor[k], prefactor[k] * (-(l[k] + 1.0) if dl > 0 else l[k])]
+    return csr_matrix((np.concatenate(vals), (np.concatenate(dst), np.concatenate(src))),
+                      shape=(2 * rows, 2 * rows))
 
 
 # weights of the ring entries by age (0 the newest) for each history h:
@@ -368,17 +363,17 @@ class Propagator:
 
     One instance owns, for a fixed (system, grid, l_max, dt), the
     channels' diagonals, the LU factors of their block-tridiagonal
-    (1 + i dt/2 H_atom), the coupling operators restricted to them and
-    the work buffers, all built in the constructor.  ``apply_atomic``,
+    (1 + i dt/2 H_atom), the coupling operator on them and the work
+    buffers, all built in the constructor.  ``apply_atomic``,
     ``apply_interaction`` and ``_solve_implicit`` act on an array shaped
     like ``WavefunctionState.psi``.  Given ``out``, the first two write
     their result there (``apply_atomic``, which works on the flat
     C-contiguous block, raises ValueError for any other ``out``), and the
     solve overwrites a contiguous right-hand side with the solution.
 
-    ``couple`` is the stacked coupling [D+ ; D-] restricted to the even
-    channels, with the 1/(2 dr) of the central difference folded into its
-    derivative columns, so it acts on s = [2 dr du/dr ; u/r].  The work
+    ``couple`` is :func:`coupling_operators`, the stacked [D+ ; D-], with
+    the 1/(2 dr) of the central difference folded into its derivative
+    columns, so it acts on s = [2 dr du/dr ; u/r].  The work
     buffers are b, the two iterates, H_int x, s (``stacked``, scratch
     outside ``apply_interaction``) and ``pair``, the coupling product
     [D+ s ; D- s] of the iteration.  ``states`` and ``pairs`` are rings of
@@ -406,8 +401,6 @@ class Propagator:
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
                  tol: float = DEFAULT_TOL):
-        from scipy.sparse import vstack
-
         _require_positive(dt=dt, tol=tol)
         self.system = system
         self.grid = grid
@@ -419,17 +412,13 @@ class Propagator:
         self.head = 0
         self.produced = None
         n = grid.n_points
-        nch = (l_max + 1) ** 2
-        even = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1, 2)]
-        idx = np.array([channel_index(l, m) for l, m in even])
-        h_by_l = [radial_hamiltonian(system.Zeff, grid, l) for l in range(l_max + 1)]
+        l, _ = even_channels(l_max)
+        h_by_l = [radial_hamiltonian(system.Zeff, grid, k) for k in range(l_max + 1)]
         self.off = h_by_l[0][1][0]   # the same constant for every l
         self.inv_r = (1.0 / grid.radii()).astype(np.complex128)   # no cast per product
-        couple = vstack(coupling_operators(l_max), format="csr")
-        couple.data[couple.indices < nch] /= 2.0 * grid.dr
-        cols = np.concatenate([idx, nch + idx])
-        self.couple = couple[cols][:, cols]
-        diag = np.array([h_by_l[l][0] for l, _ in even])
+        self.couple = coupling_operators(l_max)
+        self.couple.data[self.couple.indices < l.size] /= 2.0 * grid.dr
+        diag = np.array([h_by_l[k][0] for k in l])
         # one tridiagonal over the even channels, cut at each channel edge
         off = np.full(diag.size - 1, 0.5j * dt * self.off)
         off[n - 1::n] = 0.0
@@ -506,7 +495,11 @@ class Propagator:
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
              step_index: int = 0) -> tuple[int, float]:
-        """Advance the state by dt in place; returns (iterations, defect)."""
+        """Advance the state by dt in place; returns (iterations, defect).
+        A state of another grid or l_max raises ValueError."""
+        if state.grid != self.grid or state.l_max != self.l_max:
+            raise ValueError(f"state (l_max {state.l_max}, {state.grid}) does not fit the "
+                             f"propagator (l_max {self.l_max}, {self.grid})")
         ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
         if not (state.t == self._t_end and np.array_equal(state.psi, self.produced)):
             self.history = 0
@@ -596,7 +589,7 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         # psi (the even channels), their diagonals and LU factors (5 psi)
         # and the work buffers (23 psi, 15 of them the rings): a whole run
         # at l_max = 20, r_max = 200 peaked at 30.2 psi above the import
-        mb = (l_max + 1) * (l_max + 2) // 2 * grid.n_points * 16 * 30 / 1e6
+        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 30 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")
@@ -632,11 +625,14 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     step still above ``tol`` after ``MAX_ITER`` iterations writes the
     crash checkpoint and raises :class:`PropagationError`.  The tail
     fraction in the two highest l blocks is the usual check that l_max
-    was large enough for the chosen intensity.
+    was large enough for the chosen intensity.  ``checkpoint_every`` > 0
+    needs ``checkpoint_path``.
     """
     n_steps, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol)
     if checkpoint_every < 0:
         raise TdseConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    if checkpoint_every and not checkpoint_path:
+        raise TdseConfigError(f"checkpoint_every = {checkpoint_every} needs a checkpoint_path")
     state, energy0 = build_ground_state(system, grid, l_max)
     norm0 = state.norm()
 
@@ -651,7 +647,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
             norm = state.norm()
             max_drift = max(max_drift, abs(norm - prev_norm))
             prev_norm = norm
-            if checkpoint_path and checkpoint_every and (k + 1) % checkpoint_every == 0:
+            if checkpoint_every and (k + 1) % checkpoint_every == 0:
                 save_checkpoint(checkpoint_path, state, system)
     except PropagationError as exc:
         if checkpoint_path:

@@ -1,18 +1,26 @@
-"""perfbench's spectra_reprocess workload still reads its reference angles.
+"""perfbench's attoclock_smoke and spectra_reprocess workloads still read
+their reference values.
 
-The workload builds a full-layout state with ``synthetic_state``, writes
-and reads it as a checkpoint, projects it, sums the momentum
-distribution and reads the offset angle; its check holds theta to 1e-9
-rad of ``perfbench/reference.json``.  This runs the workload's own
-setup, operation and check for two variants, so a change of the state
-layout that breaks the benchmark fails here.  It only reads perfbench.
+The spectra_reprocess workload builds a full-layout state with
+``synthetic_state``, writes and reads it as a checkpoint, projects it,
+sums the momentum distribution and reads the offset angle; its check
+holds theta to 1e-9 rad of ``perfbench/reference.json``.  This runs the
+workload's own setup, operation and check for two variants, so a change
+of the state layout that breaks the benchmark fails here.  The
+attoclock_smoke check holds the smoke run's theta to 1e-3 rad and its
+ionized fraction to 1e-3 relative; here the shared smoke run fixture is read
+out on the CLI's default grids against the same entry.  It only reads
+perfbench.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from tunnelqs.spectra import attoclock_readout, default_phi_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +48,17 @@ def test_spectra_reprocess_matches_reference(workloads, seed, tmp_path):
     assert work.check(output) == []
     theta = output[-1].theta
     assert abs(theta - reference["spectra_reprocess"]["theta"][str(seed)]) <= 1e-9
+
+
+def test_attoclock_smoke_matches_reference(workloads, smoke_run, hydrogen, smoke_pulse):
+    reference = workloads.load_reference()["attoclock_smoke"]
+    config, state = workloads.SMOKE_CONFIG, smoke_run.state
+    assert ((config["Z"], config["F0"], config["omega"], config["l_max"], config["dr"],
+             config["r_max"]) == (hydrogen.Z, smoke_pulse.F0, smoke_pulse.omega,
+                                  state.l_max, state.grid.dr, state.grid.r_max))
+    # the CLI's default p_min and p_max
+    p = np.linspace(0.05, 2.5, config["n_p"])
+    amps, _, _, offset = attoclock_readout(state, hydrogen, smoke_pulse, p,
+                                           default_phi_grid(config["n_phi"]))
+    assert abs(offset.theta - reference["theta"]) <= 1e-3
+    assert abs(amps.total_ionized() / reference["total_ionized"] - 1.0) <= 1e-3

@@ -35,7 +35,7 @@ from tunnelqs.tdse import (
     WavefunctionState,
     build_ground_state,
     channel_index,
-    channel_list,
+    even_channels,
     even_index,
     run_pulse,
 )
@@ -362,12 +362,12 @@ class TestMomentumDistribution:
         rng = np.random.default_rng(11)
         n_ch = (l_max + 1) ** 2
         a = rng.normal(size=(n_ch, len(p))) + 1j * rng.normal(size=(n_ch, len(p)))
-        even = [channel_index(l, m) for l, m in channel_list(l_max) if (l + m) % 2 == 0]
+        even = channel_index(*even_channels(l_max))
         amps = IonizationAmplitudes(p=p, l_max=l_max, a=a[even], bound_removed=0.0)
         phi = default_phi_grid(360)
         dist = momentum_distribution(amps, p, phi)
         ylm = np.array([sph_harm_y(l, m, math.pi / 2.0, phi)
-                        for l, m in channel_list(l_max)])
+                        for l in range(l_max + 1) for m in range(-l, l + 1)])
         direct = np.abs(a.T @ ylm) ** 2
         direct *= dist.scale
         np.testing.assert_allclose(dist.density, direct, rtol=0.0,

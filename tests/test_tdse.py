@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -17,10 +18,10 @@ from tunnelqs.tdse import (
     WavefunctionState,
     build_ground_state,
     channel_index,
-    channel_list,
     coupling_operators,
     default_dt,
     envelope,
+    even_channels,
     even_index,
     load_checkpoint,
     plan_run,
@@ -77,17 +78,25 @@ class TestChannels:
         assert channel_index(5, -5) == 25
 
     def test_list_round_trip(self):
-        chans = channel_list(6)
+        chans = [(l, m) for l in range(7) for m in range(-l, l + 1)]
         assert len(chans) == 49
         for k, (l, m) in enumerate(chans):
             assert channel_index(l, m) == k
 
     def test_even_index_layout(self):
-        # the rows of a state: the even l + m channels of channel_list, in order
-        even = [(l, m) for l, m in channel_list(6) if (l + m) % 2 == 0]
+        # the rows of a state: the even l + m channels of the full layout, in order
+        even = [(l, m) for l in range(7) for m in range(-l, l + 1) if (l + m) % 2 == 0]
+        l, m = even_channels(6)
+        assert l.dtype.kind == m.dtype.kind == "i"
+        assert list(zip(l.tolist(), m.tolist())) == even
         assert len(even) == 7 * 8 // 2
-        assert [even_index(l, m) for l, m in even] == list(range(len(even)))
+        assert even_index(l, m).tolist() == list(range(len(even)))
         assert even_index(2, -2) == 3
+
+    @pytest.mark.parametrize("l_max", [-1, -4])
+    def test_negative_l_max_rejected(self, l_max):
+        with pytest.raises(TdseConfigError, match="l_max must be >= 0"):
+            even_channels(l_max)
 
 
 class TestPulse:
@@ -223,6 +232,14 @@ class TestGroundState:
                               psi=np.zeros((4, 3), dtype=np.complex128),
                               t=0.0)
 
+    @pytest.mark.parametrize("l_max, rows", [(-4, 3), (-1, 0)])
+    def test_negative_l_max_rejected(self, l_max, rows):
+        # (l_max + 1)(l_max + 2)/2 is 3 at l_max = -4, and (l_max + 1)^2 is
+        # 0 at -1: both shapes used to pass for a state's
+        grid = RadialGrid(dr=0.1, r_max=6.0)
+        with pytest.raises(TdseConfigError, match="l_max must be >= 0"):
+            WavefunctionState(grid, l_max, np.ones((rows, grid.n_points)))
+
     def test_real_psi_steps_like_complex(self):
         # a state holds complex128, so a step writes its imaginary part back
         s = make_system(1.0)
@@ -349,17 +366,35 @@ class TestInteraction:
         assert float(np.abs(others).max()) == 0.0
 
     def test_coupling_keeps_parity(self):
-        # why a state need only hold the even l + m channels
+        # why a state need only hold the even l + m channels: every edge
+        # moves (l, m) by (+-1, +1) in the D+ half and by (+-1, -1) in D-
         l_max = 4
-        nch = (l_max + 1) ** 2
-        parity = np.empty(nch, dtype=int)
-        for l, m in channel_list(l_max):
-            parity[channel_index(l, m)] = (l + m) % 2
-        for op in coupling_operators(l_max):
-            coo = op.tocoo()
-            assert np.count_nonzero(coo.data) > 0
-            mixed = parity[coo.row] != parity[coo.col % nch]
-            assert not np.any(coo.data[mixed] != 0.0)
+        l, m = even_channels(l_max)
+        rows = l.size
+        coo = coupling_operators(l_max).tocoo()
+        assert coo.shape == (2 * rows, 2 * rows)
+        assert np.count_nonzero(coo.data) == coo.nnz > 0
+        dst, src = coo.row % rows, coo.col % rows
+        assert np.array_equal(np.abs(l[dst] - l[src]), np.ones(coo.nnz, dtype=int))
+        assert np.array_equal(m[dst] - m[src], np.where(coo.row < rows, 1, -1))
+
+    # SHA-256 of (indptr, indices, data) of Propagator.couple at dr = 0.1,
+    # recorded from the full-layout assembly cut to the even rows
+    COUPLE_SHA256 = {
+        4: ("765f0ecd88036be9435f293692bed5e71ebebd16d52ec9fa7b38e3ef693693fa",
+            "00414e545039a9e42e7c8fe5751a95fc7da2ccacca20fdc79c842febcb04eaa4",
+            "9f21a9fe19399e4a32b4e5a99c5efbbdafa21a870317e64a3e69daa8a8d17bde"),
+        8: ("0086811646be6f8e6c80732ccf2355828624601ee50158cda398df926088b412",
+            "c7406c1162c03e5d56245d9e8b7b1f4f6de774c7d3d3f420077fc44d7bfa6448",
+            "9750090cd32e3480182f4ed5c83f7417a9c02031eec4655c2ae057f11b8c2479"),
+    }
+
+    @pytest.mark.parametrize("l_max", sorted(COUPLE_SHA256))
+    def test_couple_frozen(self, l_max):
+        couple = Propagator(make_system(1.0), RadialGrid(dr=0.1, r_max=6.0), l_max, 0.02).couple
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (couple.indptr, couple.indices, couple.data))
+        assert got == self.COUPLE_SHA256[l_max]
 
 
 class TestSelectionRules:
@@ -558,6 +593,22 @@ class TestPropagation:
         run_pulse(s, grid, pulse, l_max=6, dt=0.02)
         assert len(propagators_made) == 1
 
+    @pytest.mark.parametrize("grid, l_max", [(RadialGrid(dr=0.2, r_max=12.0), 2),
+                                             (RadialGrid(dr=0.1, r_max=6.0), 3)])
+    def test_step_refuses_a_foreign_state(self, grid, l_max):
+        # a state on another grid with as many points used to be stepped
+        # with this grid's operators
+        s = make_system(1.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        prop = Propagator(s, RadialGrid(dr=0.1, r_max=6.0), 2, 0.02)
+        state, _ = build_ground_state(s, grid, l_max)
+        state.t = 0.45 * pulse.duration
+        before = state.psi.copy()
+        with pytest.raises(ValueError, match="does not fit the propagator"):
+            prop.step(state, pulse)
+        assert np.array_equal(state.psi, before)
+        assert state.t == 0.45 * pulse.duration
+
     def test_divergence_reports_position(self):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.5, r_max=10.0)
@@ -719,9 +770,7 @@ class TestCheckpoint:
         """The state as the version-1 format stored it: every channel of
         channel_index, the odd ones zero; returns that full psi."""
         full = np.zeros(((state.l_max + 1) ** 2, state.grid.n_points), dtype=np.complex128)
-        for l, m in channel_list(state.l_max):
-            if (l + m) % 2 == 0:
-                full[channel_index(l, m)] = state.psi[even_index(l, m)]
+        full[channel_index(*even_channels(state.l_max))] = state.psi
         np.savez(path, version=np.int64(1), dr=state.grid.dr, r_max=state.grid.r_max,
                  l_max=np.int64(state.l_max), t=state.t, psi=full, Z=system.Z,
                  Zeff=system.Zeff, Ip=system.Ip, relativistic=np.int64(0))
@@ -792,6 +841,26 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         # final write happens at the end of the run
         assert loaded.t == pytest.approx(res.state.t, rel=1e-12)
+
+    def test_negative_l_max_rejected(self, tmp_path):
+        # such a file used to load, and its projection read an unfilled table
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=8.0)
+        path = tmp_path / "state.npz"
+        save_checkpoint(path, build_ground_state(s, grid, l_max=1)[0], s)
+        data = dict(np.load(path))
+        data["l_max"] = np.int64(-4)
+        np.savez(path, **data)
+        with pytest.raises(TdseConfigError, match="l_max must be >= 0, got -4"):
+            load_checkpoint(path)
+
+    def test_checkpoint_every_needs_a_path(self):
+        # it used to run to the end and write nothing
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.5, r_max=10.0)
+        pulse = PulseParams(F0=0.05, omega=1.1)
+        with pytest.raises(TdseConfigError, match="checkpoint_every = 5 needs a checkpoint_path"):
+            run_pulse(s, grid, pulse, l_max=1, dt=0.1, checkpoint_every=5)
 
     def test_negative_checkpoint_every_rejected(self, tmp_path):
         # steps_done % -3 == 0 used to write a checkpoint every 3 steps
