@@ -53,9 +53,11 @@ from .atomic import (
 )
 from .constants import au_time_as, field_to_intensity
 from .scan import PRESET_NAMES, ScanGrid, emit_table, run_preset, run_scan, tabulate
-from .spectra import attoclock_readout, default_phi_grid
+from .spectra import _wkb_window, attoclock_readout, default_phi_grid
 from .superluminal import critical_fields, q_imed_b, zeta_qs
 from .tdse import (
+    DEFAULT_MAX_CHANNELS,
+    DEFAULT_TOL,
     PropagationError,
     PulseParams,
     RadialGrid,
@@ -408,8 +410,8 @@ TDSE_SPEC = {
     "dr": (float, 0.1, None),
     "r_max": (float, 60.0, None),
     "dt": (float, None, None),
-    "tol": (float, 1e-10, None),
-    "max_channels": (int, 16384, None),
+    "tol": (float, DEFAULT_TOL, None),
+    "max_channels": (int, DEFAULT_MAX_CHANNELS, None),
     "p_min": (float, 0.05, None),
     "p_max": (float, 2.5, None),
     "n_p": (int, 200, None),
@@ -437,6 +439,10 @@ def cmd_tdse(args, resolved: dict) -> int:
                           f"got {resolved['p_min']!r}, {resolved['p_max']!r}, {resolved['n_p']}")
     system = _system_from(resolved)
     grid = RadialGrid(dr=resolved["dr"], r_max=resolved["r_max"])
+    try:
+        _wkb_window(grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     pulse = PulseParams(F0=resolved["F0"], omega=resolved["omega"],
                         ellipticity=resolved["ellipticity"],
                         carrier_phase=resolved["carrier_phase"])

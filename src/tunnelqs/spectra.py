@@ -60,6 +60,19 @@ _RENORM_LIMIT = 1e200       # Numerov under-barrier growth guard
 _GUARD_ROWS = 64            # Numerov rows per growth check
 
 
+def _wkb_window(grid: RadialGrid) -> np.ndarray:
+    """Grid indices in [0.8, 0.9] r_max, each with a neighbour on either
+    side, where continuum waves are normalized; ValueError if none."""
+    r = grid.radii()
+    jw = np.flatnonzero((r >= 0.80 * grid.r_max) & (r <= 0.90 * grid.r_max))
+    jw = jw[(jw > 0) & (jw < grid.n_points - 1)]
+    if jw.size == 0:
+        raise ValueError(f"the radial grid (dr = {grid.dr:g}, r_max = {grid.r_max:g}) has no "
+                         "interior point in [0.8, 0.9] r_max, where continuum waves are "
+                         "normalized; use more radial points")
+    return jw
+
+
 def coulomb_phase(l: int, eta) -> np.ndarray:
     """sigma_l = arg Gamma(l + 1 + i eta), continuous in eta."""
     return np.imag(loggamma(l + 1.0 + 1j * np.asarray(eta, dtype=float)))
@@ -97,7 +110,8 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
     asymptotic amplitude is sqrt(2/(pi p)).  zeff = 0 gives free
     spherical waves.  Momenta whose WKB window is classically forbidden
     (possible for high l at very low p) come back as all-zero rows.
-    p must be finite and positive; anything else raises ValueError.
+    p must be finite and positive, and the grid must have a point in the
+    window; anything else raises ValueError.
     Numerov steps one radius at a time over contiguous (n_points, len(p))
     rows; the result is transposed once at the end.
     """
@@ -108,6 +122,7 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
         raise ValueError("p must be finite")
     if np.any(p <= 0.0):
         raise ValueError("p = 0 is excluded: continuum normalization is singular")
+    jw = _wkb_window(grid)
     r = grid.radii()
     dr = grid.dr
     n = grid.n_points
@@ -151,8 +166,6 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
     u = np.ascontiguousarray(u.T)
 
     # normalize against the WKB amplitude in a window near the box edge
-    jw = np.nonzero((r >= 0.80 * grid.r_max) & (r <= 0.90 * grid.r_max))[0]
-    jw = jw[(jw > 0) & (jw < n - 1)]
     k2 = (p * p)[:, None] + 2.0 * zeff / r[jw][None, :] \
         - l * (l + 1) / (r[jw] * r[jw])[None, :]
     valid = np.all(k2 > 0.0, axis=1)

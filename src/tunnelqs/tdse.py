@@ -10,30 +10,34 @@ the polarization plane.
 Propagation uses the implicit midpoint (Crank-Nicolson) step.  Because
 A . p changes l + m by 0 or +-2, a run from the (0, 0) ground state
 fills only the channels with even l + m, and a state holds those alone,
-the rows of :func:`even_channels`; each l is l + 1 adjacent rows.  The
-field-free part is inverted exactly by one LU-factored tridiagonal solve
-over all rows, whose off-diagonal is cut at each channel edge; the
-channel coupling, one sparse matrix on the same rows, is folded in by
-fixed-point iteration with a per-step defect tolerance,
-which keeps the step unitary to that tolerance for any dt.  A pulse of
-length T1 is n = ceil(T1/dt) equal steps taken by one
-:class:`Propagator`, so dt is the largest step.
+the rows of :func:`even_channels`; each l is l + 1 adjacent rows.  A
+step returns 2 m - psi for the midpoint m of (1 + i dt/2 H) m = psi,
+found by the fixed-point iteration m <- (1 + i dt/2 H_atom)^-1
+(psi - i dt/2 H_int m) to a per-step defect tolerance, which keeps the
+step unitary to that tolerance for any dt.  H_atom is inverted exactly
+by one LU-factored tridiagonal solve over all rows, whose off-diagonal
+is cut at each channel edge, and the channel coupling H_int is one
+sparse matrix on the same rows.  A pulse of length T1 is
+n = ceil(T1/dt) equal steps taken by one :class:`Propagator`, so dt is
+the largest step.
 
-The iteration starts from the order-4 (``ORDER``) extrapolation of the
-last five step-start states, kept in a ring.  H_int is linear in the
-vector potential, so the products of the two coupling matrices with
-those states, kept from their steps in a second ring, give H_int of the
-start without another product; each ring is combined in one matrix
-product, and a state the stepper did not produce itself starts from
-psi.  Every array of psi's size that a step needs, the rings included,
-is a work buffer allocated with the operators, so the step loop
-allocates no large temporaries.
+The iteration starts midway between psi and the order-4 (``ORDER``)
+extrapolation of the last five step-start states, kept in a ring.  H_int
+is linear in the vector potential, so the products of the two coupling
+matrices with those states, kept from their steps in a second ring, give
+H_int of the start without another product; each ring is combined in one
+matrix product, and a state the stepper did not produce itself starts
+from psi.  Every array of psi's size that a step needs, the rings
+included, is a work buffer allocated with the operators, so the step
+loop allocates no large temporaries.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -351,10 +355,11 @@ def coupling_operators(l_max: int) -> csr_matrix:
 
 
 # weights of the ring entries by age (0 the newest) for each history h:
-# the polynomial of order h through the h + 1 newest of equally spaced
-# values, evaluated one spacing ahead; comb() is zero beyond h
-_BY_AGE = np.array([[(-1) ** j * math.comb(h + 1, j + 1) for j in range(ORDER + 1)]
-                    for h in range(ORDER + 1)], dtype=float)
+# the mean of the newest and the polynomial of order h through the h + 1
+# newest of equally spaced values one spacing ahead; comb() is zero beyond h
+_BY_AGE = (np.eye(ORDER + 1)[0]
+           + np.array([[(-1) ** j * math.comb(h + 1, j + 1) for j in range(ORDER + 1)]
+                       for h in range(ORDER + 1)])) / 2.0
 
 
 class Propagator:
@@ -367,36 +372,38 @@ class Propagator:
     buffers, all built in the constructor.  ``apply_atomic``,
     ``apply_interaction`` and ``_solve_implicit`` act on an array shaped
     like ``WavefunctionState.psi``.  Given ``out``, the first two write
-    their result there (``apply_atomic``, which works on the flat
-    C-contiguous block, raises ValueError for any other ``out``), and the
-    solve overwrites a contiguous right-hand side with the solution.
+    their result there, and the solve overwrites a contiguous right-hand
+    side with the solution.
 
     ``couple`` is :func:`coupling_operators`, the stacked [D+ ; D-], with
     the 1/(2 dr) of the central difference folded into its derivative
-    columns, so it acts on s = [2 dr du/dr ; u/r].  The work
-    buffers are b, the two iterates, H_int x, s (``stacked``, scratch
-    outside ``apply_interaction``) and ``pair``, the coupling product
+    columns, so it acts on s = [2 dr du/dr ; u/r].  The work buffers are
+    the two midpoint iterates, H_int m, s (``stacked``, scratch outside
+    ``apply_interaction``) and ``pair``, the coupling product
     [D+ s ; D- s] of the iteration.  ``states`` and ``pairs`` are rings of
     ORDER + 1 entries, one array each, holding the last step-start states
     and their coupling products; ``head`` is the newest entry.
 
-    The fixed-point iteration of a step starts from the extrapolation of
-    order h = ``history`` through the h + 1 newest step-start states: the
-    entry of age j weighs (-1)^j C(h + 1, j + 1), so h = 2 is
-    3 psi_n - 3 psi_(n-1) + psi_(n-2).  The same weights combine the
-    stored pairs into the start's H_int product, so the start costs no
-    extra coupling product, and each combination is one real matrix
-    product over the ring.  ``history`` counts the ring entries behind
-    the newest that the next step may extrapolate from, up to ORDER (4).
-    It is valid only for the state this instance produced last
-    (``produced``), unchanged, at the time its last step ended; any other
-    state (another state, an edited one, a different t, or a step after a
-    field-free step or a failure) starts from psi_n (h = 0), and its ring
-    restarts at entry 0, so the h + 1 newest entries are always the
-    first ones or the whole ring.  The start changes only the iteration
-    count: every step iterates until successive iterates differ by at
-    most ``tol``, and a step still above it after ``MAX_ITER`` (50)
-    iterations raises :class:`PropagationError`.
+    A step iterates on the midpoint m as the module describes and returns
+    2 m - psi; without a field it is 2 (1 + i dt/2 H_atom)^-1 psi - psi,
+    with no iteration.  The iteration starts midway between psi and the
+    extrapolation of order h = ``history`` through the h + 1 newest
+    step-start states, whose entry of age j weighs (-1)^j C(h + 1, j + 1),
+    so h = 2 extrapolates 3 psi_n - 3 psi_(n-1) + psi_(n-2).  The same
+    weights combine the stored pairs into the start's H_int product, so
+    the start costs no extra coupling product, and each combination is
+    one real matrix product over the ring.  ``history`` counts the ring
+    entries behind the newest that the next step may extrapolate from, up
+    to ORDER (4).  It is valid only for the state this instance produced
+    last (``produced``), unchanged, at the time its last step ended; any
+    other state (another state, an edited one, a different t, or a step
+    after a field-free step or a failure) starts from psi_n (h = 0), and
+    its ring restarts at entry 0, so the h + 1 newest entries are always
+    the first ones or the whole ring.  The start changes only the
+    iteration count: every step iterates until the defect
+    2 |m_(k+1) - m_k|, the change of the step's result, is at most
+    ``tol``, and a step still above it after ``MAX_ITER`` (50) iterations
+    raises :class:`PropagationError`.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -425,8 +432,7 @@ class Propagator:
         self.lu = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
         self.diag = diag.astype(np.complex128)   # no cast per product
         shape, pair_shape = diag.shape, (2 * len(diag), n)
-        self.b, self.x, self.xn, self.h_x = (
-            np.empty(shape, dtype=np.complex128) for _ in range(4))
+        self.m, self.mn, self.h_m = (np.empty(shape, dtype=np.complex128) for _ in range(3))
         self.stacked, self.pair = (np.empty(pair_shape, dtype=np.complex128) for _ in range(2))
         self.states = np.empty((ORDER + 1, *shape), dtype=np.complex128)
         self.pairs = np.empty((ORDER + 1, *pair_shape), dtype=np.complex128)
@@ -434,17 +440,9 @@ class Propagator:
     def apply_atomic(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty(psi.shape, dtype=np.complex128)
-        flat, u, n = out.reshape(-1, copy=False), psi.reshape(-1), psi.shape[1]
-        np.multiply(self.diag.reshape(-1), u, out=flat)
-        # the neighbour products, with the terms across a channel edge
-        # zeroed, in the first half of the stacked buffer
-        shifted = self.stacked.reshape(-1)[:u.size - 1]
-        np.multiply(self.off, u[1:], out=shifted)
-        shifted[n - 1::n] = 0.0
-        flat[:-1] += shifted
-        np.multiply(self.off, u[:-1], out=shifted)
-        shifted[n - 1::n] = 0.0
-        flat[1:] += shifted
+        np.multiply(self.diag, psi, out=out)
+        out[:, :-1] += self.off * psi[:, 1:]
+        out[:, 1:] += self.off * psi[:, :-1]
         return out
 
     def _combine(self, pair: np.ndarray, atilde: complex, out: np.ndarray) -> np.ndarray:
@@ -517,37 +515,36 @@ class Propagator:
     def _advance(self, psi: np.ndarray, atilde: complex,
                  step_index: int) -> tuple[np.ndarray, int, float]:
         half = 0.5j * self.dt
-        b = self.apply_atomic(psi, out=self.b)
+        m, mn = self.m, self.mn
         if atilde == 0.0:
             self.history = 0   # no coupling product to extrapolate from
-            np.multiply(half, b, out=b)
-            np.subtract(psi, b, out=b)
-            return self._solve_implicit(b), 1, 0.0
-        h_x = self.apply_interaction(psi, atilde, out=self.h_x, pair=self.pairs[self.head])
-        b += h_x
-        np.multiply(half, b, out=b)
-        np.subtract(psi, b, out=b)
-        x, xn = self.x, self.xn
+            m = self._solve_implicit(np.multiply(2.0, psi, out=m))   # 2 m, exactly
+            m -= psi
+            return m, 1, 0.0
+        # psi's coupling product, for the ring; its H_int psi is not read
+        self.apply_interaction(psi, atilde, out=self.h_m, pair=self.pairs[self.head])
         # the start and its coupling product, each one real matrix product
         # over the h + 1 newest ring entries, weighted by their ages
         h = self.history
         weights = _BY_AGE[h, (self.head - np.arange(h + 1)) % (ORDER + 1)]
-        for ring, start in ((self.states, x), (self.pairs, self.pair)):
+        for ring, start in ((self.states, m), (self.pairs, self.pair)):
             np.matmul(weights, ring.view(np.float64).reshape(ORDER + 1, -1)[:h + 1],
                       out=start.view(np.float64).reshape(-1))
-        h_x = self._combine(self.pair, atilde, self.h_x)
-        scale = math.sqrt(self.grid.dr)
+        h_m = self._combine(self.pair, atilde, self.h_m)
+        scale = 2.0 * math.sqrt(self.grid.dr)      # 2 m - psi moves twice as far as m
         for it in range(1, MAX_ITER + 1):
-            np.multiply(half, h_x, out=xn)
-            np.subtract(b, xn, out=xn)
-            xn = self._solve_implicit(xn)
-            diff = np.subtract(xn, x, out=x)       # x is not needed again
+            np.multiply(half, h_m, out=mn)
+            np.subtract(psi, mn, out=mn)
+            mn = self._solve_implicit(mn)
+            diff = np.subtract(mn, m, out=m)       # m is not needed again
             defect = math.sqrt(np.vdot(diff, diff).real) * scale
             if defect <= self.tol:
                 self.history = min(self.history + 1, ORDER)
-                return xn, it, defect
-            x, xn = xn, x
-            h_x = self.apply_interaction(x, atilde, out=self.h_x)
+                mn *= 2.0
+                mn -= psi
+                return mn, it, defect
+            m, mn = mn, m
+            h_m = self.apply_interaction(m, atilde, out=self.h_m)
         raise PropagationError(defect, self.tol, step_index)
 
 
@@ -587,9 +584,9 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
         # psi (the even channels), their diagonals and LU factors (5 psi)
-        # and the work buffers (23 psi, 15 of them the rings): a whole run
-        # at l_max = 20, r_max = 200 peaked at 30.2 psi above the import
-        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 30 / 1e6
+        # and the work buffers (22 psi, 15 of them the rings): a whole run
+        # at l_max = 20, r_max = 200 peaked at 29.1 psi above the import
+        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 29 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")
@@ -685,21 +682,21 @@ def save_checkpoint(path, state: WavefunctionState, system) -> None:
 
     Written to ``path`` exactly as given: through an open file, numpy adds
     no ``.npz`` suffix, so the path a crash reports is the file on disk.
+    It goes to ``path`` + ".tmp" first and is then moved onto ``path``, so
+    a failed or interrupted write leaves the previous file whole.
     """
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            version=np.int64(CHECKPOINT_VERSION),
-            dr=state.grid.dr,
-            r_max=state.grid.r_max,
-            l_max=np.int64(state.l_max),
-            t=state.t,
-            psi=state.psi,
-            Z=system.Z,
-            Zeff=system.Zeff,
-            Ip=system.Ip,
-            relativistic=np.int64(1 if system.relativistic else 0),
-        )
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, version=np.int64(CHECKPOINT_VERSION), dr=state.grid.dr,
+                     r_max=state.grid.r_max, l_max=np.int64(state.l_max), t=state.t,
+                     psi=state.psi, Z=system.Z, Zeff=system.Zeff, Ip=system.Ip,
+                     relativistic=np.int64(1 if system.relativistic else 0))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -560,6 +560,9 @@ class TestTdse:
         ("dr = -0.1", "dr must be positive, got -0.1"),
         ("dr = 0.07", "must be an integer number of spacings"),
         ("r_max = 0.05", "r_max must exceed dr, got 0.05"),
+        # no grid point for the continuum waves' normalization window: such
+        # a grid used to propagate and print "no ionization"
+        ("r_max = 0.3", "no interior point in [0.8, 0.9] r_max"),
     ])
     def test_bad_grid_rejected_on_dry_run(self, setting, message, tmp_path, capsys):
         cfg = write_cfg(tmp_path, f"Z = 1\nF0 = 0.5\nomega = 0.8\n{setting}\n")

@@ -183,6 +183,14 @@ class TestContinuumWaves:
         amp = math.sqrt(u[j] ** 2 + (du / k) ** 2)
         assert amp == pytest.approx(math.sqrt(2.0 / (math.pi * k)), rel=2e-2)
 
+    @pytest.mark.parametrize("r_max", [0.2, 0.3, 0.4])
+    def test_grid_without_a_window_rejected(self, r_max):
+        # 2-4 points leave no interior point in [0.8, 0.9] r_max; every
+        # wave used to come back zeroed, with a "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="no interior point"):
+            continuum_waves(1.0, RadialGrid(dr=0.1, r_max=r_max), 0, np.array([0.5]))
+        assert continuum_waves(1.0, RadialGrid(dr=0.1, r_max=0.5), 0, np.array([0.5])).any()
+
     def test_forbidden_window_returns_zero(self, grid):
         # l = 30 at p = 0.05: the normalization window is classically
         # forbidden, so the wave is declared absent rather than garbage

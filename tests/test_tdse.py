@@ -397,6 +397,41 @@ class TestInteraction:
         assert got == self.COUPLE_SHA256[l_max]
 
 
+class TestCrankNicolsonOracle:
+    """A step is (1 + i dt/2 H)^-1 (1 - i dt/2 H) psi, with H assembled as a
+    dense matrix from the Propagator's own operators on unit vectors."""
+
+    @pytest.fixture()
+    def prop(self):
+        return Propagator(make_system(1.0), RadialGrid(dr=0.1, r_max=3.0), l_max=2, dt=0.02)
+
+    @staticmethod
+    def _dense(apply, shape):
+        size = shape[0] * shape[1]
+        columns = [apply(np.eye(1, size, k, dtype=np.complex128).reshape(shape)).ravel()
+                   for k in range(size)]
+        return np.array(columns).T
+
+    @pytest.mark.parametrize("f0", [0.5, 0.0])
+    def test_step_is_crank_nicolson(self, prop, f0):
+        pulse = PulseParams(F0=f0, omega=0.8)
+        shape = (even_channels(prop.l_max)[0].size, prop.grid.n_points)
+        rng = np.random.default_rng(14)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi /= math.sqrt(np.vdot(psi, psi).real * prop.grid.dr)
+        state = WavefunctionState(grid=prop.grid, l_max=prop.l_max, psi=psi.copy(),
+                                  t=0.4 * pulse.duration)
+        atilde = complex(*vector_potential(pulse, state.t + 0.5 * prop.dt))
+        h = (self._dense(prop.apply_atomic, shape)
+             + self._dense(lambda u: prop.apply_interaction(u, atilde), shape))
+        half = 0.5j * prop.dt * h
+        one = np.eye(len(h))
+        expect = np.linalg.solve(one + half, (one - half) @ psi.ravel()).reshape(shape)
+        iterations, _ = prop.step(state, pulse)
+        assert iterations == 1 if f0 == 0.0 else iterations > 1
+        np.testing.assert_allclose(state.psi, expect, rtol=0.0, atol=10 * prop.tol)
+
+
 class TestSelectionRules:
     @pytest.fixture()
     def stepped(self):
@@ -830,6 +865,30 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
+
+    def test_interrupted_write_keeps_the_previous(self, tmp_path, monkeypatch):
+        # the file used to be truncated before numpy wrote to it, so an
+        # interrupt mid-write destroyed the last good checkpoint
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=8.0)
+        state, _ = build_ground_state(s, grid, l_max=1)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, state, s)
+        later = state.copy()
+        later.t = 5.0
+
+        def torn(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", torn)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, later, s)
+        monkeypatch.undo()
+        loaded, _ = load_checkpoint(path)
+        assert loaded.t == 0.0
+        np.testing.assert_array_equal(loaded.psi, state.psi)
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
 
     def test_periodic_checkpoints_during_run(self, tmp_path):
         s = make_system(1.0)
