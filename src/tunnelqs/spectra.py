@@ -21,6 +21,10 @@ so the partial-wave sum is a Fourier series in phi with 2 l_max + 1
 terms.  Momenta must be finite and positive, and angle grids finite and
 uniform with spacing 2 pi / n (``default_phi_grid``, any start angle);
 other input raises ValueError.
+
+scipy's eigensolver and special functions are imported inside the
+functions that call them, so importing this module loads no scipy
+submodule.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import loggamma, sph_harm_y
 
 from .constants import au_time_as
 from .tdse import RadialGrid, WavefunctionState, even_channels, even_index, radial_hamiltonian
@@ -75,6 +77,8 @@ def _wkb_window(grid: RadialGrid) -> np.ndarray:
 
 def coulomb_phase(l: int, eta) -> np.ndarray:
     """sigma_l = arg Gamma(l + 1 + i eta), continuous in eta."""
+    from scipy.special import loggamma
+
     return np.imag(loggamma(l + 1.0 + 1j * np.asarray(eta, dtype=float)))
 
 
@@ -194,6 +198,8 @@ def bound_states(zeff: float, grid: RadialGrid, l: int) -> np.ndarray:
     (k, n_points).  Uses the same discretization as the propagator, so
     the propagation ground state is reproduced exactly.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     # a finite box supports only finitely many E < 0 levels
     w, v = eigh_tridiagonal(*radial_hamiltonian(zeff, grid, l), select="v",
                             select_range=(-10.0 * zeff * zeff - 1.0, 0.0))
@@ -321,6 +327,8 @@ def momentum_distribution(amps: IonizationAmplitudes, p: np.ndarray,
     other grids raise ValueError, since the periodic weight of
     ``integrate`` fixes the rescaling.
     """
+    from scipy.special import sph_harm_y
+
     p = np.asarray(p, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if p.shape != amps.p.shape or not np.array_equal(p, amps.p):

@@ -261,7 +261,9 @@ def critical_fields(system: AtomicSystem) -> CriticalFields:
     lo, hi = f_a * 1e-9, f_a * (1.0 - 1e-12)
     f_zeta1 = None
     if g(lo) * g(hi) < 0.0:
-        # imported here: scipy.optimize costs every CLI process ~0.2 s to load
+        # imported here, like every scipy submodule the package uses: it
+        # takes longer to load than the rest of a CLI call, and only an
+        # atom with Zeff > c/4 has this root
         from scipy.optimize import brentq
 
         f_zeta1 = brentq(g, lo, hi, xtol=f_a * 1e-14, rtol=8.9e-16)

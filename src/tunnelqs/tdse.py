@@ -30,6 +30,12 @@ matrix product, and a state the stepper did not produce itself starts
 from psi.  Every array of psi's size that a step needs, the rings
 included, is a work buffer allocated with the operators, so the step
 loop allocates no large temporaries.
+
+Importing this module loads no scipy submodule: the ground state's
+eigensolver and the coupling matrix import theirs when called, and a
+:class:`Propagator` binds its LAPACK solve and sparse product once, at
+construction, so a CLI call that never propagates loads only numpy and
+the bare scipy package.
 """
 
 from __future__ import annotations
@@ -40,9 +46,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.sparse import csr_matrix
+import scipy   # the bare package, for annotations; submodules load where used
 
 __all__ = [
     "PropagationError",
@@ -309,6 +313,8 @@ def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[Wavefuncti
     radial maximum) and its discrete energy, so that field-free
     propagation changes it by a global phase only.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     rows = even_channels(l_max)[0].size
     w, v = eigh_tridiagonal(*radial_hamiltonian(system.Zeff, grid, 0),
                             select="i", select_range=(0, 0))
@@ -321,7 +327,7 @@ def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[Wavefuncti
     return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(w[0])
 
 
-def coupling_operators(l_max: int) -> csr_matrix:
+def coupling_operators(l_max: int) -> scipy.sparse.csr_matrix:
     """Angular coupling of A . p as one sparse matrix [D+ ; D-].
 
     The operator splits into raising/lowering parts in m:
@@ -334,6 +340,8 @@ def coupling_operators(l_max: int) -> csr_matrix:
     times the edge's 1/r coefficient.  With the antisymmetric
     first-derivative stencil the assembled operator is exactly Hermitian.
     """
+    from scipy.sparse import csr_matrix
+
     l, m = even_channels(l_max)
     rows = l.size
     up, down = (2 * l + 1) * (2 * l + 3), (2 * l - 1) * (2 * l + 1)
@@ -379,10 +387,11 @@ class Propagator:
     the 1/(2 dr) of the central difference folded into its derivative
     columns, so it acts on s = [2 dr du/dr ; u/r].  The work buffers are
     the two midpoint iterates, H_int m, s (``stacked``, scratch outside
-    ``apply_interaction``) and ``pair``, the coupling product
-    [D+ s ; D- s] of the iteration.  ``states`` and ``pairs`` are rings of
-    ORDER + 1 entries, one array each, holding the last step-start states
-    and their coupling products; ``head`` is the newest entry.
+    ``_couple``, which forms the coupling product) and ``pair``, the
+    coupling product [D+ s ; D- s] of the iteration.  ``states`` and
+    ``pairs`` are rings of ORDER + 1 entries, one array each, holding the
+    last step-start states and their coupling products; ``head`` is the
+    newest entry, whose product ``_couple`` writes at the step's start.
 
     A step iterates on the midpoint m as the module describes and returns
     2 m - psi; without a field it is 2 (1 + i dt/2 H_atom)^-1 psi - psi,
@@ -408,7 +417,11 @@ class Propagator:
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
                  tol: float = DEFAULT_TOL):
+        from scipy.linalg.lapack import zgttrf, zgttrs
+        from scipy.sparse._sparsetools import csr_matvecs   # csr @ dense, into a given array
+
         _require_positive(dt=dt, tol=tol)
+        self._zgttrs, self._csr_matvecs = zgttrs, csr_matvecs   # the step's kernels
         self.system = system
         self.grid = grid
         self.l_max = l_max
@@ -455,18 +468,9 @@ class Propagator:
         out += term
         return out
 
-    def apply_interaction(self, psi: np.ndarray, atilde: complex,
-                          out: np.ndarray | None = None,
-                          pair: np.ndarray | None = None) -> np.ndarray:
-        """A . p applied to the channel array for Atilde = A_x + i A_y.
-
-        The coupling product [D+ s ; D- s] of the stacked radial array
-        s is left in ``pair`` (default: the ``pair`` buffer), from which
-        the result is combined.
-        """
-        # the kernel of csr @ dense, without allocating the result
-        from scipy.sparse._sparsetools import csr_matvecs
-
+    def _couple(self, psi: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """The coupling product [D+ s ; D- s] of psi's stacked radial array
+        s, written into ``pair``; ``stacked`` holds s afterwards."""
         s = self.stacked
         diff, over_r = s[:len(psi)], s[len(psi):]
         # the central difference over the flat rows; the two columns whose
@@ -476,19 +480,29 @@ class Propagator:
         diff[:, 0] = psi[:, 1]                     # u = 0 at r = 0
         np.negative(psi[:, -2], out=diff[:, -1])   # u = 0 beyond the box
         np.multiply(psi, self.inv_r, out=over_r)
-        if pair is None:
-            pair = self.pair
         pair.fill(0.0)
         # the operator is real: one real product on the (re, im) pairs
         c = self.couple
-        csr_matvecs(c.shape[0], c.shape[1], 2 * psi.shape[1], c.indptr, c.indices, c.data,
-                    s.view(np.float64).ravel(), pair.view(np.float64).reshape(-1, copy=False))
+        self._csr_matvecs(c.shape[0], c.shape[1], 2 * psi.shape[1], c.indptr, c.indices,
+                          c.data, s.view(np.float64).ravel(),
+                          pair.view(np.float64).reshape(-1, copy=False))
+        return pair
+
+    def apply_interaction(self, psi: np.ndarray, atilde: complex,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """A . p applied to the channel array for Atilde = A_x + i A_y.
+
+        The coupling product [D+ s ; D- s] of the stacked radial array
+        s is left in the ``pair`` buffer, from which the result is
+        combined.
+        """
+        pair = self._couple(psi, self.pair)
         return self._combine(pair, atilde, np.empty_like(psi) if out is None else out)
 
     def _solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
         """(1 + i dt/2 H_atom)^-1 rhs; a contiguous rhs is overwritten
         with the solution."""
-        x, _ = zgttrs(*self.lu, rhs.reshape(-1, 1), overwrite_b=1)
+        x, _ = self._zgttrs(*self.lu, rhs.reshape(-1, 1), overwrite_b=1)
         return x.reshape(rhs.shape)
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
@@ -521,8 +535,7 @@ class Propagator:
             m = self._solve_implicit(np.multiply(2.0, psi, out=m))   # 2 m, exactly
             m -= psi
             return m, 1, 0.0
-        # psi's coupling product, for the ring; its H_int psi is not read
-        self.apply_interaction(psi, atilde, out=self.h_m, pair=self.pairs[self.head])
+        self._couple(psi, self.pairs[self.head])   # psi's coupling product, for the ring
         # the start and its coupling product, each one real matrix product
         # over the h + 1 newest ring entries, weighted by their ages
         h = self.history

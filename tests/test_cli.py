@@ -657,22 +657,50 @@ def test_console_script_help():
         assert cmd in proc.stdout
 
 
-def test_light_commands_skip_scipy_optimize():
-    # scipy.optimize is imported only where critical_fields needs brentq
-    child = (
-        "import sys\n"
-        "from tunnelqs.cli import main\n"
-        "for argv in (['delays', '--Z', '1', '--F', '0.05'],\n"
-        "             ['scan', '--Z', '1', '--F', '0.05', '--zeta', '0.5'],\n"
-        "             ['tdse', '--Z', '1', '--F', '0.5', '--omega', '0.8', '--dry-run']):\n"
-        "    assert main(argv) == 0, argv\n"
-        "    assert 'scipy.optimize' not in sys.modules, argv\n"
-        "print('ok')\n"
-    )
+def _fresh_python(*args, cwd=None):
+    """Run ``python *args`` in a new interpreter that imports this tunnelqs."""
     src = os.path.dirname(os.path.dirname(tunnelqs.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
+def test_light_commands_load_no_scipy_submodule():
+    # scipy's submodules load only inside the functions that compute with
+    # them; what a bare `import scipy` loads is allowed.  critical-fields
+    # at Z 7 has no F_zeta1 root, so brentq is not needed either.
+    child = (
+        "import sys\n"
+        "import scipy\n"
+        "bare = set(sys.modules)\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy.') and m not in bare)\n"
+        "from tunnelqs.cli import main\n"
+        "assert loaded() == [], ('import', loaded())\n"
+        "for argv in (['delays', '--Z', '1', '--F', '0.05'],\n"
+        "             ['zeta-qs', '--Z', '10'],\n"
+        "             ['critical-fields', '--Z', '7'],\n"
+        "             ['scan', '--Z', '1', '--F', '0.05', '--zeta', '0.5'],\n"
+        "             ['tdse', '--Z', '1', '--F', '0.5', '--omega', '0.8', '--dry-run']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert loaded() == [], (argv, loaded())\n"
+        "print('ok')\n"
+    )
+    proc = _fresh_python("-c", child)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
+
+
+def test_tdse_run_in_a_fresh_process(tmp_path):
+    # a complete run from a cold interpreter, where no test module has
+    # loaded scipy's submodules before the package needs them
+    cfg = write_cfg(tmp_path, MINI_TDSE_CFG)
+    proc = _fresh_python("-m", "tunnelqs.cli", "tdse", "--config", cfg,
+                         "--out", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "offset angle theta" in proc.stdout
+    report = json.loads((tmp_path / "tdse_report.json").read_text())
+    assert report["no_ionization"] is False
+    for name in ("tdse_angular.csv", "tdse_momentum.csv", "tdse_checkpoint.npz"):
+        assert (tmp_path / name).stat().st_size > 0, name
