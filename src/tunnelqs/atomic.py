@@ -50,10 +50,11 @@ class BarrierSuppressionError(ValueError):
 
 def _require(ok, x, message: str) -> None:
     """Raise ValueError(message filled in with the first entry of x, a
-    scalar or an array, where ok is False)."""
+    scalar or an array, or of each x in a tuple, where ok is False)."""
     bad = ~np.asarray(ok)
     if bad.any():
-        raise ValueError(message.format(np.broadcast_to(x, bad.shape)[bad][0]))
+        *xs, bad = np.broadcast_arrays(*(x if isinstance(x, tuple) else (x,)), bad)
+        raise ValueError(message.format(*(v[bad][0] for v in xs)))
 
 
 def _as_float(x):
@@ -117,6 +118,9 @@ def make_system(Z: float, Zeff: float | None = None, relativistic: bool = False,
     Ip : float, optional
         Explicit ionization potential; overrides the ground-state default.
         Needed for single-active-electron models where Ip is empirical.
+
+    Inputs for which Ip or F_a = Ip^2/(4 Zeff) is not finite raise
+    ValueError naming them.
     """
     _require(Z > 0.0, Z, "Z must be positive, got {}")
     if Zeff is None:
@@ -130,8 +134,15 @@ def make_system(Z: float, Zeff: float | None = None, relativistic: bool = False,
             # which differs in the last bit for about 1 in 1000 ratios
             Ip = c_au * c_au * (1.0 - np.sqrt(1.0 - np.vectorize(pow)(Z / c_au, 2)))
         else:
-            Ip = 0.5 * Z * Z
+            with np.errstate(over="ignore"):
+                Ip = 0.5 * Z * Z
+            _require(np.isfinite(Ip), Z, "Z = {} is too large: Ip = Z^2/2 is not finite")
     _require(Ip > 0.0, Ip, "Ip must be positive, got {}")
+    _require(np.isfinite(Ip), Ip, "Ip must be finite, got {}")
+    with np.errstate(over="ignore"):
+        f_atomic = Ip * Ip / (4.0 * Zeff)
+    _require(np.isfinite(f_atomic), (Z, Zeff, Ip), "Z = {}, Zeff = {}, Ip = {}: the "
+             "barrier-suppression field F_a = Ip^2/(4 Zeff) is not finite")
     return AtomicSystem(Z=_as_float(Z), Zeff=_as_float(Zeff), Ip=_as_float(Ip),
                         relativistic=bool(relativistic))
 

@@ -25,13 +25,14 @@ table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 
 Exit codes: 0 success, 2 configuration error (also a config key set
 twice, an ``--out`` that cannot be written, a tdse grid with dr <= 0,
-r_max <= dr or r_max/dr not whole, a tdse dt with T1/dt not finite,
-tdse spectra or checkpoint settings that would fail only after
-propagating, and a setting that would change nothing: ``scan`` preset
-with Z/F/zeta/rel, ``zeta-qs`` thick without F, ``tdse`` rel), 3 domain
-error (invalid physical inputs, barrier-suppression regime), 4
-numerical failure.  JSON reports write non-finite numbers as null (scan
-tables: NaN as null, inf as Infinity).
+r_max <= dr or r_max/dr not whole, a tdse dt with T1/dt not finite, a
+tdse p_max at or beyond the grid's band edge 2/dr, tdse spectra or
+checkpoint settings that would fail only after propagating, and a
+setting that would change nothing: ``scan`` preset with Z/F/zeta/rel,
+``zeta-qs`` thick without F, ``tdse`` rel), 3 domain error (invalid
+physical inputs, barrier-suppression regime), 4 numerical failure (also
+a non-finite ionized probability).  JSON reports write non-finite
+numbers as null (scan tables: NaN as null, inf as Infinity).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .atomic import (
 )
 from .constants import au_time_as, field_to_intensity
 from .scan import PRESET_NAMES, ScanGrid, emit_table, run_preset, run_scan, tabulate
-from .spectra import _wkb_window, attoclock_readout, default_phi_grid
+from .spectra import _band_edge, _wkb_window, attoclock_readout, default_phi_grid
 from .superluminal import critical_fields, q_imed_b, zeta_qs
 from .tdse import (
     DEFAULT_MAX_CHANNELS,
@@ -443,6 +444,9 @@ def cmd_tdse(args, resolved: dict) -> int:
         _wkb_window(grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not resolved["p_max"] < _band_edge(grid):
+        raise ConfigError(f"p_max must be below the lattice band edge 2/dr = "
+                          f"{_band_edge(grid):g}, got {resolved['p_max']!r}")
     pulse = PulseParams(F0=resolved["F0"], omega=resolved["omega"],
                         ellipticity=resolved["ellipticity"],
                         carrier_phase=resolved["carrier_phase"])
@@ -492,6 +496,7 @@ def cmd_tdse(args, resolved: dict) -> int:
         "max_defect": result.max_defect,
         "max_iterations": result.max_iterations,
         "iterations_total": result.iterations_total,
+        "propagated_row_fraction": result.propagated_row_fraction,
         "populations_by_l": result.populations_by_l.tolist(),
         "tail_fraction": result.tail_fraction,
         "warnings": result.warnings,

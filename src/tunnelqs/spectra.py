@@ -106,6 +106,12 @@ def _check_phi_grid(phi: np.ndarray) -> None:
                          "as from default_phi_grid")
 
 
+def _band_edge(grid: RadialGrid) -> float:
+    """2/dr, the momentum at the top of the lattice's free band
+    (1 - cos(k dr))/dr^2 <= 2/dr^2: the grid carries no wave at or above it."""
+    return 2.0 / grid.dr
+
+
 def continuum_waves(zeff: float, grid: RadialGrid, l: int,
                     p: np.ndarray) -> np.ndarray:
     """Regular radial continuum waves u_pl(r) for every momentum in p.
@@ -114,8 +120,9 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
     asymptotic amplitude is sqrt(2/(pi p)).  zeff = 0 gives free
     spherical waves.  Momenta whose WKB window is classically forbidden
     (possible for high l at very low p) come back as all-zero rows.
-    p must be finite and positive, and the grid must have a point in the
-    window; anything else raises ValueError.
+    p must be finite, positive and below the lattice band edge 2/dr, and
+    the grid must have a point in the window; anything else raises
+    ValueError.
     Numerov steps one radius at a time over contiguous (n_points, len(p))
     rows; the result is transposed once at the end.
     """
@@ -126,6 +133,9 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
         raise ValueError("p must be finite")
     if np.any(p <= 0.0):
         raise ValueError("p = 0 is excluded: continuum normalization is singular")
+    if np.any(p >= _band_edge(grid)):
+        raise ValueError(f"p = {p.max():g} is at or beyond the lattice band edge "
+                         f"2/dr = {_band_edge(grid):g}, which the grid cannot carry")
     jw = _wkb_window(grid)
     r = grid.radii()
     dr = grid.dr
@@ -422,9 +432,13 @@ def offset_angle_and_delay(ang: AngularDistribution, pulse) -> OffsetResult:
 
 def attoclock_readout(state: WavefunctionState, system, pulse, p, phi) -> tuple:
     """(amps, distribution, angular, offset) of a final-time state, the
-    last three None when less than ``NO_IONIZATION_FLOOR`` is ionized."""
+    last three None when less than ``NO_IONIZATION_FLOOR`` is ionized.
+    A non-finite ionized probability raises ArithmeticError."""
     amps = project_scattering_states(state, system, p)
-    if amps.total_ionized() < NO_IONIZATION_FLOOR:
+    total = amps.total_ionized()
+    if not math.isfinite(total):
+        raise ArithmeticError(f"the ionized probability is {total}, not finite")
+    if total < NO_IONIZATION_FLOOR:
         return amps, None, None, None
     dist = momentum_distribution(amps, p, phi)
     ang = radial_integrate(dist)

@@ -15,21 +15,27 @@ step returns 2 m - psi for the midpoint m of (1 + i dt/2 H) m = psi,
 found by the fixed-point iteration m <- (1 + i dt/2 H_atom)^-1
 (psi - i dt/2 H_int m) to a per-step defect tolerance, which keeps the
 step unitary to that tolerance for any dt.  H_atom is inverted exactly
-by one LU-factored tridiagonal solve over all rows, whose off-diagonal
-is cut at each channel edge, and the channel coupling H_int is one
-sparse matrix on the same rows.  A pulse of length T1 is
-n = ceil(T1/dt) equal steps taken by one :class:`Propagator`, so dt is
-the largest step.
+by one LU-factored tridiagonal solve, whose off-diagonal is cut at each
+channel edge, and the channel coupling H_int is one sparse matrix on
+the same rows.  A pulse of length T1 is n = ceil(T1/dt) equal steps
+taken by one :class:`Propagator`, so dt is the largest step.
+
+A step works only on the l blocks the field has reached.  The coupling
+moves l by one, so amplitude climbs from block 0 one block at a time,
+and the window of propagated blocks 0..L is a prefix of the rows.  It
+starts one block past the highest whose population exceeds ``REACH``
+and grows by one block inside the iteration whenever the iterate's top
+block exceeds it; rows above the window are carried over unchanged.
+No pivot of the LU factors crosses a channel edge, so the prefix of
+the factors factors the prefix of the rows, and the coupling on each
+prefix is built once.
 
 The iteration starts midway between psi and the order-4 (``ORDER``)
-extrapolation of the last five step-start states, kept in a ring.  H_int
-is linear in the vector potential, so the products of the two coupling
-matrices with those states, kept from their steps in a second ring, give
-H_int of the start without another product; each ring is combined in one
-matrix product, and a state the stepper did not produce itself starts
-from psi.  Every array of psi's size that a step needs, the rings
-included, is a work buffer allocated with the operators, so the step
-loop allocates no large temporaries.
+extrapolation of the last five step-start states, kept in a ring and
+combined in one matrix product over the window's rows; a state the
+stepper did not produce itself starts from psi.  Every array of psi's
+size that a step needs, the ring included, is a work buffer allocated
+with the operators, so the step loop allocates no large temporaries.
 
 Importing this module loads no scipy submodule: the ground state's
 eigensolver and the coupling matrix import theirs when called, and a
@@ -76,6 +82,13 @@ CHECKPOINT_VERSION = 2      # 1: psi in the full channel_index layout
 DEFAULT_TOL = 1e-10       # per-step fixed-point defect
 MAX_ITER = 50             # fixed-point iterations per step before PropagationError
 ORDER = 4                 # polynomial order of the iteration's start
+# population of an l block above which a step propagates the block after
+# it.  Blocks above the window fill only through its top block, which the
+# iteration watches; while that block holds at most REACH of the norm (an
+# amplitude of 1e-15), what it passes up in a step is of order dt |A|
+# 1e-15, far below the defect tolerance and the round-off of a unit norm,
+# so the blocks left unpropagated change the result at round-off level.
+REACH = 1e-30
 DEFAULT_MAX_CHANNELS = 16384
 
 # above these the run is accepted but flagged as beyond desk scale
@@ -362,12 +375,18 @@ def coupling_operators(l_max: int) -> scipy.sparse.csr_matrix:
                       shape=(2 * rows, 2 * rows))
 
 
-# weights of the ring entries by age (0 the newest) for each history h:
-# the mean of the newest and the polynomial of order h through the h + 1
-# newest of equally spaced values one spacing ahead; comb() is zero beyond h
+# weights of the states ring's entries by age (0 the newest) for each
+# history h: the mean of the newest and the polynomial of order h through
+# the h + 1 newest of equally spaced values one spacing ahead; comb() is
+# zero beyond h
 _BY_AGE = (np.eye(ORDER + 1)[0]
            + np.array([[(-1) ** j * math.comb(h + 1, j + 1) for j in range(ORDER + 1)]
                        for h in range(ORDER + 1)])) / 2.0
+
+
+def _rows(blocks: int) -> int:
+    """Rows of the l blocks 0..blocks - 1, a prefix of a state's rows."""
+    return blocks * (blocks + 1) // 2
 
 
 class Propagator:
@@ -377,40 +396,44 @@ class Propagator:
     One instance owns, for a fixed (system, grid, l_max, dt), the
     channels' diagonals, the LU factors of their block-tridiagonal
     (1 + i dt/2 H_atom), the coupling operator on them and the work
-    buffers, all built in the constructor.  ``apply_atomic``,
-    ``apply_interaction`` and ``_solve_implicit`` act on an array shaped
-    like ``WavefunctionState.psi``.  Given ``out``, the first two write
-    their result there, and the solve overwrites a contiguous right-hand
-    side with the solution.
+    buffers, all built in the constructor.  ``apply_atomic`` acts on an
+    array shaped like ``WavefunctionState.psi``; ``apply_interaction``
+    and ``_solve_implicit`` also on its first rows, when they hold whole
+    l blocks.  Given ``out``, the first two write their result there,
+    and the solve overwrites a contiguous right-hand side with the
+    solution.
 
     ``couple`` is :func:`coupling_operators`, the stacked [D+ ; D-], with
     the 1/(2 dr) of the central difference folded into its derivative
-    columns, so it acts on s = [2 dr du/dr ; u/r].  The work buffers are
-    the two midpoint iterates, H_int m, s (``stacked``, scratch outside
-    ``_couple``, which forms the coupling product) and ``pair``, the
-    coupling product [D+ s ; D- s] of the iteration.  ``states`` and
-    ``pairs`` are rings of ORDER + 1 entries, one array each, holding the
-    last step-start states and their coupling products; ``head`` is the
-    newest entry, whose product ``_couple`` writes at the step's start.
+    columns, so it acts on s = [2 dr du/dr ; u/r]; the same matrix on the
+    rows of each block count, and the prefixes of the LU factors, are
+    kept by row count.  The work buffers are the two midpoint iterates,
+    H_int m, s (``stacked``, scratch of ``apply_interaction``) and
+    ``pair``, the coupling product [D+ s ; D- s].  ``states`` is a ring
+    of ORDER + 1 step-start states, one array, whose newest entry is
+    ``head``.
 
-    A step iterates on the midpoint m as the module describes and returns
-    2 m - psi; without a field it is 2 (1 + i dt/2 H_atom)^-1 psi - psi,
-    with no iteration.  The iteration starts midway between psi and the
-    extrapolation of order h = ``history`` through the h + 1 newest
-    step-start states, whose entry of age j weighs (-1)^j C(h + 1, j + 1),
-    so h = 2 extrapolates 3 psi_n - 3 psi_(n-1) + psi_(n-2).  The same
-    weights combine the stored pairs into the start's H_int product, so
-    the start costs no extra coupling product, and each combination is
-    one real matrix product over the ring.  ``history`` counts the ring
+    A step propagates the l blocks 0..``blocks`` - 1 as the module
+    describes and carries the rows above over unchanged.  It iterates on
+    the midpoint m and returns 2 m - psi; without a field it is
+    2 (1 + i dt/2 H_atom)^-1 psi - psi, with no iteration.  The iteration
+    starts midway between psi and the extrapolation of order
+    h = ``history`` through the h + 1 newest step-start states, whose
+    entry of age j weighs (-1)^j C(h + 1, j + 1), so h = 2 extrapolates
+    3 psi_n - 3 psi_(n-1) + psi_(n-2); the combination is one real matrix
+    product over the ring.  Before each product with H_int, the window
+    grows by one block if the iterate's top block holds more than
+    ``REACH``, the new rows taken from psi.  ``history`` counts the ring
     entries behind the newest that the next step may extrapolate from, up
-    to ORDER (4).  It is valid only for the state this instance produced
-    last (``produced``), unchanged, at the time its last step ended; any
-    other state (another state, an edited one, a different t, or a step
-    after a field-free step or a failure) starts from psi_n (h = 0), and
-    its ring restarts at entry 0, so the h + 1 newest entries are always
-    the first ones or the whole ring.  The start changes only the
-    iteration count: every step iterates until the defect
-    2 |m_(k+1) - m_k|, the change of the step's result, is at most
+    to ORDER (4).  It and the window are kept only for the state this
+    instance produced last (``produced``), unchanged, at the time its
+    last step ended; any other state (another state, an edited one, a
+    different t, or a step after a failure) starts from psi_n (h = 0),
+    with the window one block past its highest above ``REACH``, and its
+    ring restarts at entry 0, so the h + 1 newest entries are always the
+    first ones or the whole ring; a field-free step also resets h.  The
+    start changes only the iteration count: every step iterates until the
+    defect 2 |m_(k+1) - m_k|, the change of the step's result, is at most
     ``tol``, and a step still above it after ``MAX_ITER`` (50) iterations
     raises :class:`PropagationError`.
     """
@@ -430,25 +453,38 @@ class Propagator:
         self._t_end = None      # where the last step ended, if it succeeded
         self.history = 0
         self.head = 0
+        self.blocks = l_max + 1
         self.produced = None
         n = grid.n_points
         l, _ = even_channels(l_max)
         h_by_l = [radial_hamiltonian(system.Zeff, grid, k) for k in range(l_max + 1)]
         self.off = h_by_l[0][1][0]   # the same constant for every l
         self.inv_r = (1.0 / grid.radii()).astype(np.complex128)   # no cast per product
-        self.couple = coupling_operators(l_max)
-        self.couple.data[self.couple.indices < l.size] /= 2.0 * grid.dr
         diag = np.array([h_by_l[k][0] for k in l])
         # one tridiagonal over the even channels, cut at each channel edge
         off = np.full(diag.size - 1, 0.5j * dt * self.off)
         off[n - 1::n] = 0.0
-        self.lu = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
+        dl, d, du, du2, ipiv = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
+        # the coupling and the LU factors on the rows of each block count
+        self._by_rows = {}
+        for blocks in range(1, l_max + 2):
+            rows = _rows(blocks)
+            size = rows * n
+            couple = coupling_operators(blocks - 1)
+            couple.data[couple.indices < rows] /= 2.0 * grid.dr
+            self._by_rows[rows] = (couple, (dl[:size - 1], d[:size], du[:size - 1],
+                                            du2[:size - 2], ipiv[:size]))
+        self.couple = self._by_rows[l.size][0]
         self.diag = diag.astype(np.complex128)   # no cast per product
         shape, pair_shape = diag.shape, (2 * len(diag), n)
         self.m, self.mn, self.h_m = (np.empty(shape, dtype=np.complex128) for _ in range(3))
         self.stacked, self.pair = (np.empty(pair_shape, dtype=np.complex128) for _ in range(2))
         self.states = np.empty((ORDER + 1, *shape), dtype=np.complex128)
-        self.pairs = np.empty((ORDER + 1, *pair_shape), dtype=np.complex128)
+
+    @property
+    def rows(self) -> int:
+        """Rows of the propagated window, the l blocks 0..blocks - 1."""
+        return _rows(self.blocks)
 
     def apply_atomic(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -458,21 +494,19 @@ class Propagator:
         out[:, 1:] += self.off * psi[:, :-1]
         return out
 
-    def _combine(self, pair: np.ndarray, atilde: complex, out: np.ndarray) -> np.ndarray:
-        """H_int = -(i/2) [conj(Atilde) D+ + Atilde D-] applied, from
-        pair = [D+ s ; D- s]; pair is left unchanged, ``stacked`` is
-        overwritten."""
-        n = len(out)
-        np.multiply(-0.5j * np.conj(atilde), pair[:n], out=out)
-        term = np.multiply(-0.5j * atilde, pair[n:], out=self.stacked[:n])
-        out += term
-        return out
+    def apply_interaction(self, psi: np.ndarray, atilde: complex,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """A . p applied to the channel array for Atilde = A_x + i A_y,
+        H_int = -(i/2) [conj(Atilde) D+ + Atilde D-]; psi may be the first
+        rows of a state, whole l blocks, with the blocks above taken as zero.
 
-    def _couple(self, psi: np.ndarray, pair: np.ndarray) -> np.ndarray:
-        """The coupling product [D+ s ; D- s] of psi's stacked radial array
-        s, written into ``pair``; ``stacked`` holds s afterwards."""
-        s = self.stacked
-        diff, over_r = s[:len(psi)], s[len(psi):]
+        The coupling product [D+ s ; D- s] of the stacked radial array s
+        is left in the ``pair`` buffer, from which the result is combined.
+        """
+        rows = len(psi)
+        c = self._by_rows[rows][0]
+        s, pair = self.stacked[:2 * rows], self.pair[:2 * rows]
+        diff, over_r = s[:rows], s[rows:]
         # the central difference over the flat rows; the two columns whose
         # neighbours lie across a channel edge are set after it
         u = psi.reshape(-1)
@@ -482,27 +516,19 @@ class Propagator:
         np.multiply(psi, self.inv_r, out=over_r)
         pair.fill(0.0)
         # the operator is real: one real product on the (re, im) pairs
-        c = self.couple
         self._csr_matvecs(c.shape[0], c.shape[1], 2 * psi.shape[1], c.indptr, c.indices,
                           c.data, s.view(np.float64).ravel(),
                           pair.view(np.float64).reshape(-1, copy=False))
-        return pair
-
-    def apply_interaction(self, psi: np.ndarray, atilde: complex,
-                          out: np.ndarray | None = None) -> np.ndarray:
-        """A . p applied to the channel array for Atilde = A_x + i A_y.
-
-        The coupling product [D+ s ; D- s] of the stacked radial array
-        s is left in the ``pair`` buffer, from which the result is
-        combined.
-        """
-        pair = self._couple(psi, self.pair)
-        return self._combine(pair, atilde, np.empty_like(psi) if out is None else out)
+        out = np.empty_like(psi) if out is None else out
+        np.multiply(-0.5j * np.conj(atilde), pair[:rows], out=out)
+        out += np.multiply(-0.5j * atilde, pair[rows:], out=diff)
+        return out
 
     def _solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
-        """(1 + i dt/2 H_atom)^-1 rhs; a contiguous rhs is overwritten
-        with the solution."""
-        x, _ = self._zgttrs(*self.lu, rhs.reshape(-1, 1), overwrite_b=1)
+        """(1 + i dt/2 H_atom)^-1 rhs, for rhs shaped like psi or its first
+        rows, whole l blocks; a contiguous rhs is overwritten with the
+        solution."""
+        x, _ = self._zgttrs(*self._by_rows[len(rhs)][1], rhs.reshape(-1, 1), overwrite_b=1)
         return x.reshape(rhs.shape)
 
     def step(self, state: WavefunctionState, pulse: PulseParams,
@@ -515,6 +541,9 @@ class Propagator:
         ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
         if not (state.t == self._t_end and np.array_equal(state.psi, self.produced)):
             self.history = 0
+            # NaN counts as reached, so it stays inside the window and fails there
+            reached = np.flatnonzero(~(state.populations_by_l() <= REACH))
+            self.blocks = min(int(reached[-1]) + 1 if reached.size else 0, self.l_max) + 1
         self._t_end = None
         self.head = (self.head + 1) % (ORDER + 1) if self.history else 0
         psi = self.states[self.head]
@@ -530,34 +559,41 @@ class Propagator:
                  step_index: int) -> tuple[np.ndarray, int, float]:
         half = 0.5j * self.dt
         m, mn = self.m, self.mn
+        rows = self.rows
         if atilde == 0.0:
-            self.history = 0   # no coupling product to extrapolate from
-            m = self._solve_implicit(np.multiply(2.0, psi, out=m))   # 2 m, exactly
-            m -= psi
+            self.history = 0   # the next field-on step starts afresh
+            w = self._solve_implicit(np.multiply(2.0, psi[:rows], out=m[:rows]))   # 2 m, exactly
+            w -= psi[:rows]
+            m[rows:] = psi[rows:]
             return m, 1, 0.0
-        self._couple(psi, self.pairs[self.head])   # psi's coupling product, for the ring
-        # the start and its coupling product, each one real matrix product
-        # over the h + 1 newest ring entries, weighted by their ages
+        # the start, one real matrix product over the window's rows of the
+        # h + 1 newest ring entries, weighted by their ages
         h = self.history
         weights = _BY_AGE[h, (self.head - np.arange(h + 1)) % (ORDER + 1)]
-        for ring, start in ((self.states, m), (self.pairs, self.pair)):
-            np.matmul(weights, ring.view(np.float64).reshape(ORDER + 1, -1)[:h + 1],
-                      out=start.view(np.float64).reshape(-1))
-        h_m = self._combine(self.pair, atilde, self.h_m)
+        ring = self.states.view(np.float64).reshape(ORDER + 1, -1)
+        np.matmul(weights, ring[:h + 1, :2 * m[:rows].size],
+                  out=m[:rows].view(np.float64).reshape(-1))
         scale = 2.0 * math.sqrt(self.grid.dr)      # 2 m - psi moves twice as far as m
         for it in range(1, MAX_ITER + 1):
-            np.multiply(half, h_m, out=mn)
-            np.subtract(psi, mn, out=mn)
-            mn = self._solve_implicit(mn)
-            diff = np.subtract(mn, m, out=m)       # m is not needed again
+            if self.blocks <= self.l_max:
+                top = m[_rows(self.blocks - 1):rows]
+                if np.vdot(top, top).real * self.grid.dr > REACH:
+                    self.blocks += 1
+                    m[rows:self.rows] = psi[rows:self.rows]
+                    rows = self.rows
+            h_m = self.apply_interaction(m[:rows], atilde, out=self.h_m[:rows])
+            w = np.multiply(half, h_m, out=mn[:rows])
+            np.subtract(psi[:rows], w, out=w)
+            w = self._solve_implicit(w)
+            diff = np.subtract(w, m[:rows], out=m[:rows])   # m is not needed again
             defect = math.sqrt(np.vdot(diff, diff).real) * scale
             if defect <= self.tol:
                 self.history = min(self.history + 1, ORDER)
-                mn *= 2.0
-                mn -= psi
+                w *= 2.0
+                w -= psi[:rows]
+                mn[rows:] = psi[rows:]
                 return mn, it, defect
             m, mn = mn, m
-            h_m = self.apply_interaction(m, atilde, out=self.h_m)
         raise PropagationError(defect, self.tol, step_index)
 
 
@@ -596,10 +632,10 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     n_steps += pulse.duration - n_steps * dt >= 1e-12 * pulse.duration
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
-        # psi (the even channels), their diagonals and LU factors (5 psi)
-        # and the work buffers (22 psi, 15 of them the rings): a whole run
-        # at l_max = 20, r_max = 200 peaked at 29.1 psi above the import
-        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 29 / 1e6
+        # psi (the even channels), their diagonals (1 psi), LU factors
+        # (5 psi) and the work buffers (12 psi, 5 of them the ring): a whole
+        # run at l_max = 20, r_max = 200 peaked at 19.3 psi above the import
+        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 19 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")
@@ -621,6 +657,7 @@ class PulseResult:
     max_step_norm_drift: float
     populations_by_l: np.ndarray
     tail_fraction: float        # share of the norm in the top two l blocks
+    propagated_row_fraction: float   # row-steps propagated over rows x steps
     warnings: list = field(default_factory=list)
 
 
@@ -648,9 +685,11 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
 
     prop = Propagator(system, grid, l_max, pulse.duration / n_steps, tol=tol)
     max_it, total_it, max_defect, max_drift, prev_norm = 0, 0, 0.0, 0.0, norm0
+    row_steps = 0
     try:
         for k in range(n_steps):
             it, defect = prop.step(state, pulse, step_index=k)
+            row_steps += prop.rows
             max_it = max(max_it, it)
             total_it += it
             max_defect = max(max_defect, defect)
@@ -686,6 +725,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         max_step_norm_drift=max_drift,
         populations_by_l=pops,
         tail_fraction=tail,
+        propagated_row_fraction=row_steps / (len(state.psi) * n_steps),
         warnings=warnings,
     )
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,25 @@ class TestSystem:
             make_system(1.0, Ip=0.0)
         with pytest.raises(ValueError):
             make_system(140.0, relativistic=True)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"Z": 1e308}, "Z = 1e+308 is too large"),
+        ({"Z": np.array([1.0, 1e120])}, "Z = 1e+120, Zeff = 1e+120, Ip = 5e+239"),
+        ({"Z": 1.0, "Zeff": 1e-320}, "Z = 1.0, Zeff = 1e-320, Ip = 0.5"),
+        ({"Z": 1.0, "Ip": math.inf}, "Ip must be finite, got inf"),
+        ({"Z": 1.0, "Zeff": np.array([1.0, 2.0]), "Ip": np.array([0.5, 1e160])},
+         "Z = 1.0, Zeff = 2.0, Ip = 1e+160"),
+    ])
+    def test_overflowing_ip_or_f_atomic_rejected(self, kwargs, message):
+        # F_a = Ip^2/(4 Zeff) used to come back inf, or Ip itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message.replace("+", r"\+")):
+                make_system(**kwargs)
+
+    def test_largest_finite_charges_accepted(self):
+        z = np.array([1.0, 1e76])          # F_a = Z^3/16, still finite
+        assert np.isfinite(make_system(z).f_atomic).all()
 
 
 class TestGeometry:

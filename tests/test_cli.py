@@ -208,6 +208,19 @@ class TestCriticalFields:
                                                    rel=1e-8)
         assert payload["window_nonempty"] is True
 
+    @pytest.mark.parametrize("z,message", [
+        # F_a = Ip^2/(4 Zeff) overflows: printed F_a = inf with exit 0
+        ("1e120", "Z = 1e+120, Zeff = 1e+120, Ip = 5e+239: the barrier-suppression "
+                  "field F_a = Ip^2/(4 Zeff) is not finite"),
+        # Ip = Z^2/2 overflows: blamed "field strength must be positive, got nan"
+        ("1e308", "Z = 1e+308 is too large: Ip = Z^2/2 is not finite"),
+    ])
+    def test_overflowing_charge_is_domain_error(self, z, message, capsys):
+        assert main(["critical-fields", "--Z", z]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == f"domain error: {message}\n"
+        assert captured.out == ""
+
     def test_empty_window(self, capsys):
         assert main(["critical-fields", "--Z", "15",
                      "--format", "json"]) == EXIT_OK
@@ -539,6 +552,10 @@ class TestTdse:
         ("p_min = 0", "p_min must be positive, got 0.0"),
         ("p_max = 0.01", "p_max must be above p_min, got 0.01"),
         ("n_phi = 4", "n_phi must be >= 8, got 4"),
+        # momenta the grid cannot carry: 1e200 used to print "ionized
+        # fraction = nan" next to a theta and exit 0
+        ("p_max = 1e200", "p_max must be below the lattice band edge 2/dr = 20, got 1e+200"),
+        ("p_max = 20", "p_max must be below the lattice band edge 2/dr = 20, got 20.0"),
         ("checkpoint_every = -3", "checkpoint_every must be >= 0, got -3"),
         # linspace gives equal neighbours one ulp apart
         ("p_min = 1\np_max = 1.000000000000001",
@@ -555,6 +572,20 @@ class TestTdse:
         captured = capsys.readouterr()
         assert f"config error: {message}" in captured.err
         assert captured.out == ""
+
+    def test_p_max_beyond_the_band_edge_is_not_propagated(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 2\ndr = 0.2\n"
+                                  "r_max = 20\ndt = 0.05\nn_p = 3\np_max = 1e200\n")
+        assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: p_max must be below the lattice band edge" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "tdse_report.json").exists()
+
+    def test_p_max_just_below_the_band_edge_plans(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\ndr = 0.2\n"
+                                  "r_max = 20\np_max = 9.99\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_OK
 
     @pytest.mark.parametrize("setting,message", [
         ("dr = -0.1", "dr must be positive, got -0.1"),

@@ -101,6 +101,16 @@ class TestContinuumWaves:
         with pytest.raises(ValueError, match="finite"):
             continuum_waves(1.0, grid, 0, np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("p", [20.0, 25.0, 1e200])
+    def test_momenta_beyond_the_band_edge_rejected(self, grid, p):
+        # the lattice carries no wave at p >= 2/dr; Numerov went on to waves
+        # of 1e15 at p = 25 and NaN at 1e200
+        with pytest.raises(ValueError, match="band edge 2/dr = 20"):
+            continuum_waves(1.0, grid, 0, np.array([0.5, p]))
+
+    def test_momenta_below_the_band_edge_accepted(self, grid):
+        assert np.isfinite(continuum_waves(1.0, grid, 0, np.array([0.5, 19.9]))).all()
+
     # frozen sha256 of continuum_waves(...).tobytes(): a faster recurrence
     # must reproduce the waves bit for bit
     FROZEN = [
@@ -289,6 +299,18 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_scattering_states(smoke_run.state, hydrogen,
                                       np.array([-0.1, 0.5]))
+
+    def test_non_finite_total_is_arithmetic_error(self, hydrogen):
+        # |a|^2 overflows: the readout used to read an angle next to an
+        # inf or NaN ionized probability
+        grid = RadialGrid(dr=0.1, r_max=20.0)
+        state, _ = build_ground_state(hydrogen, grid, l_max=1)
+        state.psi[even_index(1, 1)] = 1e200 * state.psi[even_index(0, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="not finite"):
+                attoclock_readout(state, hydrogen, PulseParams(F0=0.5, omega=0.8),
+                                  np.linspace(0.1, 2.0, 20), default_phi_grid(180))
 
     @pytest.mark.parametrize("p", [[0.5, 1.0, np.inf], [np.nan, 0.5, 1.0],
                                    [0.5, np.nan]])

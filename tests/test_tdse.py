@@ -552,6 +552,86 @@ class TestPredictorHistory:
         self._step_as_fresh(prop, pulse, state)
 
 
+class TestWindow:
+    """A step propagates only the l blocks 0..L the field has reached, a
+    prefix of the rows, and carries the rows above it over unchanged."""
+
+    @staticmethod
+    def _graded_state(grid, l_max, seed):
+        # random in every row, each block 1e-12 the amplitude of the one
+        # below, so the window starts at blocks 0..2 and grows from there
+        l, _ = even_channels(l_max)
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((l.size, grid.n_points)) + 1j * rng.standard_normal(
+            (l.size, grid.n_points))
+        psi *= (1e-12 ** l)[:, None]
+        psi /= math.sqrt(np.vdot(psi, psi).real * grid.dr)
+        return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0)
+
+    def test_window_step_is_the_full_step(self, monkeypatch):
+        # over the step's 7 iterations the window grows from blocks 0..2 to
+        # 0..7 of 0..10
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=20.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state = self._graded_state(grid, 10, seed=15)
+        state.t = 0.45 * pulse.duration
+        assert (state.populations_by_l() > 0.0).all()
+        window = Propagator(s, grid, 10, 0.02)
+        twin = state.copy()
+        window.step(state, pulse)
+        assert window.blocks < 11         # the blocks above were not propagated
+        monkeypatch.setattr(tdse, "REACH", -math.inf)   # every block reached
+        full = Propagator(s, grid, 10, 0.02)
+        full.step(twin, pulse)
+        assert full.blocks == 11
+        np.testing.assert_allclose(state.psi, twin.psi, rtol=0.0, atol=10 * full.tol)
+
+    def test_prefix_solve_is_the_full_solve(self):
+        prop = Propagator(make_system(1.0), RadialGrid(dr=0.1, r_max=10.0), 4, 0.02)
+        rng = np.random.default_rng(16)
+        shape = (even_channels(4)[0].size, prop.grid.n_points)
+        for blocks in range(1, 6):
+            rows = blocks * (blocks + 1) // 2
+            rhs = np.zeros(shape, dtype=np.complex128)
+            rhs[:rows] = rng.standard_normal((rows, shape[1])) + 1j * rng.standard_normal(
+                (rows, shape[1]))
+            prefix = prop._solve_implicit(rhs[:rows].copy())
+            full = prop._solve_implicit(rhs)
+            assert prefix.shape == (rows, shape[1])
+            assert prefix.tobytes() == full[:rows].tobytes()
+            assert not full[rows:].any()
+
+    def test_prefix_interaction_is_the_full_product(self):
+        prop = Propagator(make_system(1.0), RadialGrid(dr=0.1, r_max=10.0), 4, 0.02)
+        psi = self._graded_state(prop.grid, 4, seed=17).psi
+        psi[6:] = 0.0                     # blocks 0..2 hold amplitude
+        atilde = complex(0.3, -0.8)
+        full = prop.apply_interaction(psi, atilde)
+        prefix = prop.apply_interaction(psi[:10], atilde)   # blocks 0..3
+        assert prefix.tobytes() == full[:10].tobytes()
+        assert not full[10:].any()
+
+    def test_window_grows_from_the_ground_state(self, monkeypatch):
+        blocks = []
+
+        class Recorded(Propagator):
+            def step(self, *args, **kwargs):
+                done = super().step(*args, **kwargs)
+                blocks.append(self.blocks)
+                return done
+
+        monkeypatch.setattr(tdse, "Propagator", Recorded)
+        res = run_pulse(make_system(1.0), RadialGrid(dr=0.2, r_max=30.0),
+                        PulseParams(F0=0.5, omega=0.8), l_max=8, dt=0.05)
+        assert blocks[0] == 2             # block 0 and the one it feeds
+        assert (np.diff(blocks) >= 0).all()
+        assert blocks[-1] == 9            # l_max reached on the smoke pulse
+        rows = [b * (b + 1) // 2 for b in blocks]
+        assert res.propagated_row_fraction == pytest.approx(sum(rows) / (45 * res.steps))
+        assert res.propagated_row_fraction < 0.9
+
+
 class TestPropagation:
     def test_field_free_survival(self):
         s = make_system(1.0)
@@ -579,6 +659,8 @@ class TestPropagation:
         assert res.steps <= res.iterations_total < 1600
         assert res.tail_fraction < 1e-6
         assert res.warnings == []
+        # the window leaves about a quarter of the row-steps out (0.761)
+        assert 0.5 < res.propagated_row_fraction < 0.8
 
     def test_coarse_dt_iterations(self, hydrogen, smoke_grid, smoke_pulse):
         # at dt 0.05 the quadratic start took 958 iterations
