@@ -42,6 +42,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -470,11 +471,13 @@ def cmd_tdse(args, resolved: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = out_dir / "tdse_checkpoint.npz"
 
+    t_start = time.perf_counter()
     result = run_pulse(system, grid, pulse, resolved["l_max"],
                        dt=resolved["dt"], tol=resolved["tol"],
                        max_channels=resolved["max_channels"],
                        checkpoint_path=checkpoint,
                        checkpoint_every=resolved["checkpoint_every"])
+    t_propagated = time.perf_counter()
     for w in result.warnings:
         if w not in warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -483,8 +486,10 @@ def cmd_tdse(args, resolved: dict) -> int:
           f"max per-step drift {result.max_step_norm_drift:.3e}, "
           f"max defect {result.max_defect:.3e}")
 
+    t_readout = time.perf_counter()
     amps, dist, ang, offset = attoclock_readout(
         result.state, system, pulse, p, default_phi_grid(resolved["n_phi"]))
+    t_read = time.perf_counter()
     total = amps.total_ionized()
     report = {
         "config": config_echo(resolved),
@@ -529,6 +534,10 @@ def cmd_tdse(args, resolved: dict) -> int:
         print(f"offset angle theta = {offset.theta:.6g} rad{flag}")
         print(f"delay tau = {_au_as(offset.tau)}")
 
+    # wall times of the run's phases; write_s is the two CSVs
+    report["timings"] = {"propagate_s": t_propagated - t_start,
+                         "readout_s": t_read - t_readout,
+                         "write_s": time.perf_counter() - t_read}
     _write_json(out_dir / "tdse_report.json", _jsonable(report))
     print(f"wrote {out_dir / 'tdse_report.json'}", file=sys.stderr)
     return EXIT_OK

@@ -8,13 +8,18 @@ angle theta, from -y toward +x, and the delay tau = theta / omega, or
 nothing when less than ``NO_IONIZATION_FLOOR`` is ionized.
 
 Continuum waves are integrated with Numerov's method on the state's own
-grid, one radius at a time over all momenta (contiguous rows of a
-(radius, momentum) array), and normalized against the WKB amplitude in a
-window near the box edge, so no closed-form Coulomb functions are
-needed.  Bound content is projected out with eigenstates of the same
-discrete Hamiltonian before projection, since bound population aliases
-into low momenta otherwise.  The waves are real, so each l's projection
-is one real matrix product on the (re, im) pairs of its l + 1 rows.
+grid and normalized against the WKB amplitude in a window near the box
+edge, so no closed-form Coulomb functions are needed.  One sweep steps
+the (l, p) columns of several consecutive l together, one radius at a
+time along contiguous rows, and builds the coefficients of one guard
+block of radii at a time.  Bound content is projected out with
+eigenstates of the same discrete Hamiltonian before projection, since
+bound population aliases into low momenta otherwise.  The waves are
+real, so the projection adds each finished block of rows into every l's
+real product with the (re, im) pairs of its l + 1 rows, and scales the
+finished products to the WKB amplitude: no (p, r) wave array is formed.
+``continuum_waves`` is the same sweep on one l, its blocks written into
+the result.
 
 On the polarization plane Y_lm(pi/2, phi) = Y_lm(pi/2, 0) e^(i m phi),
 so the partial-wave sum is a Fourier series in phi with 2 l_max + 1
@@ -112,80 +117,133 @@ def _band_edge(grid: RadialGrid) -> float:
     return 2.0 / grid.dr
 
 
-def continuum_waves(zeff: float, grid: RadialGrid, l: int,
-                    p: np.ndarray) -> np.ndarray:
-    """Regular radial continuum waves u_pl(r) for every momentum in p.
-
-    Shape (len(p), n_points), C-contiguous, energy-normalized: the
-    asymptotic amplitude is sqrt(2/(pi p)).  zeff = 0 gives free
-    spherical waves.  Momenta whose WKB window is classically forbidden
-    (possible for high l at very low p) come back as all-zero rows.
-    p must be finite, positive and below the lattice band edge 2/dr, and
-    the grid must have a point in the window; anything else raises
-    ValueError.
-    Numerov steps one radius at a time over contiguous (n_points, len(p))
-    rows; the result is transposed once at the end.
-    """
+def _check_momenta(p, grid: RadialGrid, as_grid: bool) -> np.ndarray:
+    """p as a float array: 1-D and nonempty (with ``as_grid``, a strictly
+    increasing grid of at least 2 momenta), finite, positive and below the
+    lattice band edge 2/dr; anything else raises ValueError."""
     p = np.asarray(p, dtype=float)
+    if as_grid and (p.ndim != 1 or len(p) < 2):
+        raise ValueError("p must be a 1-D grid of at least 2 momenta")
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("p must be a nonempty 1-D array")
     if not np.all(np.isfinite(p)):
         raise ValueError("p must be finite")
     if np.any(p <= 0.0):
         raise ValueError("p = 0 is excluded: continuum normalization is singular")
+    if as_grid and np.any(np.diff(p) <= 0.0):
+        raise ValueError("p must be strictly increasing")
     if np.any(p >= _band_edge(grid)):
         raise ValueError(f"p = {p.max():g} is at or beyond the lattice band edge "
                          f"2/dr = {_band_edge(grid):g}, which the grid cannot carry")
+    return p
+
+
+def _group_size(grid: RadialGrid) -> int:
+    """Consecutive l per sweep: as many as keep the sweep's buffers per
+    (l, p) (blocks of radii for u, 1 - t and 2 + 10 t, a spare row and
+    the window's radii) within the 3 n_points doubles of one l's waves
+    and their two whole coefficient arrays."""
+    jw = _wkb_window(grid)
+    per_l = 3 * (_GUARD_ROWS + 2) + 1 + jw.size + 2
+    return max(1, 3 * grid.n_points // per_l)
+
+
+def _numerov_sweep(zeff: float, grid: RadialGrid, ls, p: np.ndarray, take) -> np.ndarray:
+    """Step Numerov for the regular waves of every l in ls at every p
+    together, one guard block of radii at a time, and return the WKB
+    scale of each (l, p), shape (len(ls), len(p)).
+
+    For every finished block ``take(k0, rows, divisor)`` is called with
+    its radii k0, k0 + 1, ... as a (radii, len(ls), len(p)) view, valid
+    during the call; a ``divisor`` that is not None means the growth
+    guard fired, and every row passed before k0 must first be divided by
+    it, per (l, p).  The scale, zero where the window is classically
+    forbidden, turns the rows into energy-normalized waves.  Each (l, p)
+    takes the same arithmetic as in a sweep over its l alone.
+    """
     jw = _wkb_window(grid)
     r = grid.radii()
-    dr = grid.dr
     n = grid.n_points
-    # u'' = w(r) u for E = p^2/2 and the -zeff/r potential
-    b = (l * (l + 1) / (r * r) - 2.0 * zeff / r)[:, None] - (p * p)[None, :]
-    b *= dr * dr / 12.0                    # t = dr^2 w / 12
-    a = 10.0 * b
-    a += 2.0                               # 2 + 10 t
-    np.subtract(1.0, b, out=b)             # 1 - t
+    # u'' = w(r) u for E = p^2/2 and the -zeff/r potential: the p-free
+    # part per (r, l) here, t = dr^2 w / 12 per block below
+    wl = np.array([l * (l + 1) for l in ls], dtype=float) / (r * r)[:, None] \
+        - (2.0 * zeff / r)[:, None]
+    pp = p * p
+    c12 = grid.dr * grid.dr / 12.0
 
-    u = np.empty((n, len(p)))
+    # u on radii j-1 ... j+m, 1 - t on the same radii, 2 + 10 t on j ... j+m-1
+    u, b, a = np.empty((3, _GUARD_ROWS + 2, len(ls), len(p)))
+    tmp = np.empty(u.shape[1:])
+    w_lo = jw[0] - 1                       # the window's radii w_lo ... jw[-1] + 1
+    win = np.zeros((jw.size + 2, *u.shape[1:]))
+
+    def finish(k0, rows, divisor):
+        if divisor is not None:
+            win[:max(0, k0 - w_lo)] /= divisor
+        lo, hi = max(k0, w_lo), min(k0 + len(rows), w_lo + len(win))
+        if lo < hi:
+            win[lo - w_lo:hi - w_lo] = rows[lo - k0:hi - k0]
+        take(k0, rows, divisor)
+
     # two-term Frobenius start: u ~ r^(l+1) (1 + c1 r + c2 r^2)
-    c1 = -zeff / (l + 1)
-    c2 = (2.0 * zeff * zeff / (l + 1) - p * p) / (4 * l + 6)
-    for j in (0, 1):
-        u[j] = r[j] ** (l + 1) * (1.0 + c1 * r[j] + c2 * r[j] ** 2)
-    tmp = np.empty(len(p))
+    for g, l in enumerate(ls):
+        c1 = -zeff / (l + 1)
+        c2 = (2.0 * zeff * zeff / (l + 1) - pp) / (4 * l + 6)
+        for j in (0, 1):
+            u[j, g] = r[j] ** (l + 1) * (1.0 + c1 * r[j] + c2 * r[j] ** 2)
+    finish(0, u[:2], None)
     j = 1
     while j < n - 1:
-        stop = min(j + _GUARD_ROWS, n - 1)
+        m = min(_GUARD_ROWS, n - 1 - j)    # new radii j+1 ... j+m at u[2:m+2]
+        np.subtract(wl[j - 1:j + m + 1, :, None], pp, out=b[:m + 2])
+        b[:m + 2] *= c12                   # t
+        np.multiply(10.0, b[1:m + 1], out=a[:m])
+        a[:m] += 2.0                       # 2 + 10 t
+        np.subtract(1.0, b[:m + 2], out=b[:m + 2])   # 1 - t
         # rows past the first one over the limit are recomputed, so an
         # overflow in them is harmless
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(j, stop):
-                nxt = u[k + 1]
-                np.multiply(a[k], u[k], out=nxt)
-                np.multiply(b[k - 1], u[k - 1], out=tmp)
+            for i in range(1, m + 1):
+                nxt = u[i + 1]
+                np.multiply(a[i - 1], u[i], out=nxt)
+                np.multiply(b[i - 1], u[i - 1], out=tmp)
                 nxt -= tmp
-                nxt /= b[k + 1]
+                nxt /= b[i + 1]
         # the growth guard, once per block: the rows up to the first one
-        # over the limit are exactly those of a check after every step
-        big = np.abs(u[j + 1:stop + 1]) > _RENORM_LIMIT
-        hits = np.flatnonzero(big.any(axis=1))
-        if hits.size:
+        # over the limit are exactly those of a check after every step, so
+        # no (l, p) depends on the others (NaN, only ever after an
+        # overflow, counts as over)
+        block = u[2:m + 2]
+        divisor = None
+        if not (block.max() <= _RENORM_LIMIT and block.min() >= -_RENORM_LIMIT):
+            within = (block.max(axis=(1, 2)) <= _RENORM_LIMIT) \
+                & (block.min(axis=(1, 2)) >= -_RENORM_LIMIT)
+            m = int(np.argmin(within)) + 1
+            peak = np.abs(u[m + 1])
             # overall scale is fixed later, but keep values finite: every
             # row so far, so that no earlier row keeps its unscaled peak
-            stop = j + 1 + hits[0]
-            u[:stop + 1] /= np.where(big[hits[0]], np.abs(u[stop]), 1.0)
-        j = stop
-    del a, b
-    u = np.ascontiguousarray(u.T)
+            divisor = np.where(peak > _RENORM_LIMIT, peak, 1.0)
+            u[:m + 2] /= divisor
+        finish(j + 1, u[2:m + 2], divisor)
+        u[:2] = u[m:m + 2]
+        j += m
+    return np.array([_wkb_scale(zeff, grid, jw, l, p, win[:, g]) for g, l in enumerate(ls)])
 
-    # normalize against the WKB amplitude in a window near the box edge
+
+def _wkb_scale(zeff: float, grid: RadialGrid, jw: np.ndarray, l: int, p: np.ndarray,
+               win: np.ndarray) -> np.ndarray:
+    """Per momentum, the factor that brings the unnormalized waves' rows
+    jw[0] - 1 ... jw[-1] + 1, ``win``, to the WKB amplitude sqrt(2/(pi k))
+    on average over the window; zero where the window is classically
+    forbidden or the factor is not finite."""
+    r = grid.radii()
     k2 = (p * p)[:, None] + 2.0 * zeff / r[jw][None, :] \
         - l * (l + 1) / (r[jw] * r[jw])[None, :]
     valid = np.all(k2 > 0.0, axis=1)
     k = np.sqrt(np.where(k2 > 0.0, k2, 1.0))
-    uw = u[:, jw]
-    dk = (u[:, jw + 1] - u[:, jw - 1]) / (2.0 * dr) / k
+    rows = np.ascontiguousarray(win.T)     # (len(p), window rows)
+    uw = rows[:, 1:-1]
+    dk = (rows[:, 2:] - rows[:, :-2]) / (2.0 * grid.dr) / k
     with np.errstate(over="ignore"):
         amp = np.sqrt(uw ** 2 + dk ** 2)
     # Numerov values may grow to the renormalization limit, and their
@@ -196,8 +254,31 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
         amp[huge] = np.hypot(uw[huge], dk[huge])
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.mean(np.sqrt(2.0 / (math.pi * k)) / amp, axis=1)
-    good = valid & np.isfinite(scale)
-    u *= np.where(good, scale, 0.0)[:, None]
+    return np.where(valid & np.isfinite(scale), scale, 0.0)
+
+
+def continuum_waves(zeff: float, grid: RadialGrid, l: int,
+                    p: np.ndarray) -> np.ndarray:
+    """Regular radial continuum waves u_pl(r) for every momentum in p.
+
+    Shape (len(p), n_points), C-contiguous, energy-normalized: the
+    asymptotic amplitude is sqrt(2/(pi p)).  zeff = 0 gives free
+    spherical waves.  Momenta whose WKB window is classically forbidden
+    (possible for high l at very low p) come back as all-zero rows.
+    p must be finite, positive and below the lattice band edge 2/dr, and
+    the grid must have a point in the window; anything else raises
+    ValueError.  This is the projection's Numerov sweep on one l, its
+    finished blocks of rows written into the result.
+    """
+    p = _check_momenta(p, grid, as_grid=False)
+    u = np.empty((len(p), grid.n_points))
+
+    def take(k0, rows, divisor):
+        if divisor is not None:
+            u[:, :k0] /= divisor[0, :, None]
+        u[:, k0:k0 + len(rows)] = rows[:, 0].T
+
+    u *= _numerov_sweep(zeff, grid, (l,), p, take)[0, :, None]
     return u
 
 
@@ -267,6 +348,30 @@ class IonizationAmplitudes:
         return float(np.trapezoid(dens, self.p))
 
 
+def _wave_products(zeff: float, grid: RadialGrid, ls, p: np.ndarray,
+                   psi: np.ndarray) -> list[np.ndarray]:
+    """For each l in ls, the energy-normalized waves of l times the
+    (re, im) pairs of psi's l + 1 rows of that l: a real (len(p), 2 l + 2)
+    array, summed block by block as one Numerov sweep goes, so no wave
+    array is formed."""
+    pairs, prods = [], []
+    for l in ls:
+        i0 = even_index(l, -l)
+        pairs.append(np.ascontiguousarray(psi[i0:i0 + l + 1].T).view(np.float64))
+        prods.append(np.zeros((len(p), 2 * (l + 1))))
+
+    def take(k0, rows, divisor):
+        for g, (pair, prod) in enumerate(zip(pairs, prods)):
+            if divisor is not None:
+                prod /= divisor[g, :, None]
+            prod += rows[:, g].T @ pair[k0:k0 + len(rows)]
+
+    scale = _numerov_sweep(zeff, grid, ls, p, take)
+    for prod, s in zip(prods, scale):
+        prod *= s[:, None]
+    return prods
+
+
 def project_scattering_states(state: WavefunctionState, system,
                               p: np.ndarray) -> IonizationAmplitudes:
     """Project a final-time state onto ingoing Coulomb scattering states.
@@ -274,30 +379,25 @@ def project_scattering_states(state: WavefunctionState, system,
     The phase convention per partial wave is (-i)^l e^{i sigma_l} with
     sigma_l = arg Gamma(l+1+i eta), eta = -Zeff/p, which makes the
     coherent sum over channels carry the physical angular interference.
+    p must be a strictly increasing grid of at least 2 momenta that
+    ``continuum_waves`` accepts; other p, or a grid without a point in
+    the WKB window, raise ValueError before any work.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) < 2:
-        raise ValueError("p must be a 1-D grid of at least 2 momenta")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("p must be finite")
-    if np.any(p <= 0.0):
-        raise ValueError("p = 0 is excluded: continuum normalization is singular")
-    if np.any(np.diff(p) <= 0.0):
-        raise ValueError("p must be strictly increasing")
+    grid = state.grid
+    p = _check_momenta(p, grid, as_grid=True)
+    size = _group_size(grid)
     zeff = system.Zeff
     cleaned, removed = remove_bound(state, zeff)
-    dr = state.grid.dr
     eta = -zeff / p
     a = np.empty((len(state.psi), len(p)), dtype=np.complex128)
     inv_sqrt_p = 1.0 / np.sqrt(p)
-    for l in range(state.l_max + 1):
-        waves = continuum_waves(zeff, state.grid, l, p)
-        phase = (-1j) ** l * np.exp(1j * coulomb_phase(l, eta)) * inv_sqrt_p
-        i0 = even_index(l, -l)
-        # the waves are real: one real product on the (re, im) pairs
-        pairs = np.ascontiguousarray(cleaned.psi[i0:i0 + l + 1].T).view(np.float64)
-        proj = (waves @ pairs).view(np.complex128)      # (len(p), l+1)
-        a[i0:i0 + l + 1] = (proj * dr).T * phase[None, :]
+    for l0 in range(0, state.l_max + 1, size):
+        ls = range(l0, min(l0 + size, state.l_max + 1))
+        for l, prod in zip(ls, _wave_products(zeff, grid, ls, p, cleaned.psi)):
+            phase = (-1j) ** l * np.exp(1j * coulomb_phase(l, eta)) * inv_sqrt_p
+            i0 = even_index(l, -l)
+            proj = prod.view(np.complex128)              # (len(p), l+1)
+            a[i0:i0 + l + 1] = (proj * grid.dr).T * phase[None, :]
     return IonizationAmplitudes(p=p, l_max=state.l_max, a=a, bound_removed=removed)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -458,9 +459,15 @@ class TestTdse:
 
     def test_mini_run_writes_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI_TDSE_CFG)
+        start = time.perf_counter()
         rc = main(["tdse", "--config", cfg, "--out", str(tmp_path)])
+        wall = time.perf_counter() - start
         assert rc == EXIT_OK
         report = json.loads((tmp_path / "tdse_report.json").read_text())
+        timings = report["timings"]
+        assert sorted(timings) == ["propagate_s", "readout_s", "write_s"]
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= wall
         assert report["no_ionization"] is False
         assert report["norm_final"] == pytest.approx(1.0, abs=1e-6)
         assert report["max_defect"] <= 1e-10

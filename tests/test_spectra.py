@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y, spherical_jn
 
+from tunnelqs import spectra
 from tunnelqs.atomic import AtomicSystem
 from tunnelqs.constants import au_time_as
 from tunnelqs.spectra import (
@@ -145,6 +146,19 @@ class TestContinuumWaves:
         u = continuum_waves(1.0, RadialGrid(dr=dr, r_max=r_max), l, p)
         assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("l", [0, 3, 8])
+    def test_guard_limit_is_only_a_scale(self, grid, l, monkeypatch):
+        # the guard divides each wave by a constant, so the normalized waves
+        # do not depend on its limit; at 0.1 it fires on nearly every block,
+        # inside the normalization window too
+        p = np.linspace(0.05, 2.5, 50)
+        want = continuum_waves(1.0, grid, l, p)
+        for limit in (0.1, 1.0, 10.0, 1e6):
+            monkeypatch.setattr(spectra, "_RENORM_LIMIT", limit)
+            u = continuum_waves(1.0, grid, l, p)
+            gap = np.abs(u - want).max(axis=1) / np.abs(want).max(axis=1)
+            assert gap.max() <= 1e-12
+
     def test_memory_peak(self):
         grid = RadialGrid(dr=0.1, r_max=120.0)
         p = np.linspace(0.05, 2.5, 800)
@@ -155,8 +169,9 @@ class TestContinuumWaves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # coefficients 2 + 10 t and 1 - t plus the waves: 3.0x the result
-        assert peak <= 3.25 * u.nbytes
+        # the waves plus the sweep's block and window rows and the window's
+        # normalization: 1.98x the result (whole coefficient arrays took 3.07x)
+        assert peak <= 2.0 * u.nbytes
 
     @pytest.mark.parametrize("l", [0, 1, 4])
     def test_free_waves_are_bessel(self, grid, l):
@@ -363,6 +378,110 @@ class TestProjection:
     def test_smoke_ionized_fraction(self, smoke_amps):
         # regression pin for this exact pulse and grid
         assert smoke_amps.total_ionized() == pytest.approx(0.12, abs=0.01)
+
+
+def whole_wave_amplitudes(state, system, p):
+    """The projection as whole continuum_waves arrays give it: each l's
+    waves times its bound-cleaned rows, scaled by dr and phased."""
+    cleaned, _ = remove_bound(state, system.Zeff)
+    eta = -system.Zeff / p
+    a = np.empty((len(state.psi), len(p)), dtype=np.complex128)
+    for l in range(state.l_max + 1):
+        i0 = even_index(l, -l)
+        waves = continuum_waves(system.Zeff, state.grid, l, p)
+        phase = (-1j) ** l * np.exp(1j * coulomb_phase(l, eta)) / np.sqrt(p)
+        a[i0:i0 + l + 1] = cleaned.psi[i0:i0 + l + 1] @ waves.T * state.grid.dr * phase
+    return a
+
+
+def random_state(grid, l_max, seed=3):
+    """Every even channel filled with a seeded packet around 0.4 r_max."""
+    rng = np.random.default_rng(seed)
+    shape = (even_channels(l_max)[0].size, grid.n_points)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi *= np.exp(-((grid.radii() - 0.4 * grid.r_max) / (0.2 * grid.r_max)) ** 2)
+    return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0)
+
+
+class TestStreamedProjection:
+    """The projection sums each block of Numerov rows into its products as
+    the sweep goes, several l side by side, with no wave array."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """(l values, guard rescales) of every sweep, with the sweep itself unchanged."""
+        calls = []
+        sweep = spectra._numerov_sweep
+
+        def spied(zeff, grid, ls, p, take):
+            calls.append([list(ls), 0])
+
+            def spy(k0, rows, divisor):
+                calls[-1][1] += divisor is not None
+                take(k0, rows, divisor)
+
+            return sweep(zeff, grid, ls, p, spy)
+
+        monkeypatch.setattr(spectra, "_numerov_sweep", spied)
+        return calls
+
+    @pytest.mark.parametrize("case", ["smoke", "guard", "groups", "l_max 0"])
+    def test_equals_whole_waves(self, case, hydrogen, sweeps, monkeypatch):
+        grid, l_max, p = RadialGrid(dr=0.1, r_max=60.0), 8, np.linspace(0.02, 4.0, 400)
+        if case == "guard":
+            # at the real limit the guard fires only beyond l ~ 100 on these
+            # grids; at 1e8 it fires at low p from l = 8 on, inside mixed groups
+            monkeypatch.setattr(spectra, "_RENORM_LIMIT", 1e8)
+            l_max, p = 12, np.linspace(0.02, 2.0, 100)
+        elif case == "groups":
+            grid, l_max, p = RadialGrid(dr=0.2, r_max=40.0), 20, np.linspace(0.05, 3.0, 60)
+        elif case == "l_max 0":
+            l_max = 0
+        state = random_state(grid, l_max)
+        a = project_scattering_states(state, hydrogen, p).a
+        streamed = list(sweeps)
+        want = whole_wave_amplitudes(state, hydrogen, p)
+        per_row = np.abs(a - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert per_row.max() <= 1e-13
+        # consecutive l in groups of _group_size, one sweep each
+        size = spectra._group_size(grid)
+        assert [ls for ls, _ in streamed] == [list(range(l0, min(l0 + size, l_max + 1)))
+                                              for l0 in range(0, l_max + 1, size)]
+        assert len(streamed) == {"smoke": 2, "guard": 3, "groups": 11, "l_max 0": 1}[case]
+        rescales = sum(n for _, n in streamed)
+        assert (rescales > 0) == (case == "guard")
+
+    def test_group_sizes(self):
+        # the sweep's buffers stay within 3 n_points doubles per momentum
+        assert spectra._group_size(RadialGrid(dr=0.1, r_max=120.0)) == 11
+        assert spectra._group_size(RadialGrid(dr=0.1, r_max=60.0)) == 6
+        assert spectra._group_size(RadialGrid(dr=0.1, r_max=0.5)) == 1
+
+    @pytest.mark.parametrize("r_max, p, match", [
+        (20.0, [0.5, 20.0], "band edge 2/dr = 20"),
+        (0.3, [0.5, 1.0], "no interior point"),
+    ])
+    def test_rejected_before_the_sweep(self, hydrogen, sweeps, r_max, p, match):
+        # checked up front, before the bound removal and the sweep
+        state = random_state(RadialGrid(dr=0.1, r_max=r_max), 1)
+        with pytest.raises(ValueError, match=match):
+            project_scattering_states(state, hydrogen, np.array(p))
+        assert sweeps == []
+
+    def test_memory_peak(self, hydrogen):
+        # l_max 16, r_max 120 and 800 momenta, as perfbench's
+        # spectra_reprocess: 35.3 MB streamed, within the 36.7 MB that one
+        # whole (p, r) wave array per l and its coefficient arrays took
+        state = random_state(RadialGrid(dr=0.1, r_max=120.0), 16)
+        p = np.linspace(0.05, 2.5, 800)
+        project_scattering_states(state, hydrogen, p)   # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            project_scattering_states(state, hydrogen, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36.7e6
 
 
 class TestMomentumDistribution:

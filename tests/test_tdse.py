@@ -10,6 +10,7 @@ from tunnelqs.spectra import attoclock_readout, default_phi_grid
 from tunnelqs.tdse import (
     DEFAULT_MAX_CHANNELS,
     DEFAULT_TOL,
+    MAX_ZEFF_DR,
     PropagationError,
     Propagator,
     PulseParams,
@@ -847,8 +848,23 @@ class TestPlanning:
         pulse = PulseParams(F0=50.0, omega=3.0)
         _, nch, warnings = plan_run(s, grid, pulse, l_max=100)
         assert nch == 10201
-        assert len(warnings) == 1
+        assert len(warnings) == 2
         assert "not desk scale" in warnings[0]
+        # Zeff dr = 1.8: hydrogen on dr 1.8
+        assert warnings[1] == ("under-resolved radial grid: Zeff dr = 1.8 exceeds 0.2; "
+                               "dr = 0.0111 would meet it")
+
+    @pytest.mark.parametrize("z, dr, warned", [(10.0, 0.1, True), (2.0, 0.1, False),
+                                               (10.0, 0.02, False), (3.0, 0.1, True)])
+    def test_under_resolved_grid_warns(self, z, dr, warned):
+        # Z 10 on dr 0.1 is hydrogen on dr 1: E0 2.4% and theta 0.056 rad off
+        s = make_system(z)
+        grid = RadialGrid(dr=dr, r_max=20.0)
+        _, _, warnings = plan_run(s, grid, PulseParams(F0=0.5, omega=0.8), l_max=2)
+        assert [w for w in warnings if "under-resolved" in w] == (
+            [f"under-resolved radial grid: Zeff dr = {z * dr:.3g} exceeds 0.2; "
+             f"dr = {0.2 / z:.3g} would meet it"] if warned else [])
+        assert MAX_ZEFF_DR == 0.2
 
 
 class TestCheckpoint:
