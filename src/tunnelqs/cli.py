@@ -518,11 +518,12 @@ def cmd_tdse(args, resolved: dict) -> int:
                       multimodal=offset.multimodal, secondary_ratio=offset.secondary_ratio)
 
         comments = config_lines(resolved)
-        n_p, n_phi = dist.density.shape
-        momentum = np.rec.fromarrays(
-            [np.repeat(dist.p, n_phi), np.tile(dist.phi, n_p), dist.density.ravel()],
-            names="p,phi,density")
-        emit_table(momentum, dest=out_dir / "tdse_momentum.csv", header_comments=[
+        # one row per (p, phi) point, p slowest, filled in place
+        momentum = np.empty(dist.density.shape, [("p", "f8"), ("phi", "f8"), ("density", "f8")])
+        momentum["p"] = dist.p[:, None]
+        momentum["phi"] = dist.phi
+        momentum["density"] = dist.density
+        emit_table(momentum.reshape(-1), dest=out_dir / "tdse_momentum.csv", header_comments=[
             *comments, "columns: p, phi, density; phi from +x axis; "
             "density rescaled so sum P p dp dphi = ionized probability"])
         angular = np.rec.fromarrays([ang.phi, ang.values], names="phi,P")

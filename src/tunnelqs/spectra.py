@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import au_time_as
-from .tdse import RadialGrid, WavefunctionState, even_channels, even_index, radial_hamiltonian
+from .tdse import RadialGrid, WavefunctionState, even_channels, l_block, radial_hamiltonian
 
 __all__ = [
     "AngularDistribution",
@@ -314,8 +314,7 @@ def remove_bound(state: WavefunctionState, zeff: float) -> tuple[WavefunctionSta
         basis = bound_states(zeff, state.grid, l)
         if basis.shape[0] == 0:
             continue
-        i0 = even_index(l, -l)
-        block = out.psi[i0:i0 + l + 1]
+        block = out.psi[l_block(l)]
         coef = block @ basis.T * dr           # (l+1, k)
         block -= coef @ basis
         removed += float(np.sum(np.abs(coef) ** 2))
@@ -356,8 +355,7 @@ def _wave_products(zeff: float, grid: RadialGrid, ls, p: np.ndarray,
     array is formed."""
     pairs, prods = [], []
     for l in ls:
-        i0 = even_index(l, -l)
-        pairs.append(np.ascontiguousarray(psi[i0:i0 + l + 1].T).view(np.float64))
+        pairs.append(np.ascontiguousarray(psi[l_block(l)].T).view(np.float64))
         prods.append(np.zeros((len(p), 2 * (l + 1))))
 
     def take(k0, rows, divisor):
@@ -395,9 +393,8 @@ def project_scattering_states(state: WavefunctionState, system,
         ls = range(l0, min(l0 + size, state.l_max + 1))
         for l, prod in zip(ls, _wave_products(zeff, grid, ls, p, cleaned.psi)):
             phase = (-1j) ** l * np.exp(1j * coulomb_phase(l, eta)) * inv_sqrt_p
-            i0 = even_index(l, -l)
             proj = prod.view(np.complex128)              # (len(p), l+1)
-            a[i0:i0 + l + 1] = (proj * grid.dr).T * phase[None, :]
+            a[l_block(l)] = (proj * grid.dr).T * phase[None, :]
     return IonizationAmplitudes(p=p, l_max=state.l_max, a=a, bound_removed=removed)
 
 
@@ -447,9 +444,8 @@ def momentum_distribution(amps: IonizationAmplitudes, p: np.ndarray,
     l_max = amps.l_max
     c = np.zeros((2 * l_max + 1, len(p)), dtype=np.complex128)
     for l in range(l_max + 1):
-        i0 = even_index(l, -l)
         y = sph_harm_y(l, np.arange(-l, l + 1, 2), math.pi / 2.0, 0.0).real
-        c[l_max - l:l_max + l + 1:2] += y[:, None] * amps.a[i0:i0 + l + 1]
+        c[l_max - l:l_max + l + 1:2] += y[:, None] * amps.a[l_block(l)]
     m = np.arange(-l_max, l_max + 1)
     psi = c.T @ np.exp(1j * m[:, None] * phi[None, :])
     density = np.abs(psi) ** 2

@@ -31,11 +31,13 @@ the factors factors the prefix of the rows, and the coupling on each
 prefix is built once.
 
 The iteration starts midway between psi and the order-4 (``ORDER``)
-extrapolation of the last five step-start states, kept in a ring and
-combined in one matrix product over the window's rows; a state the
-stepper did not produce itself starts from psi.  Every array of psi's
-size that a step needs, the ring included, is a work buffer allocated
-with the operators, so the step loop allocates no large temporaries.
+extrapolation of the last five states the stepper produced, kept in a
+ring and combined in one matrix product over the window's rows; the
+ring's newest entry is the state the last step produced, so a step
+copies the state once, into the ring, and a state the stepper did not
+produce itself starts from psi.  Every array of psi's size that a step
+needs, the ring included, is a work buffer allocated with the
+operators, so the step loop allocates no large temporaries.
 
 Importing this module loads no scipy submodule: the ground state's
 eigensolver and the coupling matrix import theirs when called, and a
@@ -69,6 +71,7 @@ __all__ = [
     "envelope",
     "even_channels",
     "even_index",
+    "l_block",
     "load_checkpoint",
     "plan_run",
     "radial_hamiltonian",
@@ -180,6 +183,16 @@ def channel_index(l: int, m: int) -> int:
 def even_index(l: int, m: int) -> int:
     """Row of channel (l, m), l + m even, in a state: l(l+1)/2 + (l+m)/2."""
     return l * (l + 1) // 2 + (l + m) // 2
+
+
+def _rows(blocks: int) -> int:
+    """Rows of the l blocks 0..blocks - 1, a prefix of a state's rows."""
+    return blocks * (blocks + 1) // 2
+
+
+def l_block(l: int) -> slice:
+    """Rows of a state that hold l, its channels m = -l, -l + 2, ..., l."""
+    return slice(_rows(l), _rows(l + 1))
 
 
 def even_channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,8 +331,7 @@ class WavefunctionState:
         return np.sum(np.abs(self.psi) ** 2, axis=1) * self.grid.dr
 
     def populations_by_l(self) -> np.ndarray:
-        starts = [even_index(l, -l) for l in range(self.l_max + 1)]
-        return np.add.reduceat(self.populations(), starts)
+        return np.add.reduceat(self.populations(), _rows(np.arange(self.l_max + 1)))
 
     def copy(self) -> "WavefunctionState":
         return replace(self, psi=self.psi.copy())
@@ -390,11 +402,6 @@ _BY_AGE = (np.eye(ORDER + 1)[0]
                        for h in range(ORDER + 1)])) / 2.0
 
 
-def _rows(blocks: int) -> int:
-    """Rows of the l blocks 0..blocks - 1, a prefix of a state's rows."""
-    return blocks * (blocks + 1) // 2
-
-
 class Propagator:
     """Crank-Nicolson stepper of a state's even l + m channels, with
     operators assembled once per dt.
@@ -413,35 +420,37 @@ class Propagator:
     the 1/(2 dr) of the central difference folded into its derivative
     columns, so it acts on s = [2 dr du/dr ; u/r]; the same matrix on the
     rows of each block count, and the prefixes of the LU factors, are
-    kept by row count.  The work buffers are the two midpoint iterates,
-    H_int m, s (``stacked``, scratch of ``apply_interaction``) and
-    ``pair``, the coupling product [D+ s ; D- s].  ``states`` is a ring
-    of ORDER + 1 step-start states, one array, whose newest entry is
-    ``head``.
+    kept by row count.  The work buffers are the two midpoint iterates
+    (the second also holds H_int m), s (``stacked``, scratch of
+    ``apply_interaction``) and ``pair``, the coupling product
+    [D+ s ; D- s].  ``states`` is a ring of the ORDER + 1 states the
+    steps produced, one array; its newest entry, ``head``, is the state
+    the last step produced and the one the next step starts from.
 
     A step propagates the l blocks 0..``blocks`` - 1 as the module
     describes and carries the rows above over unchanged.  It iterates on
-    the midpoint m and returns 2 m - psi; without a field it is
-    2 (1 + i dt/2 H_atom)^-1 psi - psi, with no iteration.  The iteration
-    starts midway between psi and the extrapolation of order
-    h = ``history`` through the h + 1 newest step-start states, whose
-    entry of age j weighs (-1)^j C(h + 1, j + 1), so h = 2 extrapolates
-    3 psi_n - 3 psi_(n-1) + psi_(n-2); the combination is one real matrix
-    product over the ring.  Before each product with H_int, the window
-    grows by one block if the iterate's top block holds more than
-    ``REACH``, the new rows taken from psi.  ``history`` counts the ring
-    entries behind the newest that the next step may extrapolate from, up
-    to ORDER (4).  It and the window are kept only for the state this
-    instance produced last (``produced``), unchanged, at the time its
-    last step ended; any other state (another state, an edited one, a
-    different t, or a step after a failure) starts from psi_n (h = 0),
-    with the window one block past its highest above ``REACH``, and its
-    ring restarts at entry 0, so the h + 1 newest entries are always the
-    first ones or the whole ring; a field-free step also resets h.  The
-    start changes only the iteration count: every step iterates until the
-    defect 2 |m_(k+1) - m_k|, the change of the step's result, is at most
-    ``tol``, and a step still above it after ``MAX_ITER`` (50) iterations
-    raises :class:`PropagationError`.
+    the midpoint m and writes 2 m - psi over the window's rows of the
+    state, then copies the state once, into the next ring entry, which
+    becomes ``head``.  The iteration starts midway between psi and the
+    extrapolation of order h = ``history`` through the h + 1 newest ring
+    entries, whose entry of age j weighs (-1)^j C(h + 1, j + 1), so h = 2
+    extrapolates 3 psi_n - 3 psi_(n-1) + psi_(n-2); the combination is
+    one real matrix product over the ring.  Before each product with
+    H_int, the window grows by one block if the iterate's top block holds
+    more than ``REACH``, the new rows taken from psi.  ``history`` counts
+    the ring entries behind the newest that the next step may extrapolate
+    from, up to ORDER (4).  It and the window are kept only for a state
+    equal to the ring's newest entry at the time the last step ended; the
+    whole psi is compared, so an edited state is caught.  Any other state
+    (another state, an edited one, a different t, or a step after a
+    failure) is copied into ring entry 0 and starts from psi_n (h = 0),
+    with the window one block past its highest above ``REACH``, so the
+    h + 1 newest entries are always the first ones or the whole ring.  A
+    field-free step is no special case: its second iteration repeats the
+    first exactly.  The start changes only the iteration count: every
+    step iterates until the defect 2 |m_(k+1) - m_k|, the change of the
+    step's result, is at most ``tol``, and a step still above it after
+    ``MAX_ITER`` (50) iterations raises :class:`PropagationError`.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -460,7 +469,6 @@ class Propagator:
         self.history = 0
         self.head = 0
         self.blocks = l_max + 1
-        self.produced = None
         n = grid.n_points
         l, _ = even_channels(l_max)
         h_by_l = [radial_hamiltonian(system.Zeff, grid, k) for k in range(l_max + 1)]
@@ -481,9 +489,9 @@ class Propagator:
             self._by_rows[rows] = (couple, (dl[:size - 1], d[:size], du[:size - 1],
                                             du2[:size - 2], ipiv[:size]))
         self.couple = self._by_rows[l.size][0]
-        self.diag = diag.astype(np.complex128)   # no cast per product
+        self.diag = diag
         shape, pair_shape = diag.shape, (2 * len(diag), n)
-        self.m, self.mn, self.h_m = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+        self.m, self.mn = (np.empty(shape, dtype=np.complex128) for _ in range(2))
         self.stacked, self.pair = (np.empty(pair_shape, dtype=np.complex128) for _ in range(2))
         self.states = np.empty((ORDER + 1, *shape), dtype=np.complex128)
 
@@ -544,34 +552,18 @@ class Propagator:
         if state.grid != self.grid or state.l_max != self.l_max:
             raise ValueError(f"state (l_max {state.l_max}, {state.grid}) does not fit the "
                              f"propagator (l_max {self.l_max}, {self.grid})")
-        ax, ay = vector_potential(pulse, state.t + 0.5 * self.dt)
-        if not (state.t == self._t_end and np.array_equal(state.psi, self.produced)):
-            self.history = 0
+        atilde = complex(*vector_potential(pulse, state.t + 0.5 * self.dt))
+        if not (state.t == self._t_end and np.array_equal(state.psi, self.states[self.head])):
+            self.history, self.head = 0, 0
+            np.copyto(self.states[0], state.psi)
             # NaN counts as reached, so it stays inside the window and fails there
             reached = np.flatnonzero(~(state.populations_by_l() <= REACH))
             self.blocks = min(int(reached[-1]) + 1 if reached.size else 0, self.l_max) + 1
         self._t_end = None
-        self.head = (self.head + 1) % (ORDER + 1) if self.history else 0
         psi = self.states[self.head]
-        np.copyto(psi, state.psi)
-        new, iterations, defect = self._advance(psi, complex(ax, ay), step_index)
-        np.copyto(state.psi, new)
-        self.produced = new
-        state.t += self.dt
-        self._t_end = state.t
-        return iterations, defect
-
-    def _advance(self, psi: np.ndarray, atilde: complex,
-                 step_index: int) -> tuple[np.ndarray, int, float]:
         half = 0.5j * self.dt
         m, mn = self.m, self.mn
         rows = self.rows
-        if atilde == 0.0:
-            self.history = 0   # the next field-on step starts afresh
-            w = self._solve_implicit(np.multiply(2.0, psi[:rows], out=m[:rows]))   # 2 m, exactly
-            w -= psi[:rows]
-            m[rows:] = psi[rows:]
-            return m, 1, 0.0
         # the start, one real matrix product over the window's rows of the
         # h + 1 newest ring entries, weighted by their ages
         h = self.history
@@ -582,25 +574,31 @@ class Propagator:
         scale = 2.0 * math.sqrt(self.grid.dr)      # 2 m - psi moves twice as far as m
         for it in range(1, MAX_ITER + 1):
             if self.blocks <= self.l_max:
-                top = m[_rows(self.blocks - 1):rows]
+                top = m[l_block(self.blocks - 1)]
                 if np.vdot(top, top).real * self.grid.dr > REACH:
                     self.blocks += 1
                     m[rows:self.rows] = psi[rows:self.rows]
                     rows = self.rows
-            h_m = self.apply_interaction(m[:rows], atilde, out=self.h_m[:rows])
-            w = np.multiply(half, h_m, out=mn[:rows])
+            w = self.apply_interaction(m[:rows], atilde, out=mn[:rows])
+            np.multiply(half, w, out=w)
             np.subtract(psi[:rows], w, out=w)
             w = self._solve_implicit(w)
             diff = np.subtract(w, m[:rows], out=m[:rows])   # m is not needed again
             defect = math.sqrt(np.vdot(diff, diff).real) * scale
             if defect <= self.tol:
-                self.history = min(self.history + 1, ORDER)
-                w *= 2.0
-                w -= psi[:rows]
-                mn[rows:] = psi[rows:]
-                return mn, it, defect
+                break
             m, mn = mn, m
-        raise PropagationError(defect, self.tol, step_index)
+        else:
+            raise PropagationError(defect, self.tol, step_index)
+        # the rows above the window already hold psi's values
+        w *= 2.0
+        np.subtract(w, psi[:rows], out=state.psi[:rows])
+        self.head = (self.head + 1) % (ORDER + 1)
+        np.copyto(self.states[self.head], state.psi)
+        self.history = min(self.history + 1, ORDER)
+        state.t += self.dt
+        self._t_end = state.t
+        return it, defect
 
 
 def default_dt(zeff: float) -> float:
@@ -639,10 +637,11 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     n_steps += pulse.duration - n_steps * dt >= 1e-12 * pulse.duration
     warnings = []
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
-        # psi (the even channels), their diagonals (1 psi), LU factors
-        # (5 psi) and the work buffers (12 psi, 5 of them the ring): a whole
-        # run at l_max = 20, r_max = 200 peaked at 19.3 psi above the import
-        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 19 / 1e6
+        # psi (the even channels), their real diagonals (0.5 psi), LU
+        # factors (4.25 psi) and the work buffers (11 psi, 5 of them the
+        # ring): a whole run at l_max = 20, r_max = 200 peaked at 17.8 psi
+        # above the import of scipy's solvers
+        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 18 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")

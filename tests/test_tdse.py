@@ -289,11 +289,15 @@ class TestInteraction:
     def test_zero_field_shortcut(self, prop, shape):
         psi = np.ones(shape, dtype=np.complex128)
         assert not prop.apply_interaction(psi, 0.0).any()
-        # without a field a step is one atomic half-step solve
+        # without a field a step is one atomic half-step solve: the
+        # iteration's second iterate repeats the first exactly
         state, _ = build_ground_state(prop.system, prop.grid, prop.l_max)
         pulse = PulseParams(F0=0.5, omega=0.8)
         state.t = pulse.duration
-        assert prop.step(state, pulse) == (1, 0.0)
+        start = state.psi.copy()
+        assert prop.step(state, pulse) == (2, 0.0)
+        fresh = Propagator(prop.system, prop.grid, prop.l_max, prop.dt)
+        assert state.psi.tobytes() == (fresh._solve_implicit(2.0 * start) - start).tobytes()
 
     def test_solve_inverts_atomic_half_step(self, prop, shape):
         # (1 + i dt/2 H_atom) applied, then solved: any coupling across a
@@ -428,8 +432,11 @@ class TestCrankNicolsonOracle:
         half = 0.5j * prop.dt * h
         one = np.eye(len(h))
         expect = np.linalg.solve(one + half, (one - half) @ psi.ravel()).reshape(shape)
-        iterations, _ = prop.step(state, pulse)
-        assert iterations == 1 if f0 == 0.0 else iterations > 1
+        iterations, defect = prop.step(state, pulse)
+        if f0 == 0.0:
+            assert (iterations, defect) == (2, 0.0)
+        else:
+            assert iterations > 1
         np.testing.assert_allclose(state.psi, expect, rtol=0.0, atol=10 * prop.tol)
 
 
@@ -496,6 +503,8 @@ class TestPredictorHistory:
         prop = Propagator(s, grid, 3, 0.02)
         while state.t < 0.45 * pulse.duration:   # until the field is well on
             prop.step(state, pulse)
+            # the ring's newest entry is the state the step produced
+            assert prop.states[prop.head].tobytes() == state.psi.tobytes()
         assert prop.history == tdse.ORDER
         return prop, pulse, state
 
@@ -546,11 +555,19 @@ class TestPredictorHistory:
             assert prop.step(state, pulse) == fresh.step(twin, pulse)
         assert np.array_equal(state.psi, twin.psi)
 
-    def test_field_free_step_resets(self, setup):
+    def test_field_free_step_continues(self, setup):
+        # no special case without a field: the history carries on through
+        # the field-free step and the field step after it
         prop, pulse, state = setup
         idle = PulseParams(F0=0.0, omega=pulse.omega)
-        assert prop.step(state, idle) == (1, 0.0)
-        self._step_as_fresh(prop, pulse, state)
+        assert prop.step(state, idle) == (2, 0.0)
+        assert prop.history == tdse.ORDER
+        assert prop.states[prop.head].tobytes() == state.psi.tobytes()
+        twin = state.copy()
+        Propagator(prop.system, prop.grid, prop.l_max, prop.dt).step(twin, pulse)
+        prop.step(state, pulse)
+        assert prop.history == tdse.ORDER
+        np.testing.assert_allclose(state.psi, twin.psi, rtol=0.0, atol=10 * prop.tol)
 
 
 class TestWindow:
@@ -792,6 +809,16 @@ class TestStepAllocations:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * block_bytes
+
+    def test_buffers_fit_the_planned_working_set(self):
+        # plan_run's working-set factor counts these arrays (15.77 psi at
+        # this size); a buffer added here has to raise that factor too
+        prop = Propagator(make_system(1.0), RadialGrid(dr=0.1, r_max=60.0), 8, 0.02)
+        rows = even_channels(8)[0].size
+        arrays = [a for a in vars(prop).values() if isinstance(a, np.ndarray)]
+        arrays += prop._by_rows[rows][1]     # the full-row LU factors
+        psi_bytes = rows * prop.grid.n_points * 16
+        assert sum(a.nbytes for a in arrays) <= 16 * psi_bytes
 
 
 class TestPlanning:
