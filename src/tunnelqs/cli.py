@@ -23,16 +23,18 @@ and then prints either.  ``delays`` prints one row of ``scan.tabulate``,
 the evaluator ``scan`` uses; ``scan.emit_table`` writes any structured
 table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 
-Exit codes: 0 success, 2 configuration error (also a config key set
-twice, an ``--out`` that cannot be written, a tdse grid with dr <= 0,
-r_max <= dr or r_max/dr not whole, a tdse dt with T1/dt not finite, a
-tdse p_max at or beyond the grid's band edge 2/dr, tdse spectra or
-checkpoint settings that would fail only after propagating, and a
-setting that would change nothing: ``scan`` preset with Z/F/zeta/rel,
-``zeta-qs`` thick without F, ``tdse`` rel), 3 domain error (invalid
-physical inputs, barrier-suppression regime), 4 numerical failure (also
-a non-finite ionized probability).  JSON reports write non-finite
-numbers as null (scan tables: NaN as null, inf as Infinity).
+``tdse`` checks all it can before propagating (``--dry-run`` stops there),
+then clears the last run's report and CSVs from its output directory; the
+report holds every ``PulseResult`` field but the state, then the readout.
+
+Exit codes: 0 success, 2 configuration error (also a config key set twice,
+an ``--out`` that cannot be written, a tdse setting that fails a check
+before propagating, and a setting that would change nothing: ``scan``
+preset with Z/F/zeta/rel, ``zeta-qs`` thick without F, ``tdse`` rel), 3
+domain error (invalid physical inputs, barrier-suppression regime), 4
+numerical failure (also a non-finite ionized probability).  JSON reports
+write non-finite numbers as null (scan tables: NaN as null, inf as
+Infinity).
 """
 
 from __future__ import annotations
@@ -104,13 +106,13 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     low = text.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
 def resolve_settings(args, spec: dict) -> dict:
@@ -135,7 +137,7 @@ def resolve_settings(args, spec: dict) -> dict:
         if key in file_keys:
             raw = file_keys[key]
             try:
-                resolved[key] = _parse_bool(raw, key) if typ is bool else typ(raw)
+                resolved[key] = _parse_bool(raw) if typ is bool else typ(raw)
             except (TypeError, ValueError):
                 raise ConfigError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
             continue
@@ -187,7 +189,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _jsonable(x):
-    """``x`` with every non-finite float, at any depth, as None (JSON null)."""
+    """``x`` with arrays as lists and non-finite floats, at any depth, as None."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, list):
@@ -426,13 +430,17 @@ def cmd_tdse(args, resolved: dict) -> int:
     if resolved["rel"]:
         raise ConfigError("rel = true changes nothing here: the TDSE uses only "
                           "Zeff, not the relativistic ionization potential")
+    grid = RadialGrid(dr=resolved["dr"], r_max=resolved["r_max"])
     # checked here so --dry-run catches what would fail only after propagating
+    _wkb_window(grid)
     for key, ok, need in (
             ("n_p", resolved["n_p"] >= 2, ">= 2"),
             ("p_min", resolved["p_min"] > 0.0, "positive"),
             ("p_max", resolved["p_max"] > resolved["p_min"], "above p_min"),
             ("n_phi", resolved["n_phi"] >= 8, ">= 8"),
-            ("checkpoint_every", resolved["checkpoint_every"] >= 0, ">= 0")):
+            ("checkpoint_every", resolved["checkpoint_every"] >= 0, ">= 0"),
+            ("p_max", resolved["p_max"] < _band_edge(grid),
+             f"below the lattice band edge 2/dr = {_band_edge(grid):g}")):
         if not ok:
             raise ConfigError(f"{key} must be {need}, got {resolved[key]!r}")
     p = np.linspace(resolved["p_min"], resolved["p_max"], resolved["n_p"])
@@ -440,23 +448,14 @@ def cmd_tdse(args, resolved: dict) -> int:
         raise ConfigError("p_min, p_max and n_p must give strictly increasing momenta, "
                           f"got {resolved['p_min']!r}, {resolved['p_max']!r}, {resolved['n_p']}")
     system = _system_from(resolved)
-    grid = RadialGrid(dr=resolved["dr"], r_max=resolved["r_max"])
-    try:
-        _wkb_window(grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not resolved["p_max"] < _band_edge(grid):
-        raise ConfigError(f"p_max must be below the lattice band edge 2/dr = "
-                          f"{_band_edge(grid):g}, got {resolved['p_max']!r}")
     pulse = PulseParams(F0=resolved["F0"], omega=resolved["omega"],
                         ellipticity=resolved["ellipticity"],
                         carrier_phase=resolved["carrier_phase"])
     if resolved["dt"] is None:
         resolved["dt"] = default_dt(system.Zeff)
 
-    n_steps, n_channels, warnings = plan_run(
-        system, grid, pulse, resolved["l_max"], resolved["dt"],
-        max_channels=resolved["max_channels"], tol=resolved["tol"])
+    plan = {k: resolved[k] for k in ("l_max", "dt", "tol", "max_channels")}
+    n_steps, n_channels, warnings = plan_run(system, grid, pulse, **plan)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"# peak field = {_intensity_note(pulse.peak_field)}")
@@ -469,18 +468,18 @@ def cmd_tdse(args, resolved: dict) -> int:
 
     out_dir = resolve_out_path(args.out if args.out else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint = out_dir / "tdse_checkpoint.npz"
+    # a run that ends without ionization, or fails, leaves no earlier run's outputs
+    for name in ("tdse_report.json", "tdse_momentum.csv", "tdse_angular.csv"):
+        (out_dir / name).unlink(missing_ok=True)
 
     t_start = time.perf_counter()
-    result = run_pulse(system, grid, pulse, resolved["l_max"],
-                       dt=resolved["dt"], tol=resolved["tol"],
-                       max_channels=resolved["max_channels"],
-                       checkpoint_path=checkpoint,
+    result = run_pulse(system, grid, pulse, **plan,
+                       checkpoint_path=out_dir / "tdse_checkpoint.npz",
                        checkpoint_every=resolved["checkpoint_every"])
     t_propagated = time.perf_counter()
-    for w in result.warnings:
-        if w not in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+    # its warnings start with the plan's, printed above
+    for w in result.warnings[len(warnings):]:
+        print(f"warning: {w}", file=sys.stderr)
     print(f"propagation: {result.steps} steps, "
           f"norm {result.norm_initial:.12g} -> {result.norm_final:.12g}, "
           f"max per-step drift {result.max_step_norm_drift:.3e}, "
@@ -491,23 +490,9 @@ def cmd_tdse(args, resolved: dict) -> int:
         result.state, system, pulse, p, default_phi_grid(resolved["n_phi"]))
     t_read = time.perf_counter()
     total = amps.total_ionized()
-    report = {
-        "config": config_echo(resolved),
-        "energy0": result.energy0,
-        "steps": result.steps,
-        "norm_initial": result.norm_initial,
-        "norm_final": result.norm_final,
-        "max_step_norm_drift": result.max_step_norm_drift,
-        "max_defect": result.max_defect,
-        "max_iterations": result.max_iterations,
-        "iterations_total": result.iterations_total,
-        "propagated_row_fraction": result.propagated_row_fraction,
-        "populations_by_l": result.populations_by_l.tolist(),
-        "tail_fraction": result.tail_fraction,
-        "warnings": result.warnings,
-        "bound_removed": amps.bound_removed,
-        "total_ionized": total,
-    }
+    report = {"config": config_echo(resolved),
+              **{k: v for k, v in vars(result).items() if k != "state"},
+              "bound_removed": amps.bound_removed, "total_ionized": total}
 
     if offset is None:
         report.update(no_ionization=True, theta=None, tau_au=None, tau_as=None)

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import au_time_as
-from .tdse import RadialGrid, WavefunctionState, even_channels, l_block, radial_hamiltonian
+from .tdse import (RadialGrid, TdseConfigError, WavefunctionState, even_channels, l_block,
+                   radial_hamiltonian)
 
 __all__ = [
     "AngularDistribution",
@@ -69,14 +70,14 @@ _GUARD_ROWS = 64            # Numerov rows per growth check
 
 def _wkb_window(grid: RadialGrid) -> np.ndarray:
     """Grid indices in [0.8, 0.9] r_max, each with a neighbour on either
-    side, where continuum waves are normalized; ValueError if none."""
+    side, where continuum waves are normalized; TdseConfigError if none."""
     r = grid.radii()
     jw = np.flatnonzero((r >= 0.80 * grid.r_max) & (r <= 0.90 * grid.r_max))
     jw = jw[(jw > 0) & (jw < grid.n_points - 1)]
     if jw.size == 0:
-        raise ValueError(f"the radial grid (dr = {grid.dr:g}, r_max = {grid.r_max:g}) has no "
-                         "interior point in [0.8, 0.9] r_max, where continuum waves are "
-                         "normalized; use more radial points")
+        raise TdseConfigError(
+            f"the radial grid (dr = {grid.dr:g}, r_max = {grid.r_max:g}) has no interior point "
+            "in [0.8, 0.9] r_max, where continuum waves are normalized; use more radial points")
     return jw
 
 

@@ -157,9 +157,8 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self):
-        _require_finite(dr=self.dr, r_max=self.r_max)
-        if not self.dr > 0.0:
-            raise TdseConfigError(f"dr must be positive, got {self.dr}")
+        _require_positive(dr=self.dr)
+        _require_finite(r_max=self.r_max)
         if not self.r_max > self.dr:
             raise TdseConfigError(f"r_max must exceed dr, got {self.r_max}")
         ratio = self.r_max / self.dr

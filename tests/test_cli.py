@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,12 +25,19 @@ from tunnelqs.cli import (
     build_parser,
     main,
     read_config_file,
+    resolve_settings,
 )
-from tunnelqs.tdse import PulseParams
+from tunnelqs.tdse import PulseParams, PulseResult
 
 # solver knobs beyond F0/omega travel through config files by design
 MINI_TDSE_CFG = ("Z = 1\nF0 = 0.15\nomega = 1.2\nl_max = 4\nr_max = 30\n"
                  "n_p = 120\np_max = 1.8\nn_phi = 180\n")
+
+
+# an ionizing run in well under a second; dr = 0.25 gives the plan a
+# warning and l_max = 1 the run its own
+SMALL_TDSE_CFG = ("Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 1\ndr = 0.25\nr_max = 10\n"
+                  "dt = 0.05\nn_p = 20\nn_phi = 36\n")
 
 
 # SHA-256 of `delays` stdout: the text and JSON bytes of these calls are frozen
@@ -136,6 +144,12 @@ class TestDelays:
         assert main(["delays", *args.split(), "--format", fmt]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == DELAYS_DIGESTS[args, fmt]
+
+    def test_out_writes_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["delays", "--Z", "1", "--F", "0.05", "--out", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == f"wrote report to {path}\n"
+        assert json.loads(path.read_text())["config"]["F"] == "0.05"
 
     def test_intensity_note(self, capsys):
         main(["delays", "--Z", "18", "--F", "1"])
@@ -435,6 +449,28 @@ class TestConfigFiles:
         assert main(["delays", "--config", "/nonexistent/x.cfg",
                      "--Z", "1", "--F", "0.05"]) == EXIT_CONFIG
 
+    def test_missing_required_setting(self, capsys):
+        assert main(["delays", "--Z", "1"]) == EXIT_CONFIG
+        assert "config error: missing required setting 'F'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("delays", "Z = 1\nF = 0.05\nrel = maybe\n", "rel: expected bool, got 'maybe'"),
+        ("tdse", "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 2.5\n",
+         "l_max: expected int, got '2.5'"),
+    ])
+    def test_badly_typed_file_value(self, command, text, message, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, text)
+        argv = [command, "--config", cfg] + (["--dry-run"] if command == "tdse" else [])
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
+    def test_bool_off_in_file_is_false(self, tmp_path):
+        cfg = write_cfg(tmp_path, "Z = 1\nF = 0.05\nrel = off\n")
+        args = build_parser().parse_args(["delays", "--config", cfg])
+        assert resolve_settings(args, args.spec)["rel"] is False
+
 
 class TestTdse:
     def test_dry_run_published_scale(self, tmp_path, capsys):
@@ -494,6 +530,42 @@ class TestTdse:
         out = capsys.readouterr().out
         assert "offset angle theta" in out
         assert "ionized fraction" in out
+
+    def test_report_follows_the_run_record(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_TDSE_CFG)
+        assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "tdse_report.json").read_text())
+        run = [f.name for f in dataclasses.fields(PulseResult) if f.name != "state"]
+        assert list(report) == ["config", *run, "bound_removed", "total_ionized",
+                                "no_ionization", "theta", "tau_au", "tau_as", "phi_peak",
+                                "multimodal", "secondary_ratio", "timings"]
+        assert len(report["populations_by_l"]) == 2
+        # the plan's warning, then the run's own, each printed once
+        plan_warning, run_warning = report["warnings"]
+        assert plan_warning.startswith("under-resolved radial grid")
+        assert run_warning.startswith("population tail")
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
+            f"warning: {w}" for w in report["warnings"]]
+
+    def test_no_ionization_run_clears_an_earlier_runs_tables(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_TDSE_CFG)
+        assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "tdse_momentum.csv").exists()
+        assert main(["tdse", "--config", cfg, "--F", "0", "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / "tdse_report.json").read_text())["no_ionization"]
+        assert not (tmp_path / "tdse_momentum.csv").exists()
+        assert not (tmp_path / "tdse_angular.csv").exists()
+
+    def test_failed_run_leaves_no_earlier_report(self, tmp_path, capsys):
+        good = write_cfg(tmp_path, "Z = 1\nF0 = 0\nomega = 0.8\nl_max = 1\nr_max = 10\n",
+                         name="good.cfg")
+        assert main(["tdse", "--config", good, "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "tdse_report.json").exists()
+        bad = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 1\n"
+                                  "r_max = 10\ntol = 1e-30\n")
+        assert main(["tdse", "--config", bad, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert not (tmp_path / "tdse_report.json").exists()
 
     def test_zero_field_no_ionization(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "Z = 1\nomega = 1.2\nl_max = 1\nr_max = 20\n")

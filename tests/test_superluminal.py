@@ -210,6 +210,8 @@ class TestZetaQs:
         # 8 Zeff <= c: denominator closes the band
         assert zeta_qs(make_system(17.0), mode="smallF") is None
         assert zeta_qs(make_system(10.0), mode="smallF") is None
+        # c/8 < Zeff < c/4: the root c/(8 Zeff - c) exceeds 1
+        assert zeta_qs(make_system(20.0), mode="smallF") is None
 
     def test_small_f_limit_equation(self):
         # the F -> 0 quotient is c (1 + zeta)/(8 Zeff zeta); its root

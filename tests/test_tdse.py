@@ -848,6 +848,14 @@ class TestPlanning:
         # explicit override admits the same configuration
         plan_run(s, grid, pulse, l_max=200, max_channels=50000)
 
+    # -200 gives (l_max + 1)^2 above the channel guard: the sign is checked first
+    @pytest.mark.parametrize("l_max", [-1, -200])
+    def test_negative_l_max_rejected(self, l_max):
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=10.0)
+        with pytest.raises(TdseConfigError, match=rf"^l_max must be >= 0, got {l_max}$"):
+            plan_run(s, grid, PulseParams(F0=0.5, omega=0.8), l_max=l_max)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_step_rejected(self, bad):
         s = make_system(1.0)
