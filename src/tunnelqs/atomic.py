@@ -130,9 +130,8 @@ def make_system(Z: float, Zeff: float | None = None, relativistic: bool = False,
         if relativistic:
             _require(Z < c_au, Z, "Dirac point-nucleus level undefined for Z = {} "
                      f">= c = {c_au}")
-            # Python's pow on every entry: numpy squares by multiplication,
-            # which differs in the last bit for about 1 in 1000 ratios
-            Ip = c_au * c_au * (1.0 - np.sqrt(1.0 - np.vectorize(pow)(Z / c_au, 2)))
+            x = Z / c_au
+            Ip = c_au * c_au * (1.0 - np.sqrt(1.0 - x * x))
         else:
             with np.errstate(over="ignore"):
                 Ip = 0.5 * Z * Z

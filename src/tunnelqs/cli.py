@@ -131,7 +131,7 @@ def resolve_settings(args, spec: dict) -> dict:
     resolved = {}
     for key, (typ, default, _) in spec.items():
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
+        if flag is not None:
             resolved[key] = flag
             continue
         if key in file_keys:
@@ -368,9 +368,10 @@ def cmd_zeta_qs(args, resolved: dict) -> int:
     if fields.f_zeta1 is not None:
         lines.append(f"F_zeta1 = {fields.f_zeta1:.10g}")
     if root is None:
-        # Q is monotone in zeta, so one probe decides the side
-        probe_f = f if f is not None else system.f_atomic * 1e-9
-        side = "superluminal" if q_imed_b(system, probe_f, 0.5) < 1.0 else "subluminal"
+        # Q is monotone in zeta, so the mode's own Q at one zeta decides the
+        # side; Q(0) grows without bound as F -> 0, so smallF is subluminal
+        superluminal = f is not None and q_imed_b(system, f, 0.5, thick=resolved["thick"]) < 1.0
+        side = "superluminal" if superluminal else "subluminal"
         payload["zeta_qs"] = None
         payload["verdict"] = f"{side} for all zeta in [0, 1]"
         lines.append(f"no root: {payload['verdict']}")

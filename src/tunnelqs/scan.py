@@ -269,10 +269,10 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
 _POINTS = 400
 
 
-def _f_axis(system, lo=None, hi=None, count=_POINTS) -> AxisSpec:
+def _f_axis(system, lo=None, hi=None) -> AxisSpec:
     f_a = system.f_atomic
-    return AxisSpec("F", lo if lo is not None else f_a / count,
-                    hi if hi is not None else f_a, count)
+    return AxisSpec("F", lo if lo is not None else f_a / _POINTS,
+                    hi if hi is not None else f_a, _POINTS)
 
 
 def _f_sweeps(zs: tuple[float, ...]) -> list[ScanGrid]:

@@ -12,12 +12,13 @@ grid and normalized against the WKB amplitude in a window near the box
 edge, so no closed-form Coulomb functions are needed.  One sweep steps
 the (l, p) columns of several consecutive l together, one radius at a
 time along contiguous rows, and builds the coefficients of one guard
-block of radii at a time.  Bound content is projected out with
-eigenstates of the same discrete Hamiltonian before projection, since
-bound population aliases into low momenta otherwise.  The waves are
-real, so the projection adds each finished block of rows into every l's
-real product with the (re, im) pairs of its l + 1 rows, and scales the
-finished products to the WKB amplitude: no (p, r) wave array is formed.
+block of radii at a time.  Bound content is projected out first, since
+bound population aliases into low momenta otherwise, with the E < 0
+levels of the same discrete Hamiltonian, from the solver the
+propagation's ground state comes from.  The waves are real, so the
+projection adds each finished block of rows into every l's real product
+with the (re, im) pairs of its l + 1 rows, and scales the finished
+products to the WKB amplitude: no (p, r) wave array is formed.
 ``continuum_waves`` is the same sweep on one l, its blocks written into
 the result.
 
@@ -27,9 +28,9 @@ terms.  Momenta must be finite and positive, and angle grids finite and
 uniform with spacing 2 pi / n (``default_phi_grid``, any start angle);
 other input raises ValueError.
 
-scipy's eigensolver and special functions are imported inside the
-functions that call them, so importing this module loads no scipy
-submodule.
+scipy's special functions are imported inside the functions that call
+them, and the eigensolver inside that solver, so importing this module
+loads no scipy submodule.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import au_time_as
-from .tdse import (RadialGrid, TdseConfigError, WavefunctionState, even_channels, l_block,
-                   radial_hamiltonian)
+from .tdse import (RadialGrid, TdseConfigError, WavefunctionState, _bound_levels,
+                   even_channels, l_block)
 
 __all__ = [
     "AngularDistribution",
@@ -284,23 +285,9 @@ def continuum_waves(zeff: float, grid: RadialGrid, l: int,
 
 
 def bound_states(zeff: float, grid: RadialGrid, l: int) -> np.ndarray:
-    """Negative-energy eigenstates of the discrete radial Hamiltonian.
-
-    Every E < 0 level the box supports, as unit-normalized rows, shape
-    (k, n_points).  Uses the same discretization as the propagator, so
-    the propagation ground state is reproduced exactly.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    # a finite box supports only finitely many E < 0 levels
-    w, v = eigh_tridiagonal(*radial_hamiltonian(zeff, grid, l), select="v",
-                            select_range=(-10.0 * zeff * zeff - 1.0, 0.0))
-    keep = w < 0.0
-    states = v[:, keep].T
-    if states.shape[0] == 0:
-        return np.zeros((0, grid.n_points))
-    norms = np.sqrt(np.sum(states ** 2, axis=1) * grid.dr)
-    return states / norms[:, None]
+    """Negative-energy eigenstates of the discrete radial Hamiltonian, lowest first, as
+    unit-norm rows, shape (k, n_points); for l = 0 the first is the TDSE ground state."""
+    return _bound_levels(zeff, grid, l)[1]
 
 
 def remove_bound(state: WavefunctionState, zeff: float) -> tuple[WavefunctionState, float]:
@@ -313,8 +300,6 @@ def remove_bound(state: WavefunctionState, zeff: float) -> tuple[WavefunctionSta
     removed = 0.0
     for l in range(state.l_max + 1):
         basis = bound_states(zeff, state.grid, l)
-        if basis.shape[0] == 0:
-            continue
         block = out.psi[l_block(l)]
         coef = block @ basis.T * dr           # (l+1, k)
         block -= coef @ basis

@@ -39,7 +39,12 @@ produce itself starts from psi.  Every array of psi's size that a step
 needs, the ring included, is a work buffer allocated with the
 operators, so the step loop allocates no large temporaries.
 
-Importing this module loads no scipy submodule: the ground state's
+A run starts from the lowest E < 0 level for l = 0.  One solver finds
+the box's bound levels, for that start and for the bound content
+:mod:`spectra` removes; a box with no bound s level is refused with
+:class:`TdseConfigError`.
+
+Importing this module loads no scipy submodule: the bound levels'
 eigensolver and the coupling matrix import theirs when called, and a
 :class:`Propagator` binds its LAPACK solve and sparse product once, at
 construction, so a CLI call that never propagates loads only numpy and
@@ -336,25 +341,39 @@ class WavefunctionState:
         return replace(self, psi=self.psi.copy())
 
 
+def _bound_levels(zeff: float, grid: RadialGrid, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k E < 0 levels of channel l's :func:`radial_hamiltonian`, lowest first:
+    energies, shape (k,), and rows of unit norm, shape (k, n_points); k may be 0."""
+    from scipy.linalg import eigh_tridiagonal
+
+    # a finite box supports only finitely many E < 0 levels
+    w, v = eigh_tridiagonal(*radial_hamiltonian(zeff, grid, l), select="v",
+                            select_range=(-10.0 * zeff * zeff - 1.0, 0.0))
+    keep = w < 0.0
+    states = v[:, keep].T
+    norms = np.sqrt(np.sum(states ** 2, axis=1) * grid.dr)
+    return w[keep], states / norms[:, None]
+
+
 def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[WavefunctionState, float]:
     """Ground state of the discrete field-free Hamiltonian in channel (0, 0).
 
     Returns the state (unit norm, deterministic sign: positive at the
     radial maximum) and its discrete energy, so that field-free
     propagation changes it by a global phase only.
+    A box with no E < 0 level for l = 0 raises :class:`TdseConfigError`.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     rows = even_channels(l_max)[0].size
-    w, v = eigh_tridiagonal(*radial_hamiltonian(system.Zeff, grid, 0),
-                            select="i", select_range=(0, 0))
-    u = v[:, 0]
-    u = u / math.sqrt(np.sum(u * u) * grid.dr)
+    energies, levels = _bound_levels(system.Zeff, grid, 0)
+    if energies.size == 0:
+        raise TdseConfigError(f"the radial box (dr = {grid.dr:g}, r_max = {grid.r_max:g}) holds "
+                              f"no bound s level for Zeff = {system.Zeff:g}; use a larger r_max")
+    u = levels[0]
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     psi = np.zeros((rows, grid.n_points), dtype=np.complex128)
     psi[even_index(0, 0)] = u
-    return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(w[0])
+    return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(energies[0])
 
 
 def coupling_operators(l_max: int) -> scipy.sparse.csr_matrix:
@@ -618,7 +637,8 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     exceeds the memory guard, dt or tol is not positive and finite, or
     T1/dt overflows.  Oversized-but-allowed runs warn instead, so
     published-scale parameters can be planned on a desk machine, and so
-    does a grid coarser than ``MAX_ZEFF_DR`` in units of 1/Zeff.
+    do a grid coarser than ``MAX_ZEFF_DR`` in units of 1/Zeff and a field
+    with l_max = 0, which it cannot couple.
     """
     if l_max < 0:
         raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
@@ -644,6 +664,9 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")
+    if l_max == 0 and pulse.F0 > 0.0:
+        warnings.append("l_max = 0 leaves the field nothing to couple: A . p takes (0, 0) only to "
+                        "l = 1, so the run cannot ionize")
     if system.Zeff * grid.dr > MAX_ZEFF_DR:
         warnings.append(
             f"under-resolved radial grid: Zeff dr = {system.Zeff * grid.dr:.3g} exceeds "

@@ -51,6 +51,14 @@ class TestSystem:
         # Dirac level sits above Z^2/2
         assert s.Ip > 1250.0
 
+    def test_relativistic_ip_squares_by_multiplication(self):
+        # pow(Z/c, 2) is off by one ulp at this Z, and the error reached Ip
+        z = 99.41704080530177
+        x = z / c_au
+        expect = c_au**2 * (1.0 - math.sqrt(1.0 - x * x))
+        assert make_system(z, relativistic=True).Ip == expect
+        assert make_system(np.array([z]), relativistic=True).Ip.tolist() == [expect]
+
     def test_relativistic_small_z_limit(self):
         s = make_system(1.0, relativistic=True)
         assert s.Ip == pytest.approx(0.5, rel=1e-4)

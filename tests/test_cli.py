@@ -173,6 +173,15 @@ class TestZetaQs:
         assert main(["zeta-qs", "--Z", "50", "--F", "4500"]) == EXIT_OK
         assert "superluminal for all zeta" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["--Z", "40", "--F", "3000"],
+                                      ["--Z", "100", "--F", "1e5"]])
+    def test_no_root_thick_verdict(self, argv, capsys):
+        # the side of a rootless band comes from the thick quotient, which
+        # is 0.989, 0.897 and 0.857 at zeta = 0, 0.5 and 1 for the first
+        # case and is defined above F_a = 62500 for the second
+        assert main(["zeta-qs", *argv, "--thick"]) == EXIT_OK
+        assert "no root: superluminal for all zeta in [0, 1]" in capsys.readouterr().out
+
     def test_exact_json(self, capsys):
         assert main(["zeta-qs", "--Z", "50", "--F", "6000",
                      "--format", "json"]) == EXIT_OK
@@ -605,6 +614,24 @@ class TestTdse:
         rc = main(["tdse", "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_NUMERICAL
         assert str(tmp_path / "tdse_checkpoint.npz") in capsys.readouterr().err
+
+    def test_box_without_bound_s_level_refused(self, tmp_path, capsys):
+        # the lowest level of this box lies at E = +1.72; propagated as the
+        # ground state, it gave an ionized fraction of 0.49
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 2\nr_max = 1\n"
+                                  "dt = 0.05\nn_p = 20\n")
+        assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(
+            "config error: the radial box (dr = 0.1, r_max = 1) holds no bound s level "
+            "for Zeff = 1; use a larger r_max\n")
+        assert not (tmp_path / "tdse_report.json").exists()
+
+    def test_field_with_l_max_0_warns_on_dry_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 0\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: l_max = 0 leaves the field nothing to couple: A . p takes (0, 0) "
+            "only to l = 1, so the run cannot ionize\n")
 
     def test_uncountable_dt_rejected_on_dry_run(self, tmp_path, capsys):
         # T1/dt overflows to inf, which used to exit 4 as a numerical failure

@@ -195,8 +195,8 @@ class TestColumnsMatchScalarLibrary:
                 assert all(math.isnan(rec[c]) for c in BARRIER_COLUMNS)
 
     def test_relativistic_ip_of_a_z_column(self):
-        # (Z/c)^2 by numpy's squaring differs from Python's pow in the last
-        # bit for this Z, and the difference reaches Ip
+        # (Z/c)^2 by Python's pow differs from the product in the last bit
+        # for this Z, and the difference reaches Ip
         z = 99.41704080530177
         table = run_scan(ScanGrid(fixed={"Z": z, "F": 1.0}, relativistic=True))
         assert table["Ip"][0] == make_system(z, relativistic=True).Ip

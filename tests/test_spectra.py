@@ -34,6 +34,7 @@ from tunnelqs.tdse import (
     PulseParams,
     RadialGrid,
     WavefunctionState,
+    _bound_levels,
     build_ground_state,
     channel_index,
     even_channels,
@@ -262,6 +263,20 @@ class TestBoundStates:
         basis = bound_states(1.0, grid, 1)
         overlap = basis @ basis.T * grid.dr
         np.testing.assert_allclose(overlap, np.eye(len(basis)), atol=1e-10)
+
+    def test_levels_frozen(self, grid):
+        # SHA-256 of the rows for l = 0..8 as bound_states solved them on
+        # its own, before the ground state and it shared one solver; l = 8
+        # has none
+        h = hashlib.sha256()
+        counts = []
+        for l in range(9):
+            rows = _bound_levels(1.0, grid, l)[1]
+            counts.append(len(rows))
+            h.update(rows.tobytes())
+        assert counts == [6, 5, 4, 4, 3, 2, 1, 1, 0]
+        assert h.hexdigest() == (
+            "83a634badb900270b9019cd1a1b822f720110d2360d8566ed8a013477621bbc2")
 
     def test_free_box_has_no_bound_states(self, grid):
         assert bound_states(0.0, grid, 0).shape[0] == 0

@@ -226,6 +226,14 @@ class TestGroundState:
         assert float(np.real(u1[np.argmax(np.abs(u1))])) > 0.0
         np.testing.assert_array_equal(u1, u2)
 
+    def test_box_without_bound_s_level_refused(self):
+        # r_max = 1 holds no E < 0 level for Zeff = 1: the run stops before
+        # propagating instead of starting from the lowest, unbound, level
+        grid = RadialGrid(dr=0.1, r_max=1.0)
+        with pytest.raises(TdseConfigError, match=r"^the radial box \(dr = 0.1, r_max = 1\) "
+                           r"holds no bound s level for Zeff = 1; use a larger r_max$"):
+            run_pulse(make_system(1.0), grid, PulseParams(F0=0.5, omega=0.8), l_max=2, dt=0.05)
+
     def test_state_shape_validation(self):
         grid = RadialGrid(dr=0.1, r_max=10.0)
         with pytest.raises(ValueError):
@@ -888,6 +896,15 @@ class TestPlanning:
         # Zeff dr = 1.8: hydrogen on dr 1.8
         assert warnings[1] == ("under-resolved radial grid: Zeff dr = 1.8 exceeds 0.2; "
                                "dr = 0.0111 would meet it")
+
+    @pytest.mark.parametrize("f0, warned", [(0.5, True), (0.0, False)])
+    def test_field_with_l_max_0_warns(self, f0, warned):
+        # (0, 0) couples only to l = 1, so at l_max = 0 a field does nothing
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=20.0)
+        _, _, warnings = plan_run(s, grid, PulseParams(F0=f0, omega=0.8), l_max=0)
+        assert warnings == (["l_max = 0 leaves the field nothing to couple: A . p takes "
+                             "(0, 0) only to l = 1, so the run cannot ionize"] if warned else [])
 
     @pytest.mark.parametrize("z, dr, warned", [(10.0, 0.1, True), (2.0, 0.1, False),
                                                (10.0, 0.02, False), (3.0, 0.1, True)])
