@@ -291,13 +291,22 @@ def photon_absorption_delay(system: AtomicSystem, f: float,
     """
     _require(omega > 0.0, omega, "omega must be positive, got {}")
     _check_field(system, f)
-    n = system.Ip / omega
-    tau_1 = omega / (8.0 * system.Zeff * f)
-    return PhotonAbsorptionDelay(n_photons=n, tau_1ph=tau_1, tau_nph=n * tau_1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = system.Ip / omega
+        tau_1 = omega / (8.0 * system.Zeff * f)
+        tau_n = n * tau_1
+    # an inf or NaN n or tau_1 leaves their product inf or NaN
+    _require(np.isfinite(tau_n), (omega, f),
+             "omega = {} at F = {} gives a photon count or absorption delay that is not finite")
+    return PhotonAbsorptionDelay(n_photons=n, tau_1ph=tau_1, tau_nph=tau_n)
 
 
 def keldysh_gamma(system: AtomicSystem, f: float, omega: float) -> float:
     """Keldysh adiabaticity parameter gamma = omega sqrt(2 Ip) / F."""
     _require(omega > 0.0, omega, "omega must be positive, got {}")
     _check_field(system, f)
-    return omega * math.sqrt(2.0 * system.Ip) / f
+    with np.errstate(over="ignore"):
+        gamma = omega * math.sqrt(2.0 * system.Ip) / f
+    _require(np.isfinite(gamma), (omega, f),
+             "omega = {} at F = {} gives a Keldysh gamma that is not finite")
+    return gamma

@@ -469,8 +469,9 @@ def cmd_tdse(args, resolved: dict) -> int:
 
     out_dir = resolve_out_path(args.out if args.out else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # a run that ends without ionization, or fails, leaves no earlier run's outputs
-    for name in ("tdse_report.json", "tdse_momentum.csv", "tdse_angular.csv"):
+    # a run that ends without ionization, fails or is refused leaves no earlier run's outputs
+    for name in ("tdse_report.json", "tdse_momentum.csv", "tdse_angular.csv",
+                 "tdse_checkpoint.npz"):
         (out_dir / name).unlink(missing_ok=True)
 
     t_start = time.perf_counter()

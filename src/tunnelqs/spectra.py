@@ -30,7 +30,7 @@ other input raises ValueError.
 
 scipy's special functions are imported inside the functions that call
 them, and the eigensolver inside that solver, so importing this module
-loads no scipy submodule.
+loads no scipy module.
 """
 
 from __future__ import annotations

@@ -44,11 +44,10 @@ the box's bound levels, for that start and for the bound content
 :mod:`spectra` removes; a box with no bound s level is refused with
 :class:`TdseConfigError`.
 
-Importing this module loads no scipy submodule: the bound levels'
+Importing this module loads no scipy module: the bound levels'
 eigensolver and the coupling matrix import theirs when called, and a
 :class:`Propagator` binds its LAPACK solve and sparse product once, at
-construction, so a CLI call that never propagates loads only numpy and
-the bare scipy package.
+construction, so a CLI call that never propagates loads only numpy.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy   # the bare package, for annotations; submodules load where used
 
 __all__ = [
     "PropagationError",
@@ -233,6 +231,9 @@ class PulseParams:
             raise ValueError(f"F0 must be >= 0, got {self.F0}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"omega = {self.omega} is too small: the pulse duration "
+                             "4 pi/omega is not finite")
         if not 0.0 <= self.ellipticity <= 1.0:
             raise ValueError(
                 f"ellipticity must lie in [0, 1], got {self.ellipticity}")
@@ -376,8 +377,9 @@ def build_ground_state(system, grid: RadialGrid, l_max: int) -> tuple[Wavefuncti
     return WavefunctionState(grid=grid, l_max=l_max, psi=psi, t=0.0), float(energies[0])
 
 
-def coupling_operators(l_max: int) -> scipy.sparse.csr_matrix:
-    """Angular coupling of A . p as one sparse matrix [D+ ; D-].
+def coupling_operators(l_max: int):
+    """Angular coupling of A . p as one sparse matrix [D+ ; D-], a
+    ``scipy.sparse.csr_matrix``.
 
     The operator splits into raising/lowering parts in m:
     H_int = -(i/2) [conj(Atilde) D+ + Atilde D-], Atilde = A_x + i A_y,
@@ -786,11 +788,16 @@ def save_checkpoint(path, state: WavefunctionState, system) -> None:
 
 def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`, also of version 1 (full-layout
-    psi); returns (state, system).  Raises ValueError unless psi and t are
-    finite and ``make_system`` accepts Z, Zeff and Ip."""
+    psi); returns (state, system).  Raises ValueError unless the file
+    holds every checkpoint field, psi and t are finite and ``make_system``
+    accepts Z, Zeff and Ip."""
     from .atomic import make_system
 
     with np.load(path) as data:
+        missing = {"version", "dr", "r_max", "l_max", "t", "psi", "Z", "Zeff", "Ip",
+                   "relativistic"}.difference(data.files)
+        if missing:
+            raise ValueError(f"{path} is not a checkpoint: it lacks {', '.join(sorted(missing))}")
         version = int(data["version"])
         if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")

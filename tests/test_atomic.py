@@ -264,6 +264,13 @@ class TestPhotonDelay:
         with pytest.raises(ValueError):
             photon_absorption_delay(s, 0.05, omega=0.0)
 
+    @pytest.mark.parametrize("f,omega", [(0.05, 1e-320), (1e-300, 1e10)])
+    def test_non_finite_photon_count_or_delay_rejected(self, f, omega):
+        # n or tau_1ph overflowed, so tau_nph read inf, not tau_dion
+        s = make_system(1.0)
+        with pytest.raises(ValueError, match=f"omega = {omega} at F = {f} gives a photon"):
+            photon_absorption_delay(s, f, omega)
+
     def test_field_validation(self):
         # Zeff/F overflows at F = 1e-310, which would make tau_nph inf
         s = make_system(1.0)
@@ -295,6 +302,11 @@ class TestKeldysh:
             keldysh_gamma(s, -0.1, 0.05)
         with pytest.raises(ValueError, match="too small .* got 1e-310"):
             keldysh_gamma(s, 1e-310, 0.05)
+
+    def test_non_finite_gamma_rejected(self):
+        s = make_system(1.0)
+        with pytest.raises(ValueError, match=r"omega = 10+\.0 at F = 1e-300 gives a Keldysh"):
+            keldysh_gamma(s, 1e-300, 1e10)
 
 
 def test_direct_dataclass_is_open():

@@ -128,6 +128,15 @@ class TestDelays:
         assert "8380.28" in err
         assert "domain error" in err
 
+    @pytest.mark.parametrize("f,omega", [("0.05", "1e-320"), ("1e-300", "1e10")])
+    def test_extreme_omega_domain_error(self, f, omega, capsys):
+        # n or tau_1ph overflowed: tau_nph printed inf beside a finite
+        # tau_dion, which it equals by construction, and the call exited 0
+        assert main(["delays", "--Z", "1", "--F", f, "--omega", omega]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert f"domain error: omega = {float(omega)} at F = {float(f)} " in captured.err
+        assert captured.out == ""
+
     def test_non_finite_json_is_null(self, capsys):
         # zeta = 1 at F = F_a: d_imed = 0, so Q_imed is infinite; the JSON
         # format used to exit 3 on it while the text format printed inf
@@ -626,6 +635,16 @@ class TestTdse:
             "for Zeff = 1; use a larger r_max\n")
         assert not (tmp_path / "tdse_report.json").exists()
 
+    def test_refused_run_leaves_no_earlier_outputs(self, tmp_path, capsys):
+        outputs = ("tdse_report.json", "tdse_momentum.csv", "tdse_angular.csv",
+                   "tdse_checkpoint.npz")
+        for name in outputs:
+            (tmp_path / name).write_text("an earlier run's output\n")
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 2\nr_max = 1\n")
+        assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "holds no bound s level" in capsys.readouterr().err
+        assert [name for name in outputs if (tmp_path / name).exists()] == []
+
     def test_field_with_l_max_0_warns_on_dry_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 0\n")
         assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_OK
@@ -639,6 +658,15 @@ class TestTdse:
         assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "config error: dt = 1e-320 is too small" in captured.err
+        assert captured.out == ""
+
+    def test_omega_with_infinite_duration_rejected_on_dry_run(self, capsys):
+        # T1 = 4 pi/omega overflows; the plan used to blame dt, with exit 2
+        argv = ["tdse", "--Z", "1", "--F", "0.5", "--omega", "1e-320", "--dry-run"]
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == ("domain error: omega = 1e-320 is too small: "
+                                "the pulse duration 4 pi/omega is not finite\n")
         assert captured.out == ""
 
     def test_huge_step_count_warns_on_dry_run(self, tmp_path, capsys):
@@ -803,16 +831,14 @@ def _fresh_python(*args, cwd=None):
                           env=env, cwd=cwd)
 
 
-def test_light_commands_load_no_scipy_submodule():
-    # scipy's submodules load only inside the functions that compute with
-    # them; what a bare `import scipy` loads is allowed.  critical-fields
-    # at Z 7 has no F_zeta1 root, so brentq is not needed either.
+def test_light_commands_load_no_scipy():
+    # scipy loads only inside the functions that compute with it, so
+    # neither the import nor a one-shot command loads any scipy module.
+    # critical-fields at Z 7 has no F_zeta1 root, so brentq is not needed.
     child = (
         "import sys\n"
-        "import scipy\n"
-        "bare = set(sys.modules)\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy.') and m not in bare)\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "from tunnelqs.cli import main\n"
         "assert loaded() == [], ('import', loaded())\n"
         "for argv in (['delays', '--Z', '1', '--F', '0.05'],\n"

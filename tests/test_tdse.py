@@ -1016,6 +1016,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
 
+    def test_npz_without_checkpoint_fields_rejected(self, tmp_path):
+        # it used to raise KeyError: 'version is not a file in the archive'
+        path = tmp_path / "other.npz"
+        np.savez(path, psi=np.zeros(3), t=0.0)
+        with pytest.raises(ValueError, match="is not a checkpoint: it lacks Ip, Z, Zeff, "
+                                             "dr, l_max, r_max, relativistic, version$"):
+            load_checkpoint(path)
+
     def test_interrupted_write_keeps_the_previous(self, tmp_path, monkeypatch):
         # the file used to be truncated before numpy wrote to it, so an
         # interrupt mid-write destroyed the last good checkpoint
