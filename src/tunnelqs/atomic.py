@@ -15,7 +15,6 @@ obtained by multiplying with ``constants.au_time_as``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +118,8 @@ def make_system(Z: float, Zeff: float | None = None, relativistic: bool = False,
         Explicit ionization potential; overrides the ground-state default.
         Needed for single-active-electron models where Ip is empirical.
 
-    Inputs for which Ip or F_a = Ip^2/(4 Zeff) is not finite raise
-    ValueError naming them.
+    Inputs for which Ip or F_a = Ip^2/(4 Zeff) is not finite, or F_a
+    underflows to 0, raise ValueError naming them.
     """
     _require(Z > 0.0, Z, "Z must be positive, got {}")
     if Zeff is None:
@@ -142,6 +141,8 @@ def make_system(Z: float, Zeff: float | None = None, relativistic: bool = False,
         f_atomic = Ip * Ip / (4.0 * Zeff)
     _require(np.isfinite(f_atomic), (Z, Zeff, Ip), "Z = {}, Zeff = {}, Ip = {}: the "
              "barrier-suppression field F_a = Ip^2/(4 Zeff) is not finite")
+    _require(f_atomic > 0.0, (Z, Zeff, Ip), "Z = {}, Zeff = {}, Ip = {}: the "
+             "barrier-suppression field F_a = Ip^2/(4 Zeff) underflows to 0")
     return AtomicSystem(Z=_as_float(Z), Zeff=_as_float(Zeff), Ip=_as_float(Ip),
                         relativistic=bool(relativistic))
 
@@ -166,12 +167,16 @@ class BarrierGeometry:
 
 
 def _check_field(system: AtomicSystem, f: float) -> None:
-    """Reject F <= 0 and an F so small that Ip/F or Zeff/F overflows; the
-    barrier quantities and the thick-barrier forms divide by F."""
+    """Reject F <= 0 and an F for which Ip/F, Zeff/F, Ip/(Zeff F) or c Ip/(Zeff F
+    x_top) is not finite: the barrier, the delays and Q_Nad divide by them."""
     _require(f > 0.0, f, "field strength must be positive, got {}")
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         finite = np.isfinite(system.Ip / f) & np.isfinite(system.Zeff / f)
+        ip_zf = system.Ip / np.multiply(system.Zeff, f)
+        finite_zf = np.isfinite(ip_zf) & np.isfinite(c_au * ip_zf / np.sqrt(system.Zeff / f))
     _require(finite, f, "field strength is too small for finite Ip/F and Zeff/F, got {}")
+    _require(finite_zf, (system.Zeff, f),
+             "Zeff = {}, F = {}: Ip/(Zeff F) or c Ip/(Zeff F x_top) is not finite")
 
 
 def barrier_geometry(system: AtomicSystem, f: float) -> BarrierGeometry:
@@ -306,7 +311,7 @@ def keldysh_gamma(system: AtomicSystem, f: float, omega: float) -> float:
     _require(omega > 0.0, omega, "omega must be positive, got {}")
     _check_field(system, f)
     with np.errstate(over="ignore"):
-        gamma = omega * math.sqrt(2.0 * system.Ip) / f
+        gamma = _as_float(omega * np.sqrt(2.0 * system.Ip) / f)
     _require(np.isfinite(gamma), (omega, f),
              "omega = {} at F = {} gives a Keldysh gamma that is not finite")
     return gamma

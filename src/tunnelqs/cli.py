@@ -9,13 +9,13 @@ Each subcommand has one settings table (``DELAYS_SPEC`` ...) mapping a
 key to its type, default and flag help; the parser makes one ``--key``
 flag per entry with a help (tdse's ``--F`` sets ``F0``), and entries
 with no help are config-file only.  The other flags are ``--config``,
-``--out``, ``--format`` and tdse's ``--dry-run``.  Settings come from an
-optional flat key=value file (``--config``) with flags taking
-precedence.  Every output embeds the fully resolved configuration, in
-``# key=value`` comment lines for CSV and under a ``config`` key for
-JSON, so any result can be reproduced from its own metadata; a scan
-preset, which fixes its whole grid, records only its name.  Relative
-output paths honor the ``TUNNELQS_OUT_DIR`` environment variable.
+``--out``, ``--format`` (not on tdse, which has one output form) and
+tdse's ``--dry-run``.  Settings come from an optional flat key=value
+file (``--config``) with flags taking precedence.  Every output embeds
+the fully resolved configuration, in ``# key=value`` comment lines for
+CSV and under a ``config`` key for JSON, so any result can be reproduced
+from its own metadata; a scan preset, which fixes its whole grid,
+records only its name.  Relative output paths honor ``TUNNELQS_OUT_DIR``.
 
 ``delays``, ``zeta-qs`` and ``critical-fields`` each build one payload
 and its text lines; ``print_report`` writes the payload to ``--out``
@@ -27,14 +27,15 @@ table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 then clears the last run's report and CSVs from its output directory; the
 report holds every ``PulseResult`` field but the state, then the readout.
 
-Exit codes: 0 success, 2 configuration error (also a config key set twice,
-an ``--out`` that cannot be written, a tdse setting that fails a check
-before propagating, and a setting that would change nothing: ``scan``
-preset with Z/F/zeta/rel, ``zeta-qs`` thick without F, ``tdse`` rel), 3
-domain error (invalid physical inputs, barrier-suppression regime), 4
-numerical failure (also a non-finite ionized probability).  JSON reports
-write non-finite numbers as null (scan tables: NaN as null, inf as
-Infinity).
+Exit codes, one exception family each: 0 success; 2 configuration error,
+``ConfigError`` (tdse's ``TdseConfigError``: also a key set twice, a tdse
+setting that fails a check before propagating, a setting that would change
+nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs`` thick without F,
+``tdse`` rel) or ``OSError`` (an unwritable ``--out``); 3 domain error, any
+other ``ValueError`` (invalid physical inputs, barrier suppression); 4
+numerical failure, ``ArithmeticError`` (a failed TDSE step, a non-finite
+ionized probability).  JSON reports write non-finite numbers as null
+(scan tables: NaN as null, inf as Infinity).
 """
 
 from __future__ import annotations
@@ -62,14 +63,13 @@ from .superluminal import critical_fields, q_imed_b, zeta_qs
 from .tdse import (
     DEFAULT_MAX_CHANNELS,
     DEFAULT_TOL,
-    PropagationError,
     PulseParams,
     RadialGrid,
-    TdseConfigError,
     default_dt,
     plan_run,
     run_pulse,
 )
+from .tdse import TdseConfigError as ConfigError  # the library's and the CLI's exit 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,10 +77,6 @@ EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "TUNNELQS_OUT_DIR"
-
-
-class ConfigError(ValueError):
-    """Bad config file, unknown key, or missing required setting."""
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -533,7 +529,7 @@ def cmd_tdse(args, resolved: dict) -> int:
 
 # ------------------------------------------------------------------ main
 
-# name, help, settings table, handler, --format choices (first = default)
+# name, help, settings table, handler, --format choices (first = default; none: no flag)
 COMMANDS = (
     ("delays", "tunneling delays and quotients at one (Z, F)",
      DELAYS_SPEC, cmd_delays, ("text", "json")),
@@ -544,7 +540,7 @@ COMMANDS = (
     ("critical-fields", "F_a, F_c and F_zeta1 for one atom",
      CRIT_SPEC, cmd_critical_fields, ("text", "json")),
     ("tdse", "propagate a pulse and extract the attoclock delay",
-     TDSE_SPEC, cmd_tdse, ("text",)),
+     TDSE_SPEC, cmd_tdse, ()),
 )
 
 # the one flag not named after its key
@@ -571,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(flag, dest=key, type=typ, help=flag_help)
         p.add_argument("--out", help="output path (TUNNELQS_OUT_DIR honored)")
-        p.add_argument("--format", choices=formats, default=formats[0])
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(handler=handler, spec=spec)
     sub.choices["tdse"].add_argument(
         "--dry-run", action="store_true",
@@ -583,13 +580,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, resolve_settings(args, args.spec))
-    except (ConfigError, TdseConfigError, OSError) as exc:   # OSError: writing --out
+    except (ConfigError, OSError) as exc:   # OSError: writing --out
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:  # BarrierSuppressionError among them
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (PropagationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # PropagationError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

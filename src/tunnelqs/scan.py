@@ -269,10 +269,8 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
 _POINTS = 400
 
 
-def _f_axis(system, lo=None, hi=None) -> AxisSpec:
-    f_a = system.f_atomic
-    return AxisSpec("F", lo if lo is not None else f_a / _POINTS,
-                    hi if hi is not None else f_a, _POINTS)
+def _f_axis(system) -> AxisSpec:
+    return AxisSpec("F", system.f_atomic / _POINTS, system.f_atomic, _POINTS)
 
 
 def _f_sweeps(zs: tuple[float, ...]) -> list[ScanGrid]:
@@ -285,9 +283,8 @@ def _fig3a() -> list[ScanGrid]:
 
 
 def _fig5a() -> list[ScanGrid]:
-    sys1 = make_system(1.0)
-    return [ScanGrid(fixed={"Z": 1.0, "zeta": 0.5},
-                     axes=(_f_axis(sys1, lo=0.01),))]
+    f_a = make_system(1.0).f_atomic
+    return [ScanGrid(fixed={"Z": 1.0, "zeta": 0.5}, axes=(AxisSpec("F", 0.01, f_a, _POINTS),))]
 
 
 def _fig5b() -> list[ScanGrid]:

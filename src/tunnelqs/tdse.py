@@ -110,7 +110,7 @@ MAX_ZEFF_DR = 0.2
 
 
 class TdseConfigError(ValueError):
-    """Invalid or oversized solver configuration."""
+    """Invalid or oversized solver configuration, config file or setting."""
 
 
 def _require_finite(**values: float) -> None:
@@ -126,12 +126,12 @@ def _require_positive(**values: float) -> None:
             raise TdseConfigError(f"{name} must be positive, got {value}")
 
 
-class PropagationError(RuntimeError):
-    """Fixed-point iteration failed to reach the defect tolerance.
-
-    The state passed to the failing step is left at the last good time;
-    ``t_last`` records it when the pulse driver re-raises, and
-    ``checkpoint`` the path of the crash checkpoint it wrote, if any.
+class PropagationError(ArithmeticError):
+    """Fixed-point iteration failed to reach the defect tolerance: a
+    numerical failure, so an ArithmeticError (CLI exit 4).  The state
+    passed to the failing step is left at the last good time; ``t_last``
+    records it when the pulse driver re-raises, and ``checkpoint`` the
+    path of the crash checkpoint it wrote, if any.
     """
 
     def __init__(self, defect: float, tol: float, step: int,

@@ -96,6 +96,13 @@ class TestSystem:
         z = np.array([1.0, 1e76])          # F_a = Z^3/16, still finite
         assert np.isfinite(make_system(z).f_atomic).all()
 
+    def test_underflowing_f_atomic_rejected(self):
+        # Ip^2 underflows: F_a was 0, and every field was then refused as
+        # "field strength must be positive, got 0.0"
+        with pytest.raises(ValueError, match=r"^Z = 1e-100, Zeff = 1e-100, Ip = 5e-201: the "
+                           r"barrier-suppression field F_a = Ip\^2/\(4 Zeff\) underflows to 0$"):
+            make_system(np.array([1.0, 1e-100]))
+
 
 class TestGeometry:
     def test_frozen_point(self):
@@ -146,6 +153,17 @@ class TestGeometry:
             barrier_geometry(s, np.array([0.01, 1e-310, 1e-320]))
         # the smallest fields that still have finite quotients pass
         assert barrier_geometry(s, 1e-300 * s.f_atomic).x_top > 1e150
+
+    @pytest.mark.parametrize("zeff,f", [(1e-300, 1e-300), (1e-200, 1e-100)])
+    def test_underflowing_zeff_f_rejected(self, zeff, f):
+        # 8 Zeff F or 8 Zeff F x_top underflowed: the delays or Q_Nad were inf
+        s = make_system(1.0, Zeff=zeff)
+        message = rf"^Zeff = {zeff}, F = {f}: Ip/\(Zeff F\) or c Ip/\(Zeff F x_top\) is not finite$"
+        for call in (barrier_geometry, delay_set, q_nad):
+            with pytest.raises(ValueError, match=message):
+                call(s, f)
+        with pytest.raises(ValueError, match=message):
+            q_imed_b(s, f, 0.0, thick=True)
 
     @given(z=z_st, frac=frac_st)
     @settings(max_examples=200)
@@ -302,6 +320,18 @@ class TestKeldysh:
             keldysh_gamma(s, -0.1, 0.05)
         with pytest.raises(ValueError, match="too small .* got 1e-310"):
             keldysh_gamma(s, 1e-310, 0.05)
+
+    def test_charge_and_field_columns_match_scalar_calls(self):
+        # math.sqrt refused a Z column with a TypeError
+        z, f, omega = np.array([1.0, 2.0, 18.0]), np.array([0.01, 0.02, 1.0]), 0.1
+        gamma = keldysh_gamma(make_system(z), f, omega)
+        photon = photon_absorption_delay(make_system(z), f, omega)
+        for i in range(len(z)):
+            s = make_system(float(z[i]))
+            assert gamma[i] == keldysh_gamma(s, float(f[i]), omega)
+            scalar = photon_absorption_delay(s, float(f[i]), omega)
+            for name in ("n_photons", "tau_1ph", "tau_nph"):
+                assert getattr(photon, name)[i] == getattr(scalar, name)
 
     def test_non_finite_gamma_rejected(self):
         s = make_system(1.0)

@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import tunnelqs
+from tunnelqs import cli
 from tunnelqs.cli import (
     CRIT_SPEC,
     DELAYS_SPEC,
@@ -27,7 +28,7 @@ from tunnelqs.cli import (
     read_config_file,
     resolve_settings,
 )
-from tunnelqs.tdse import PulseParams, PulseResult
+from tunnelqs.tdse import PropagationError, PulseParams, PulseResult, TdseConfigError
 
 # solver knobs beyond F0/omega travel through config files by design
 MINI_TDSE_CFG = ("Z = 1\nF0 = 0.15\nomega = 1.2\nl_max = 4\nr_max = 30\n"
@@ -274,6 +275,33 @@ def test_subnormal_field_is_domain_error(command, capsys):
     assert "domain error" in captured.err and "1e-310" in captured.err
     assert "superluminal" not in captured.out
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    # 8 Zeff F underflowed: tau_ad, tau_dion and tau_db printed inf, exit 0
+    ("delays --Z 1 --Zeff 1e-300 --F 1e-300",
+     "Zeff = 1e-300, F = 1e-300: Ip/(Zeff F) or c Ip/(Zeff F x_top) is not finite"),
+    # tau_1ph divided by 8 Zeff F = 0 as Python floats: ZeroDivisionError, exit 4
+    ("delays --Z 1 --Zeff 1e-300 --F 1e-300 --omega 0.1",
+     "Zeff = 1e-300, F = 1e-300: Ip/(Zeff F) or c Ip/(Zeff F x_top) is not finite"),
+    # 8 Zeff F x_top underflowed: Q_Nad printed inf, exit 0
+    ("delays --Z 1 --Zeff 1e-200 --F 1e-100",
+     "Zeff = 1e-200, F = 1e-100: Ip/(Zeff F) or c Ip/(Zeff F x_top) is not finite"),
+    # the thick root divided by a_t = 0 with a RuntimeWarning, exit 0
+    ("zeta-qs --Z 1 --Zeff 1e-300 --F 1e-300 --thick",
+     "Zeff = 1e-300, F = 1e-300: Ip/(Zeff F) or c Ip/(Zeff F x_top) is not finite"),
+    # F_a = Ip^2/(4 Zeff) underflowed to 0 and F = 1e-250 was blamed as 0.0
+    ("scan --Z 1e-100 --F 1e-250",
+     "Z = 1e-100, Zeff = 1e-100, Ip = 5e-201: the barrier-suppression field "
+     "F_a = Ip^2/(4 Zeff) underflows to 0"),
+], ids=["delays", "delays-omega", "delays-q-nad", "zeta-qs-thick", "scan"])
+def test_underflowing_zeff_f_is_domain_error(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split()) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err == f"domain error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["delays", "--Z", "1", "--F", "0.05"],
@@ -780,6 +808,41 @@ def test_unwritable_out_is_config_error(argv, target, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert (tmp_path / "file").read_text() == ""
+
+
+def test_config_error_is_the_librarys():
+    assert cli.ConfigError is TdseConfigError
+
+
+def test_propagation_error_is_arithmetic():
+    assert issubclass(PropagationError, ArithmeticError)
+
+
+def test_tdse_takes_no_format(capsys):
+    # tdse has one output form; --format text was accepted and never read
+    with pytest.raises(SystemExit) as exc:
+        main(["tdse", "--Z", "1", "--F", "0.5", "--omega", "0.8", "--dry-run",
+              "--format", "text"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    (ConfigError("bad key"), EXIT_CONFIG, "config error"),
+    (OSError("disk full"), EXIT_CONFIG, "config error"),
+    (ValueError("bad Z"), EXIT_DOMAIN, "domain error"),
+    (PropagationError(1.0, 1e-10, 3), EXIT_NUMERICAL, "numerical failure"),
+    (ArithmeticError("residual"), EXIT_NUMERICAL, "numerical failure"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exit_code_per_exception_family(error, code, prefix, monkeypatch, capsys):
+    def handler(args, resolved):
+        raise error
+
+    commands = [(name, help_text, spec, handler, formats)
+                for name, help_text, spec, _, formats in cli.COMMANDS]
+    monkeypatch.setattr(cli, "COMMANDS", tuple(commands))
+    assert main(["critical-fields", "--Z", "1"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
 
 SPECS = {"delays": DELAYS_SPEC, "scan": SCAN_SPEC, "zeta-qs": ZETA_SPEC,
