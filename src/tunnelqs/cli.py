@@ -435,7 +435,6 @@ def cmd_tdse(args, resolved: dict) -> int:
             ("p_min", resolved["p_min"] > 0.0, "positive"),
             ("p_max", resolved["p_max"] > resolved["p_min"], "above p_min"),
             ("n_phi", resolved["n_phi"] >= 8, ">= 8"),
-            ("checkpoint_every", resolved["checkpoint_every"] >= 0, ">= 0"),
             ("p_max", resolved["p_max"] < _band_edge(grid),
              f"below the lattice band edge 2/dr = {_band_edge(grid):g}")):
         if not ok:
@@ -451,7 +450,7 @@ def cmd_tdse(args, resolved: dict) -> int:
     if resolved["dt"] is None:
         resolved["dt"] = default_dt(system.Zeff)
 
-    plan = {k: resolved[k] for k in ("l_max", "dt", "tol", "max_channels")}
+    plan = {k: resolved[k] for k in ("l_max", "dt", "tol", "max_channels", "checkpoint_every")}
     n_steps, n_channels, warnings = plan_run(system, grid, pulse, **plan)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -472,8 +471,7 @@ def cmd_tdse(args, resolved: dict) -> int:
 
     t_start = time.perf_counter()
     result = run_pulse(system, grid, pulse, **plan,
-                       checkpoint_path=out_dir / "tdse_checkpoint.npz",
-                       checkpoint_every=resolved["checkpoint_every"])
+                       checkpoint_path=out_dir / "tdse_checkpoint.npz")
     t_propagated = time.perf_counter()
     # its warnings start with the plan's, printed above
     for w in result.warnings[len(warnings):]:

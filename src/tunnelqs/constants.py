@@ -4,6 +4,16 @@ Everything in this package is in Hartree atomic units (hbar = m_e = e = 1)
 unless a name or docstring says otherwise.
 """
 
+__all__ = [
+    "alpha_fs",
+    "au_field_vcm",
+    "au_intensity_wcm2",
+    "au_time_as",
+    "c_au",
+    "field_to_intensity",
+    "intensity_to_field",
+]
+
 c_au = 137.035999084            # speed of light in au (1/alpha, CODATA 2018)
 alpha_fs = 1.0 / c_au           # fine-structure constant
 au_time_as = 24.188843265857    # one au of time in attoseconds

@@ -256,11 +256,18 @@ def critical_fields(system: AtomicSystem) -> CriticalFields:
     f_c = system.f_crit
 
     def g(f: float) -> float:
-        return q_imed_b(system, f, 1.0) - 1.0
+        # q_imed_b(system, f, 1.0) - 1 with the same numbers (its (1 - zeta)
+        # x_top term is 0 here), but not its check on a caller's F, which
+        # a bracket end need not pass
+        ip = system.Ip
+        delta_z = np.sqrt(np.maximum(ip * ip - 4.0 * system.Zeff * f, 0.0))
+        with np.errstate(divide="ignore"):
+            return np.divide(c_au * (ip + delta_z), 8.0 * system.Zeff * delta_z) - 1.0
 
     lo, hi = f_a * 1e-9, f_a * (1.0 - 1e-12)
     f_zeta1 = None
-    if g(lo) * g(hi) < 0.0:
+    # the signs, as g itself can be ~1e301 and their product overflow
+    if np.sign(g(lo)) * np.sign(g(hi)) < 0.0:
         # imported here, like every scipy submodule the package uses: it
         # takes longer to load than the rest of a CLI call, and only an
         # atom with Zeff > c/4 has this root

@@ -629,21 +629,24 @@ def default_dt(zeff: float) -> float:
 def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
              dt: float | None = None,
              max_channels: int = DEFAULT_MAX_CHANNELS,
-             tol: float = DEFAULT_TOL) -> tuple[int, int, list[str]]:
+             tol: float = DEFAULT_TOL,
+             checkpoint_every: int = 0) -> tuple[int, int, list[str]]:
     """Validate a run and report (n_steps, n_channels, warnings).
 
     n_steps is the count :func:`run_pulse` takes, ceil(T1/dt), except
     that a rest T1 - int(T1/dt) dt below 1e-12 T1 is roundoff and adds no
     step: the run takes n_steps equal steps of T1/n_steps, so dt is the
     largest step.  Raises :class:`TdseConfigError` when the channel count
-    exceeds the memory guard, dt or tol is not positive and finite, or
-    T1/dt overflows.  Oversized-but-allowed runs warn instead, so
-    published-scale parameters can be planned on a desk machine, and so
-    do a grid coarser than ``MAX_ZEFF_DR`` in units of 1/Zeff and a field
-    with l_max = 0, which it cannot couple.
+    exceeds the memory guard, dt or tol is not positive and finite, T1/dt
+    overflows, or ``checkpoint_every`` is negative.  Oversized-but-allowed
+    runs warn instead, so published-scale parameters can be planned on a
+    desk machine, and so do a grid coarser than ``MAX_ZEFF_DR`` in units
+    of 1/Zeff and a field with l_max = 0, which it cannot couple.
     """
     if l_max < 0:
         raise TdseConfigError(f"l_max must be >= 0, got {l_max}")
+    if checkpoint_every < 0:
+        raise TdseConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     nch = (l_max + 1) ** 2
     if nch > max_channels:
         raise TdseConfigError(
@@ -709,9 +712,8 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     was large enough for the chosen intensity.  ``checkpoint_every`` > 0
     needs ``checkpoint_path``.
     """
-    n_steps, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol)
-    if checkpoint_every < 0:
-        raise TdseConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    n_steps, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol,
+                                    checkpoint_every)
     if checkpoint_every and not checkpoint_path:
         raise TdseConfigError(f"checkpoint_every = {checkpoint_every} needs a checkpoint_path")
     state, energy0 = build_ground_state(system, grid, l_max)

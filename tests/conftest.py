@@ -5,7 +5,14 @@ The TDSE smoke run (Z=1, F0=0.5, omega=0.8 on the desk grid) takes about
 spectra tests and the acceptance gate.  Everything derived from it
 (scattering-state amplitudes, the rotated twin run, the half-step run)
 is session-scoped too.
+
+``pythonpath`` in pyproject.toml puts ``src`` on this process's path;
+the tests that start a new ``python -m tunnelqs.cli`` need it on the
+child's path too, so ``src`` goes first in ``PYTHONPATH``.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +20,9 @@ import pytest
 from tunnelqs import make_system
 from tunnelqs.spectra import project_scattering_states
 from tunnelqs.tdse import PulseParams, RadialGrid, run_pulse
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 SMOKE_L_MAX = 8
 SMOKE_DT = 0.02

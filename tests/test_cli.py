@@ -304,6 +304,23 @@ def test_underflowing_zeff_f_is_domain_error(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,line", [
+    ("critical-fields --Z 1 --Zeff 1e-300", "F_zeta1 = none"),
+    ("critical-fields --Z 40 --Zeff 1e300", "F_zeta1 = none"),
+    ("zeta-qs --Z 1 --Zeff 1e300", "window: F_c = 7.335494158e+301"),
+], ids=["critical-fields-small-zeff", "critical-fields-large-zeff", "zeta-qs"])
+def test_f_zeta1_bracket_checks_no_field(argv, line, capsys):
+    # the bracket ends of the F_zeta1 search, F_a 1e-9 and F_a (1 - 1e-12),
+    # went through the check meant for a caller's F and exited 3 naming a
+    # field the user never gave
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split()) == EXIT_OK
+    captured = capsys.readouterr()
+    assert line in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [["delays", "--Z", "1", "--F", "0.05"],
                                   ["zeta-qs", "--Z", "35", "--F", "1"],
                                   ["critical-fields", "--Z", "35"]], ids=lambda a: a[0])

@@ -1090,6 +1090,14 @@ class TestCheckpoint:
                       checkpoint_path=path, checkpoint_every=-3)
         assert not path.exists()
 
+    def test_plan_run_rejects_negative_checkpoint_every(self):
+        # the one place the rule is written: run_pulse and tdse --dry-run both plan
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.5, r_max=10.0)
+        pulse = PulseParams(F0=0.05, omega=1.1)
+        with pytest.raises(TdseConfigError, match="checkpoint_every must be >= 0, got -1"):
+            plan_run(s, grid, pulse, l_max=1, dt=0.1, checkpoint_every=-1)
+
     def test_checkpoint_on_failure(self, tmp_path):
         s = make_system(1.0)
         grid = RadialGrid(dr=0.5, r_max=10.0)
