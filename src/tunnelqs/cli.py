@@ -31,11 +31,11 @@ Exit codes, one exception family each: 0 success; 2 configuration error,
 ``ConfigError`` (tdse's ``TdseConfigError``: also a key set twice, a tdse
 setting that fails a check before propagating, a setting that would change
 nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs`` thick without F,
-``tdse`` rel) or ``OSError`` (an unwritable ``--out``); 3 domain error, any
-other ``ValueError`` (invalid physical inputs, barrier suppression); 4
-numerical failure, ``ArithmeticError`` (a failed TDSE step, a non-finite
-ionized probability).  JSON reports write non-finite numbers as null
-(scan tables: NaN as null, inf as Infinity).
+``tdse`` rel), ``OSError`` (an unwritable ``--out``) or ``MemoryError`` (a
+setting too big for memory); 3 domain error, any other ``ValueError``
+(invalid physical inputs, barrier suppression); 4 numerical failure,
+``ArithmeticError`` (a failed TDSE step, a non-finite ionized probability).
+JSON reports write non-finite numbers as null (scan tables: inf as Infinity).
 """
 
 from __future__ import annotations
@@ -578,7 +578,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, resolve_settings(args, args.spec))
-    except (ConfigError, OSError) as exc:   # OSError: writing --out
+    except (ConfigError, OSError, MemoryError) as exc:  # --out unwritable, settings too big
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:  # BarrierSuppressionError among them

@@ -6,15 +6,11 @@ evaluator, :func:`tabulate`, serves both ``run_scan`` and the CLI's
 ``delays`` (a one-row table).  The table is a numpy structured array
 with one field per ``COLUMNS`` entry (float64; int64 for the 0/1 flags)
 and one row per grid point in grid order; :func:`emit_table` writes it,
-or any other structured array, as CSV or JSON.  Quantities that do not
+or any other table of numeric fields, as CSV or JSON.  Quantities that do not
 apply at a point (no zeta given, or F beyond the barrier-suppression
 threshold) are NaN, and out-of-domain points are kept and flagged
 instead of being dropped.  Identical grids give byte-identical tables.
-
-The writer works on columns too: it formats each column of a block of
-rows once per distinct value, joins the cells with one row template and
-streams the text block after block.  Its bytes are those of formatting
-row by row with ``repr`` and ``json.dumps``.
+The writer works on columns too (see :func:`emit_table`).
 """
 
 from __future__ import annotations
@@ -186,26 +182,22 @@ _JSON_SPELLING = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity",
                   "True": "true", "False": "false"}
 
 
-def _column_cells(col: np.ndarray, fmt: str, indent: int) -> list[str]:
-    """The cell texts of one column of a block, in row order; ``indent``
-    is the nesting depth of a JSON cell."""
-    if col.ndim == 1 and col.dtype.kind in "biuf" and col.itemsize in (1, 2, 4, 8):
-        # each distinct bit pattern is formatted once: keyed on bits,
-        # -0.0 stays apart from 0.0 and no two NaNs are merged wrongly
-        bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-        texts = list(map(repr, bits.view(col.dtype).tolist()))
-        if fmt == "json":
-            texts = [_JSON_SPELLING.get(t, t) for t in texts]
-        return np.array(texts, dtype=object)[inverse].tolist()
-    if fmt == "csv":
-        return list(map(repr, col.tolist()))
-    return [json.dumps(None if v != v else v, indent=1).replace("\n", "\n" + " " * indent)
-            for v in col.tolist()]
+def _column_cells(col: np.ndarray, fmt: str) -> list[str]:
+    """The cell texts of one column of a block, in row order.  Each
+    distinct bit pattern is formatted once: keyed on bits, -0.0 stays
+    apart from 0.0 and no two NaNs are merged wrongly."""
+    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    texts = list(map(repr, bits.view(col.dtype).tolist()))
+    if fmt == "json":
+        texts = [_JSON_SPELLING.get(t, t) for t in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=None):
-    """Serialize a table, any numpy structured array (the scan table of
-    :func:`tabulate` among them), to CSV or JSON, one column per field.
+    """Serialize a table, a numpy structured array of scalar bool, int,
+    uint or float fields of at most 8 bytes (the scan table of
+    :func:`tabulate` among them), to CSV or JSON, one column per field;
+    any other field raises ValueError naming it before ``dest`` is opened.
 
     CSV: optional ``# key=value`` comment lines, one header row naming
     every column, comma separated, ``.`` decimal point, LF endings,
@@ -217,16 +209,20 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
 
     The writer is column-wise and streams blocks of ``_BLOCK_ROWS`` rows.
     Each column of a block is formatted into its cell texts, each
-    distinct value once (numeric columns; other dtypes value by value),
-    and one row template per table joins them into lines.  The bytes are
-    those of ``",".join(map(repr, row))`` per CSV row and of
-    ``json.dumps`` of a list of row dicts.  The blocks go to the file at
-    path ``dest``, or are joined and returned when ``dest`` is None.
+    distinct value once, and one row template per table joins them into
+    lines.  The bytes are those of ``",".join(map(repr, row))`` per CSV
+    row and of ``json.dumps`` of a list of row dicts.  The blocks are
+    written to path ``dest``, or joined and returned when it is None.
     """
     names = table.dtype.names
+    refused = [c for c in names
+               if table.dtype[c].kind not in "biuf" or table.dtype[c].itemsize > 8]
+    if refused:
+        raise ValueError("emit_table writes scalar bool, int, uint or float fields of at most "
+                         f"8 bytes; refused: {', '.join(map(repr, refused))}")
     if fmt == "csv":
         head = "".join(f"# {c}\n" for c in header_comments) + ",".join(names) + "\n"
-        row, sep, tail, indent = ",".join(["%s"] * len(names)) + "\n", "", "", 0
+        row, sep, tail = ",".join(["%s"] * len(names)) + "\n", "", ""
     elif fmt == "json":
         # the rows go where json.dumps puts the empty list, one level
         # deeper inside the config wrapper
@@ -234,12 +230,11 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
                            indent=1)
         pad = " " if config is None else "  "
         at = empty.rindex("[]")
-        head, tail = empty[:at] + "[\n", f"\n{pad[1:]}]{empty[at + 2:]}\n"
+        head, tail, sep = empty[:at] + "[\n", f"\n{pad[1:]}]{empty[at + 2:]}\n", ",\n"
         if len(table) == 0:
             head, tail = empty + "\n", ""
         keys = (json.dumps(c).replace("%", "%%") for c in names)
         row = f"{pad}{{\n" + ",\n".join(f"{pad} {k}: %s" for k in keys) + f"\n{pad}}}"
-        sep, indent = ",\n", len(pad) + 1
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -247,7 +242,7 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
         yield head
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            cells = [_column_cells(block[c], fmt, indent) for c in names]
+            cells = [_column_cells(block[c], fmt) for c in names]
             yield (sep if start else "") + sep.join(map(row.__mod__, zip(*cells)))
         yield tail
 

@@ -35,6 +35,7 @@ loads no scipy module.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -69,17 +70,21 @@ _RENORM_LIMIT = 1e200       # Numerov under-barrier growth guard
 _GUARD_ROWS = 64            # Numerov rows per growth check
 
 
-def _wkb_window(grid: RadialGrid) -> np.ndarray:
+def _wkb_window(grid: RadialGrid) -> range:
     """Grid indices in [0.8, 0.9] r_max, each with a neighbour on either
-    side, where continuum waves are normalized; TdseConfigError if none."""
-    r = grid.radii()
-    jw = np.flatnonzero((r >= 0.80 * grid.r_max) & (r <= 0.90 * grid.r_max))
-    jw = jw[(jw > 0) & (jw < grid.n_points - 1)]
-    if jw.size == 0:
+    side, where continuum waves are normalized; TdseConfigError if none.
+    Bisected on the radii's own expression dr (j + 1): none are built."""
+    def radius(j):
+        return grid.dr * (j + 1)
+
+    js = range(grid.n_points)
+    lo = max(1, bisect.bisect_left(js, 0.80 * grid.r_max, key=radius))
+    hi = min(grid.n_points - 1, bisect.bisect_right(js, 0.90 * grid.r_max, key=radius))
+    if lo >= hi:
         raise TdseConfigError(
             f"the radial grid (dr = {grid.dr:g}, r_max = {grid.r_max:g}) has no interior point "
             "in [0.8, 0.9] r_max, where continuum waves are normalized; use more radial points")
-    return jw
+    return range(lo, hi)
 
 
 def coulomb_phase(l: int, eta) -> np.ndarray:
@@ -146,7 +151,7 @@ def _group_size(grid: RadialGrid) -> int:
     the window's radii) within the 3 n_points doubles of one l's waves
     and their two whole coefficient arrays."""
     jw = _wkb_window(grid)
-    per_l = 3 * (_GUARD_ROWS + 2) + 1 + jw.size + 2
+    per_l = 3 * (_GUARD_ROWS + 2) + 1 + len(jw) + 2
     return max(1, 3 * grid.n_points // per_l)
 
 
@@ -177,7 +182,7 @@ def _numerov_sweep(zeff: float, grid: RadialGrid, ls, p: np.ndarray, take) -> np
     u, b, a = np.empty((3, _GUARD_ROWS + 2, len(ls), len(p)))
     tmp = np.empty(u.shape[1:])
     w_lo = jw[0] - 1                       # the window's radii w_lo ... jw[-1] + 1
-    win = np.zeros((jw.size + 2, *u.shape[1:]))
+    win = np.zeros((len(jw) + 2, *u.shape[1:]))
 
     def finish(k0, rows, divisor):
         if divisor is not None:
@@ -232,7 +237,7 @@ def _numerov_sweep(zeff: float, grid: RadialGrid, ls, p: np.ndarray, take) -> np
     return np.array([_wkb_scale(zeff, grid, jw, l, p, win[:, g]) for g, l in enumerate(ls)])
 
 
-def _wkb_scale(zeff: float, grid: RadialGrid, jw: np.ndarray, l: int, p: np.ndarray,
+def _wkb_scale(zeff: float, grid: RadialGrid, jw: range, l: int, p: np.ndarray,
                win: np.ndarray) -> np.ndarray:
     """Per momentum, the factor that brings the unnormalized waves' rows
     jw[0] - 1 ... jw[-1] + 1, ``win``, to the WKB amplitude sqrt(2/(pi k))

@@ -665,7 +665,7 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         # factors (4.25 psi) and the work buffers (11 psi, 5 of them the
         # ring): a whole run at l_max = 20, r_max = 200 peaked at 17.8 psi
         # above the import of scipy's solvers
-        mb = even_channels(l_max)[0].size * grid.n_points * 16 * 18 / 1e6
+        mb = _rows(l_max + 1) * grid.n_points * 16 * 18 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
             f"points (roughly {mb:.0f} MB of working set)")

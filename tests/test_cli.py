@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -10,7 +9,6 @@ import warnings
 
 import pytest
 
-import tunnelqs
 from tunnelqs import cli
 from tunnelqs.cli import (
     CRIT_SPEC,
@@ -721,6 +719,35 @@ class TestTdse:
         assert "warning: not desk scale: 1.57e+301 steps" in captured.err
         assert "plan: 15707963267948966" in captured.out
 
+    def test_box_too_big_to_allocate_plans_on_dry_run(self, tmp_path, capsys):
+        # the normalization window was found on the whole radii array, so
+        # 10^16 radial points asked for 71 PiB and exited 1 with a traceback
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nr_max = 1e15\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: not desk scale: 786 steps, 81 channels x "
+                                       "10000000000000000 points")
+        assert "plan: 786 steps of dt = 0.02, 81 channels, 10000000000000000 radial points\n" \
+            in captured.out
+
+    def test_setting_too_big_for_memory_is_config_error(self, tmp_path, capsys):
+        # 10^15 momenta fail to allocate at once: one line and exit 2, not
+        # a traceback and exit 1
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nn_p = 1000000000000000\n")
+        assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate ")
+        assert err.count("\n") == 1
+
+    def test_run_out_of_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def run_pulse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "run_pulse", run_pulse)
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\n")
+        assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: Unable to allocate 1.00 TiB\n"
+
     def test_zero_tol_rejected_on_dry_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\ntol = 0\n")
         assert main(["tdse", "--config", cfg, "--dry-run"]) == EXIT_CONFIG
@@ -903,12 +930,9 @@ def test_console_script_help():
 
 
 def _fresh_python(*args, cwd=None):
-    """Run ``python *args`` in a new interpreter that imports this tunnelqs."""
-    src = os.path.dirname(os.path.dirname(tunnelqs.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd)
+    """Run ``python *args`` in a new interpreter that imports this tunnelqs
+    (conftest.py puts ``src`` first on ``PYTHONPATH``)."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd)
 
 
 def test_light_commands_load_no_scipy():

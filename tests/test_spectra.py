@@ -18,6 +18,7 @@ from tunnelqs.spectra import (
     AngularDistribution,
     IonizationAmplitudes,
     MomentumDistribution,
+    _wkb_window,
     attoclock_readout,
     bound_states,
     continuum_waves,
@@ -33,6 +34,7 @@ from tunnelqs.spectra import (
 from tunnelqs.tdse import (
     PulseParams,
     RadialGrid,
+    TdseConfigError,
     WavefunctionState,
     _bound_levels,
     build_ground_state,
@@ -243,6 +245,41 @@ class TestContinuumWaves:
         amp = np.sqrt(u[allowed][:, jw] ** 2 + (du / k) ** 2)
         ratio = np.mean(np.sqrt(2.0 / (math.pi * k)) / amp, axis=1)
         np.testing.assert_allclose(ratio, 1.0, rtol=1e-12)
+
+    def test_window_matches_the_radii_mask(self):
+        # the window is bisected on dr (j + 1) instead of masked on the
+        # radii array; the mask stays here as the reference
+        def masked(grid):
+            r = grid.radii()
+            jw = np.flatnonzero((r >= 0.80 * grid.r_max) & (r <= 0.90 * grid.r_max))
+            return jw[(jw > 0) & (jw < grid.n_points - 1)].tolist()
+
+        counts = [*range(2, 80), *np.random.default_rng(29).integers(80, 100_000, 12)]
+        checked = 0
+        for dr in (0.1, 1.0 / 3.0, 0.07, 1e-3):
+            for n in counts:
+                try:
+                    grid = RadialGrid(dr=dr, r_max=dr * int(n))
+                except TdseConfigError:   # dr n rounds off an integer ratio
+                    continue
+                checked += 1
+                want = masked(grid)
+                if want:
+                    assert list(_wkb_window(grid)) == want
+                else:
+                    with pytest.raises(TdseConfigError, match="no interior point"):
+                        _wkb_window(grid)
+        assert checked > 300
+        # and it builds nothing the size of the grid (16 MB of radii here)
+        grid = RadialGrid(dr=0.1, r_max=1e5)
+        tracemalloc.start()
+        try:
+            jw = _wkb_window(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (jw[0], jw[-1], len(jw)) == (799999, 899999, 100001)
+        assert peak < 1e4
 
     def test_renormalized_rows_stay_small(self):
         # the growth guard scales every row before a hit, not just the

@@ -226,6 +226,25 @@ class TestGroundState:
         assert float(np.real(u1[np.argmax(np.abs(u1))])) > 0.0
         np.testing.assert_array_equal(u1, u2)
 
+    def test_sign_rule_flips_a_negative_level(self, monkeypatch):
+        # LAPACK hands this level over positive at its maximum, so the flip
+        # runs only when the solver's levels come back negated
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=40.0)
+        u = build_ground_state(s, grid, 0)[0].psi[even_index(0, 0)]
+        bound_levels = tdse._bound_levels
+
+        def negated(*args):
+            energies, levels = bound_levels(*args)
+            return energies, -levels
+
+        level = negated(s.Zeff, grid, 0)[1][0]
+        assert level[np.argmax(np.abs(level))] < 0.0
+        monkeypatch.setattr(tdse, "_bound_levels", negated)
+        flipped = build_ground_state(s, grid, 0)[0].psi[even_index(0, 0)]
+        assert float(np.real(flipped[np.argmax(np.abs(flipped))])) > 0.0
+        np.testing.assert_array_equal(flipped, u)
+
     def test_box_without_bound_s_level_refused(self):
         # r_max = 1 holds no E < 0 level for Zeff = 1: the run stops before
         # propagating instead of starting from the lowest, unbound, level
@@ -896,6 +915,23 @@ class TestPlanning:
         # Zeff dr = 1.8: hydrogen on dr 1.8
         assert warnings[1] == ("under-resolved radial grid: Zeff dr = 1.8 exceeds 0.2; "
                                "dr = 0.0111 would meet it")
+
+    def test_working_set_estimate_builds_no_channel_list(self):
+        # a state's rows are counted, not listed: building the (l, m)
+        # arrays peaked at 20.1 MB for l_max = 1000
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=60.0)
+        tracemalloc.start()
+        try:
+            _, nch, warnings = plan_run(s, grid, PulseParams(F0=0.5, omega=0.8), l_max=1000,
+                                        max_channels=2 * 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert nch == 1002001
+        assert warnings == ["not desk scale: 786 steps, 1002001 channels x 600 points "
+                            "(roughly 86659 MB of working set)"]
 
     @pytest.mark.parametrize("f0, warned", [(0.5, True), (0.0, False)])
     def test_field_with_l_max_0_warns(self, f0, warned):
