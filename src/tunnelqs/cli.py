@@ -27,7 +27,8 @@ table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 then clears the last run's report and CSVs from its output directory; the
 report holds every ``PulseResult`` field but the state, then the readout.
 
-Exit codes, one exception family each: 0 success; 2 configuration error,
+Exit codes, one exception family each: 0 success; 1 stdout closed by its
+reader (``BrokenPipeError``), silently; 2 configuration error,
 ``ConfigError`` (tdse's ``TdseConfigError``: also a key set twice, a tdse
 setting that fails a check before propagating, a setting that would change
 nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs`` thick without F,
@@ -72,6 +73,7 @@ from .tdse import (
 from .tdse import TdseConfigError as ConfigError  # the library's and the CLI's exit 2
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
@@ -577,7 +579,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, resolve_settings(args, args.spec))
+        code = args.handler(args, resolve_settings(args, args.spec))
+        sys.stdout.flush()      # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:     # the reader closed stdout, as head does
+        # the output left in the buffer goes nowhere, and the exit flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except (ConfigError, OSError, MemoryError) as exc:  # --out unwritable, settings too big
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

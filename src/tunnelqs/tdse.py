@@ -12,13 +12,24 @@ A . p changes l + m by 0 or +-2, a run from the (0, 0) ground state
 fills only the channels with even l + m, and a state holds those alone,
 the rows of :func:`even_channels`; each l is l + 1 adjacent rows.  A
 step returns 2 m - psi for the midpoint m of (1 + i dt/2 H) m = psi,
-found by the fixed-point iteration m <- (1 + i dt/2 H_atom)^-1
-(psi - i dt/2 H_int m) to a per-step defect tolerance, which keeps the
-step unitary to that tolerance for any dt.  H_atom is inverted exactly
-by one LU-factored tridiagonal solve, whose off-diagonal is cut at each
-channel edge, and the channel coupling H_int is one sparse matrix on
-the same rows.  A pulse of length T1 is n = ceil(T1/dt) equal steps
-taken by one :class:`Propagator`, so dt is the largest step.
+found by the fixed-point iteration m_k = (1 + i dt/2 H_atom)^-1
+(psi - i dt/2 w_(k-1)), w_k = H_int m_k, to a per-step defect
+tolerance, which keeps the step unitary to that tolerance for any dt.
+H_atom is inverted exactly by one LU-factored tridiagonal solve, whose
+off-diagonal is cut at each channel edge, and the channel coupling H_int
+is one sparse matrix on the same rows.  A pulse of length T1 is
+n = ceil(T1/dt) equal steps taken by one :class:`Propagator`, so dt is
+the largest step.
+
+The iterate m_k leaves the residual r_k = -i dt/2 (w_k - w_(k-1)) in the
+midpoint equation, and the next iterate moves it by
+(1 + i dt/2 H_atom)^-1 r_k.  H_atom is real symmetric, so that inverse
+has norm at most 1, and dt |w_k - w_(k-1)| bounds how far the next
+iteration would move the step's result 2 m - psi.  A step tests this
+bound on each new coupling product before it solves again and stops at
+m_k when the bound is within the tolerance, the residual test of inexact
+Newton methods (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19,
+400 (1982)); an iteration is one coupling product and at most one solve.
 
 A step works only on the l blocks the field has reached.  The coupling
 moves l by one, so amplitude climbs from block 0 one block at a time,
@@ -128,24 +139,27 @@ def _require_positive(**values: float) -> None:
 
 class PropagationError(ArithmeticError):
     """Fixed-point iteration failed to reach the defect tolerance: a
-    numerical failure, so an ArithmeticError (CLI exit 4).  The state
-    passed to the failing step is left at the last good time; ``t_last``
-    records it when the pulse driver re-raises, and ``checkpoint`` the
-    path of the crash checkpoint it wrote, if any.
+    numerical failure, so an ArithmeticError (CLI exit 4).  A defect that
+    is not finite fails at the iteration that finds it (``iteration``),
+    any other after ``MAX_ITER`` iterations.  The state passed to the
+    failing step is left at the last good time; ``t_last`` records it
+    when the pulse driver re-raises, and ``checkpoint`` the path of the
+    crash checkpoint it wrote, if any.
     """
 
     def __init__(self, defect: float, tol: float, step: int,
-                 t_last: float | None = None, checkpoint=None):
+                 t_last: float | None = None, checkpoint=None, iteration: int = MAX_ITER):
         self.defect = defect
         self.tol = tol
         self.step = step
         self.t_last = t_last
         self.checkpoint = checkpoint
+        self.iteration = iteration
         at = "" if t_last is None else f" (last good time t = {t_last:.6g})"
         saved = "" if checkpoint is None else f"; crash checkpoint written to {checkpoint}"
-        super().__init__(
-            f"step {step}: defect {defect:.3e} above tolerance {tol:.1e} "
-            f"after the iteration limit{at}{saved}")
+        why = (f"above tolerance {tol:.1e} after the iteration limit" if math.isfinite(defect)
+               else f"is not finite at iteration {iteration}")
+        super().__init__(f"step {step}: defect {defect:.3e} {why}{at}{saved}")
 
 
 @dataclass(frozen=True)
@@ -440,12 +454,16 @@ class Propagator:
     the 1/(2 dr) of the central difference folded into its derivative
     columns, so it acts on s = [2 dr du/dr ; u/r]; the same matrix on the
     rows of each block count, and the prefixes of the LU factors, are
-    kept by row count.  The work buffers are the two midpoint iterates
-    (the second also holds H_int m), s (``stacked``, scratch of
-    ``apply_interaction``) and ``pair``, the coupling product
-    [D+ s ; D- s].  ``states`` is a ring of the ORDER + 1 states the
-    steps produced, one array; its newest entry, ``head``, is the state
-    the last step produced and the one the next step starts from.
+    kept by row count.  The work buffers are ``m`` and ``mn``, s
+    (``stacked``, scratch of ``apply_interaction``) and ``pair``, the
+    coupling product [D+ s ; D- s].  ``states`` is a ring of the
+    ORDER + 1 states the steps produced, one array; its newest entry,
+    ``head``, is the state the last step produced and the one the next
+    step starts from.  During a step, ``m``, ``mn`` and ring entry
+    (head + 1) % (ORDER + 1) hold in turn the iterate m_k, its coupling
+    product w_k = H_int m_k and the previous product w_(k-1): the start
+    has read that entry's state before, and the step overwrites it last,
+    with the state it produces, so the residual test needs no buffer.
 
     A step propagates the l blocks 0..``blocks`` - 1 as the module
     describes and carries the rows above over unchanged.  It iterates on
@@ -465,12 +483,20 @@ class Propagator:
     (another state, an edited one, a different t, or a step after a
     failure) is copied into ring entry 0 and starts from psi_n (h = 0),
     with the window one block past its highest above ``REACH``, so the
-    h + 1 newest entries are always the first ones or the whole ring.  A
-    field-free step is no special case: its second iteration repeats the
-    first exactly.  The start changes only the iteration count: every
-    step iterates until the defect 2 |m_(k+1) - m_k|, the change of the
-    step's result, is at most ``tol``, and a step still above it after
-    ``MAX_ITER`` (50) iterations raises :class:`PropagationError`.
+    h + 1 newest entries are always the first ones or the whole ring.
+
+    The start changes only the iteration count.  Iteration k + 1 takes
+    w_k = H_int m_k.  If m_k came from a solve on the same window, it
+    first tests the module's bound dt |w_k - w_(k-1)| on the next
+    update, and returns m_k with that defect when it is at most ``tol``;
+    a window that grew resets the test.  Otherwise it solves for m_(k+1)
+    and returns it when the defect 2 |m_(k+1) - m_k|, the change of the
+    step's result, is at most ``tol``, the test of the first iteration.
+    A field-free step is no special case: its second iteration finds
+    w_1 = w_0 = 0 and returns the first iterate, after one solve.  A
+    defect that is not finite, or one still above ``tol`` after
+    ``MAX_ITER`` (50) iterations, raises :class:`PropagationError`.
+    ``solves`` counts the LU solves of all steps.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -486,6 +512,7 @@ class Propagator:
         self.dt = dt
         self.tol = tol
         self._t_end = None      # where the last step ended, if it succeeded
+        self.solves = 0         # LU solves taken by all steps
         self.history = 0
         self.head = 0
         self.blocks = l_max + 1
@@ -565,6 +592,13 @@ class Propagator:
         x, _ = self._zgttrs(*self._by_rows[len(rhs)][1], rhs.reshape(-1, 1), overwrite_b=1)
         return x.reshape(rhs.shape)
 
+    def _converged(self, defect: float, iteration: int, step_index: int) -> bool:
+        """Whether a defect is within ``tol``; a non-finite one raises
+        :class:`PropagationError` at once."""
+        if not math.isfinite(defect):
+            raise PropagationError(defect, self.tol, step_index, iteration=iteration)
+        return defect <= self.tol
+
     def step(self, state: WavefunctionState, pulse: PulseParams,
              step_index: int = 0) -> tuple[int, float]:
         """Advance the state by dt in place; returns (iterations, defect).
@@ -582,7 +616,9 @@ class Propagator:
         self._t_end = None
         psi = self.states[self.head]
         half = 0.5j * self.dt
-        m, mn = self.m, self.mn
+        # the iterate, the coupling product and the previous coupling product
+        # rotate through m, mn and the ring entry the step overwrites last
+        m, w, w_prev = self.m, self.mn, self.states[(self.head + 1) % (ORDER + 1)]
         rows = self.rows
         # the start, one real matrix product over the window's rows of the
         # h + 1 newest ring entries, weighted by their ages
@@ -592,27 +628,38 @@ class Propagator:
         np.matmul(weights, ring[:h + 1, :2 * m[:rows].size],
                   out=m[:rows].view(np.float64).reshape(-1))
         scale = 2.0 * math.sqrt(self.grid.dr)      # 2 m - psi moves twice as far as m
-        for it in range(1, MAX_ITER + 1):
-            if self.blocks <= self.l_max:
-                top = m[l_block(self.blocks - 1)]
-                if np.vdot(top, top).real * self.grid.dr > REACH:
-                    self.blocks += 1
-                    m[rows:self.rows] = psi[rows:self.rows]
-                    rows = self.rows
-            w = self.apply_interaction(m[:rows], atilde, out=mn[:rows])
-            np.multiply(half, w, out=w)
-            np.subtract(psi[:rows], w, out=w)
-            w = self._solve_implicit(w)
-            diff = np.subtract(w, m[:rows], out=m[:rows])   # m is not needed again
-            defect = math.sqrt(np.vdot(diff, diff).real) * scale
-            if defect <= self.tol:
-                break
-            m, mn = mn, m
-        else:
-            raise PropagationError(defect, self.tol, step_index)
+        solved = False      # m was solved for from w_prev, on this window
+        with np.errstate(all="ignore"):     # a non-finite defect raises instead
+            for it in range(1, MAX_ITER + 1):
+                if self.blocks <= self.l_max:
+                    top = m[l_block(self.blocks - 1)]
+                    if np.vdot(top, top).real * self.grid.dr > REACH:
+                        self.blocks += 1
+                        m[rows:self.rows] = psi[rows:self.rows]
+                        rows = self.rows
+                        solved = False
+                self.apply_interaction(m[:rows], atilde, out=w[:rows])
+                if solved:
+                    # m's residual -i dt/2 (w - w_prev) bounds the next update
+                    diff = np.subtract(w[:rows], w_prev[:rows], out=w_prev[:rows])
+                    defect = math.sqrt(np.vdot(diff, diff).real) * scale * 0.5 * self.dt
+                    if self._converged(defect, it, step_index):
+                        break
+                rhs = np.multiply(half, w[:rows], out=w_prev[:rows])
+                np.subtract(psi[:rows], rhs, out=rhs)
+                self._solve_implicit(rhs)       # overwrites rhs with the next iterate
+                self.solves += 1
+                diff = np.subtract(rhs, m[:rows], out=m[:rows])   # m is not needed again
+                defect = math.sqrt(np.vdot(diff, diff).real) * scale
+                m, w, w_prev = w_prev, m, w
+                if self._converged(defect, it, step_index):
+                    break
+                solved = True
+            else:
+                raise PropagationError(defect, self.tol, step_index)
         # the rows above the window already hold psi's values
-        w *= 2.0
-        np.subtract(w, psi[:rows], out=state.psi[:rows])
+        m[:rows] *= 2.0
+        np.subtract(m[:rows], psi[:rows], out=state.psi[:rows])
         self.head = (self.head + 1) % (ORDER + 1)
         np.copyto(self.states[self.head], state.psi)
         self.history = min(self.history + 1, ORDER)
@@ -663,8 +710,9 @@ def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     if nch > DESK_CHANNELS or grid.n_points > DESK_POINTS or n_steps > DESK_STEPS:
         # psi (the even channels), their real diagonals (0.5 psi), LU
         # factors (4.25 psi) and the work buffers (11 psi, 5 of them the
-        # ring): a whole run at l_max = 20, r_max = 200 peaked at 17.8 psi
-        # above the import of scipy's solvers
+        # ring, one entry of which a step also uses for the previous
+        # coupling product): a whole run at l_max = 20, r_max = 200 peaked
+        # at 17.8 psi above the import of scipy's solvers
         mb = _rows(l_max + 1) * grid.n_points * 16 * 18 / 1e6
         warnings.append(
             f"not desk scale: {n_steps:.3g} steps, {nch} channels x {grid.n_points} "
@@ -688,6 +736,7 @@ class PulseResult:
     steps: int
     max_iterations: int
     iterations_total: int
+    solves_total: int           # LU solves, at most one per iteration
     max_defect: float
     norm_initial: float
     norm_final: float
@@ -738,7 +787,8 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         if checkpoint_path:
             save_checkpoint(checkpoint_path, state, system)
         raise PropagationError(exc.defect, exc.tol, exc.step, t_last=state.t,
-                               checkpoint=checkpoint_path or None) from None
+                               checkpoint=checkpoint_path or None,
+                               iteration=exc.iteration) from None
 
     pops = state.populations_by_l()
     total = pops.sum()
@@ -755,6 +805,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         steps=n_steps,
         max_iterations=max_it,
         iterations_total=total_it,
+        solves_total=prop.solves,
         max_defect=max_defect,
         norm_initial=norm0,
         norm_final=state.norm(),

@@ -660,6 +660,20 @@ class TestTdse:
         # the crash checkpoint still lands
         assert (tmp_path / "tdse_checkpoint.npz").exists()
 
+    def test_non_finite_defect_fails_at_once(self, tmp_path, capsys):
+        # F0 = 1e200 overflows the coupling product: the run used to print
+        # numpy RuntimeWarnings and iterate 50 times on a NaN iterate
+        cfg = write_cfg(tmp_path, "Z = 1\nF0 = 1e200\nomega = 0.8\nl_max = 2\n"
+                                  "dr = 0.2\nr_max = 20\ndt = 0.05\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["tdse", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "is not finite at iteration 1 (last good time t = 0)" in err
+        assert "Warning" not in err
+        assert (tmp_path / "tdse_checkpoint.npz").exists()
+
     def test_failure_prints_checkpoint_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\nl_max = 1\n"
                                   "r_max = 10\ntol = 1e-30\n")
@@ -918,6 +932,23 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "27.1751" in proc.stdout
+
+
+def test_closed_stdout_is_not_a_config_error():
+    # the child writes only after its stdout pipe is closed, as when
+    # head -1 exits early; main used to report the BrokenPipeError as a
+    # config error with exit 2
+    child = ("import sys\n"
+             "sys.stdin.readline()\n"
+             "from tunnelqs.cli import main\n"
+             "sys.exit(main(['delays', '--Z', '18', '--F', '100', '--omega', '0.057']))\n")
+    proc = subprocess.Popen([sys.executable, "-c", child], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate("go\n", timeout=60)
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT != EXIT_CONFIG
+    for text in ("config error", "Traceback", "Exception ignored"):
+        assert text not in err
 
 
 def test_console_script_help():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -317,12 +318,14 @@ class TestInteraction:
         psi = np.ones(shape, dtype=np.complex128)
         assert not prop.apply_interaction(psi, 0.0).any()
         # without a field a step is one atomic half-step solve: the
-        # iteration's second iterate repeats the first exactly
+        # second iteration's coupling product is the first one, zero, so
+        # the step stops there without solving again
         state, _ = build_ground_state(prop.system, prop.grid, prop.l_max)
         pulse = PulseParams(F0=0.5, omega=0.8)
         state.t = pulse.duration
         start = state.psi.copy()
         assert prop.step(state, pulse) == (2, 0.0)
+        assert prop.solves == 1
         fresh = Propagator(prop.system, prop.grid, prop.l_max, prop.dt)
         assert state.psi.tobytes() == (fresh._solve_implicit(2.0 * start) - start).tobytes()
 
@@ -465,6 +468,51 @@ class TestCrankNicolsonOracle:
         else:
             assert iterations > 1
         np.testing.assert_allclose(state.psi, expect, rtol=0.0, atol=10 * prop.tol)
+
+
+class TestStoppingRule:
+    """From the second iteration on, a step stops on the residual of its
+    midpoint iterate, which bounds the next update, before it solves
+    again."""
+
+    @pytest.fixture(scope="class")
+    def mid_pulse(self):
+        s = make_system(1.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        state, _ = build_ground_state(s, RadialGrid(dr=0.1, r_max=60.0), l_max=8)
+        prop = Propagator(s, state.grid, 8, 0.02)
+        while state.t < 0.45 * pulse.duration:
+            prop.step(state, pulse)
+        return prop, pulse, state
+
+    def test_fewer_solves_than_iterations(self, mid_pulse, monkeypatch):
+        prop, pulse, state = mid_pulse
+        calls = []
+        solve = prop._solve_implicit
+
+        def counted(rhs):
+            calls.append(len(rhs))
+            return solve(rhs)
+
+        monkeypatch.setattr(prop, "_solve_implicit", counted)
+        before = prop.solves
+        iterations = sum(prop.step(state, pulse)[0] for _ in range(20))
+        assert len(calls) < iterations
+        assert prop.solves - before == len(calls)
+
+    def test_next_update_within_tol(self, mid_pulse):
+        # one more fixed-point update from the returned midpoint moves the
+        # step's result 2 m - psi by at most tol
+        prop, pulse, state = mid_pulse
+        oracle = Propagator(prop.system, prop.grid, prop.l_max, prop.dt)
+        half = 0.5j * prop.dt
+        for _ in range(20):
+            psi, t = state.psi.copy(), state.t
+            prop.step(state, pulse)
+            m = 0.5 * (state.psi + psi)
+            atilde = complex(*vector_potential(pulse, t + 0.5 * prop.dt))
+            moved = oracle._solve_implicit(psi - half * oracle.apply_interaction(m, atilde)) - m
+            assert 2.0 * math.sqrt(np.vdot(moved, moved).real * prop.grid.dr) <= prop.tol
 
 
 class TestSelectionRules:
@@ -702,6 +750,8 @@ class TestPropagation:
         assert res.max_iterations <= 50
         # the order-4 start; the quadratic one took 2,001
         assert res.steps <= res.iterations_total < 1600
+        # the residual test ends most two-iteration steps without a second solve
+        assert res.steps <= res.solves_total < res.iterations_total
         assert res.tail_fraction < 1e-6
         assert res.warnings == []
         # the window leaves about a quarter of the row-steps out (0.761)
@@ -1133,6 +1183,23 @@ class TestCheckpoint:
         pulse = PulseParams(F0=0.05, omega=1.1)
         with pytest.raises(TdseConfigError, match="checkpoint_every must be >= 0, got -1"):
             plan_run(s, grid, pulse, l_max=1, dt=0.1, checkpoint_every=-1)
+
+    def test_non_finite_defect_fails_at_once(self, tmp_path):
+        # F0 = 1e200 overflows the coupling product; the step used to warn
+        # and iterate to the limit on a NaN iterate
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=20.0)
+        pulse = PulseParams(F0=1e200, omega=0.8)
+        path = tmp_path / "crash"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError) as exc:
+                run_pulse(s, grid, pulse, l_max=2, dt=0.05, checkpoint_path=path)
+        err = exc.value
+        assert not math.isfinite(err.defect)
+        assert (err.step, err.iteration, err.t_last) == (0, 1, 0.0)
+        assert "is not finite at iteration 1" in str(err)
+        assert load_checkpoint(path)[0].t == 0.0
 
     def test_checkpoint_on_failure(self, tmp_path):
         s = make_system(1.0)
