@@ -25,7 +25,9 @@ table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
 
 ``tdse`` checks all it can before propagating (``--dry-run`` stops there),
 then clears the last run's report and CSVs from its output directory; the
-report holds every ``PulseResult`` field but the state, then the readout.
+report holds every ``PulseResult`` field but the state, then the readout,
+the phases' wall times and the versions and BLAS thread settings the
+run's bytes depend on.
 
 Exit codes, one exception family each: 0 success; 1 stdout closed by its
 reader (``BrokenPipeError``), silently; 2 configuration error,
@@ -425,6 +427,21 @@ TDSE_SPEC = {
 }
 
 
+def _versions() -> dict:
+    """What a run's bytes depend on beyond its config: the interpreter, the
+    numerical libraries and the BLAS thread settings (null when unset)."""
+    import platform
+
+    import scipy
+
+    from . import __version__
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "tunnelqs": __version__,
+            **{name: os.environ.get(name)
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def cmd_tdse(args, resolved: dict) -> int:
     if resolved["rel"]:
         raise ConfigError("rel = true changes nothing here: the TDSE uses only "
@@ -522,6 +539,7 @@ def cmd_tdse(args, resolved: dict) -> int:
     report["timings"] = {"propagate_s": t_propagated - t_start,
                          "readout_s": t_read - t_readout,
                          "write_s": time.perf_counter() - t_read}
+    report["versions"] = _versions()
     _write_json(out_dir / "tdse_report.json", _jsonable(report))
     print(f"wrote {out_dir / 'tdse_report.json'}", file=sys.stderr)
     return EXIT_OK

@@ -31,6 +31,18 @@ m_k when the bound is within the tolerance, the residual test of inexact
 Newton methods (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19,
 400 (1982)); an iteration is one coupling product and at most one solve.
 
+A solve's change bounds the next residual as well: w_(k+1) - w_k =
+H_int (m_(k+1) - m_k), and |H_int| <= |Atilde| N/2 for a bound N on the
+coupling's norm, computed once per window, so the next residual test
+reads at most q 2 |m_(k+1) - m_k|, q = dt |Atilde| N/4, when the window
+does not grow.  A step whose solve does not meet the tolerance stops at
+m_(k+1) when q times its change does, the a-posteriori estimate of a
+contracting fixed-point iteration (C. T. Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, ch. 4).  The residual test
+would have returned the same m_(k+1), so the bound changes no state; it
+saves that test's coupling product, and a field-free step, with q = 0,
+ends at its first solve.
+
 A step works only on the l blocks the field has reached.  The coupling
 moves l by one, so amplitude climbs from block 0 one block at a time,
 and the window of propagated blocks 0..L is a prefix of the rows.  It
@@ -427,6 +439,39 @@ def coupling_operators(l_max: int):
                       shape=(2 * rows, 2 * rows))
 
 
+def _coupling_bound(couple, dr: float) -> float:
+    """Upper bound N on the 2-norm of D+ + D- on the radial grid, for a
+    :class:`Propagator`'s ``couple`` (1/(2 dr) folded into its derivative
+    columns), so that |H_int| <= |Atilde| N / 2.
+
+    Entrywise, |D+ + D-| <= |C_d| (x) |T| + |C_r| (x) diag(1/r), with C_d
+    and C_r the channel couplings of the derivative and 1/r columns (D+
+    and D- never share an entry) and T the two-tap stencil.  That bound
+    is symmetric and non-negative, so on a vector x (x) 1, x > 0, the
+    Collatz-Wielandt inequality bounds its norm by max_k (W x)_k / x_k,
+    W = 2 |C_d| + |C_r|/dr: a derivative coefficient c counts 2 |c|, two
+    stencil taps, and a 1/r one |c|/dr, at r = dr.  x = 1 gives the
+    Hoelder bound, the largest row sum of W; ten shifted power steps
+    bring x near W's Perron vector and N to within about 2% of W's norm.
+    """
+    from scipy.sparse import csr_matrix
+
+    rows = couple.shape[0] // 2
+    coo = couple.tocoo()
+    if not coo.nnz:
+        return 0.0
+    weight = np.abs(coo.data) * np.where(coo.col < rows, 2.0, 1.0 / dr)
+    w = csr_matrix((weight, (coo.row % rows, coo.col % rows)), shape=(rows, rows))
+    # W's spectrum is symmetric about 0 (l steps by one), so shift it by
+    # half its largest row sum for the power steps to settle
+    shift = 0.5 * np.bincount(coo.row % rows, weight).max()
+    x = np.ones(rows)
+    for _ in range(10):
+        x = w @ x + shift * x
+        x /= x.max()
+    return float(np.max(w @ x / x))
+
+
 # weights of the states ring's entries by age (0 the newest) for each
 # history h: the mean of the newest and the polynomial of order h through
 # the h + 1 newest of equally spaced values one spacing ahead; comb() is
@@ -453,8 +498,9 @@ class Propagator:
     ``couple`` is :func:`coupling_operators`, the stacked [D+ ; D-], with
     the 1/(2 dr) of the central difference folded into its derivative
     columns, so it acts on s = [2 dr du/dr ; u/r]; the same matrix on the
-    rows of each block count, and the prefixes of the LU factors, are
-    kept by row count.  The work buffers are ``m`` and ``mn``, s
+    rows of each block count, the prefixes of the LU factors and the
+    norm bound N of that coupling (:func:`_coupling_bound`) are kept by
+    row count.  The work buffers are ``m`` and ``mn``, s
     (``stacked``, scratch of ``apply_interaction``) and ``pair``, the
     coupling product [D+ s ; D- s].  ``states`` is a ring of the
     ORDER + 1 states the steps produced, one array; its newest entry,
@@ -479,7 +525,8 @@ class Propagator:
     the ring entries behind the newest that the next step may extrapolate
     from, up to ORDER (4).  It and the window are kept only for a state
     equal to the ring's newest entry at the time the last step ended; the
-    whole psi is compared, so an edited state is caught.  Any other state
+    whole psi is compared, as complex ``==`` does, so an edited state is
+    caught.  Any other state
     (another state, an edited one, a different t, or a step after a
     failure) is copied into ring entry 0 and starts from psi_n (h = 0),
     with the window one block past its highest above ``REACH``, so the
@@ -492,11 +539,15 @@ class Propagator:
     a window that grew resets the test.  Otherwise it solves for m_(k+1)
     and returns it when the defect 2 |m_(k+1) - m_k|, the change of the
     step's result, is at most ``tol``, the test of the first iteration.
-    A field-free step is no special case: its second iteration finds
-    w_1 = w_0 = 0 and returns the first iterate, after one solve.  A
-    defect that is not finite, or one still above ``tol`` after
-    ``MAX_ITER`` (50) iterations, raises :class:`PropagationError`.
-    ``solves`` counts the LU solves of all steps.
+    Failing that, when m_(k+1)'s top block would not grow the window, it
+    returns m_(k+1) with the defect q 2 |m_(k+1) - m_k|, q = dt |Atilde|
+    N/4, when that is at most ``tol``: the next residual test would read
+    no more and return the same iterate, so the bound saves only its
+    coupling product.  A field-free step is no special case: q = 0, so
+    its first solve ends it.  A defect that is not finite, or one still
+    above ``tol`` after ``MAX_ITER`` (50) iterations, raises
+    :class:`PropagationError`.  ``solves`` counts the LU solves of all
+    steps and ``certified`` the steps the bound ended.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -513,6 +564,7 @@ class Propagator:
         self.tol = tol
         self._t_end = None      # where the last step ended, if it succeeded
         self.solves = 0         # LU solves taken by all steps
+        self.certified = 0      # steps that the norm bound ended
         self.history = 0
         self.head = 0
         self.blocks = l_max + 1
@@ -526,7 +578,8 @@ class Propagator:
         off = np.full(diag.size - 1, 0.5j * dt * self.off)
         off[n - 1::n] = 0.0
         dl, d, du, du2, ipiv = zgttrf(off, 1.0 + 0.5j * dt * diag.ravel(), off)[:5]
-        # the coupling and the LU factors on the rows of each block count
+        # the coupling, the LU factors and the coupling's norm bound on the
+        # rows of each block count
         self._by_rows = {}
         for blocks in range(1, l_max + 2):
             rows = _rows(blocks)
@@ -534,7 +587,8 @@ class Propagator:
             couple = coupling_operators(blocks - 1)
             couple.data[couple.indices < rows] /= 2.0 * grid.dr
             self._by_rows[rows] = (couple, (dl[:size - 1], d[:size], du[:size - 1],
-                                            du2[:size - 2], ipiv[:size]))
+                                            du2[:size - 2], ipiv[:size]),
+                                   _coupling_bound(couple, grid.dr))
         self.couple = self._by_rows[l.size][0]
         self.diag = diag
         shape, pair_shape = diag.shape, (2 * len(diag), n)
@@ -599,6 +653,28 @@ class Propagator:
             raise PropagationError(defect, self.tol, step_index, iteration=iteration)
         return defect <= self.tol
 
+    def _is_head(self, psi: np.ndarray) -> bool:
+        """Whether psi equals the ring's newest entry, as complex ``==``
+        compares: NaN is unequal and -0 equals 0.  A C-contiguous complex128
+        psi is compared through its float64 view, which is faster."""
+        head = self.states[self.head]
+        if psi.dtype == head.dtype and psi.shape == head.shape and psi.flags.c_contiguous:
+            return bool((psi.view(np.float64) == head.view(np.float64)).all())
+        return np.array_equal(psi, head)
+
+    def _grow(self, m: np.ndarray, psi: np.ndarray) -> bool:
+        """Whether the window grew: by one block, its rows of m taken from
+        psi, when m's top window block holds more than ``REACH``."""
+        if self.blocks > self.l_max:
+            return False
+        top = m[l_block(self.blocks - 1)]
+        if not np.vdot(top, top).real * self.grid.dr > REACH:
+            return False
+        rows = self.rows
+        self.blocks += 1
+        m[rows:self.rows] = psi[rows:self.rows]
+        return True
+
     def step(self, state: WavefunctionState, pulse: PulseParams,
              step_index: int = 0) -> tuple[int, float]:
         """Advance the state by dt in place; returns (iterations, defect).
@@ -607,7 +683,7 @@ class Propagator:
             raise ValueError(f"state (l_max {state.l_max}, {state.grid}) does not fit the "
                              f"propagator (l_max {self.l_max}, {self.grid})")
         atilde = complex(*vector_potential(pulse, state.t + 0.5 * self.dt))
-        if not (state.t == self._t_end and np.array_equal(state.psi, self.states[self.head])):
+        if not (state.t == self._t_end and self._is_head(state.psi)):
             self.history, self.head = 0, 0
             np.copyto(self.states[0], state.psi)
             # NaN counts as reached, so it stays inside the window and fails there
@@ -628,16 +704,12 @@ class Propagator:
         np.matmul(weights, ring[:h + 1, :2 * m[:rows].size],
                   out=m[:rows].view(np.float64).reshape(-1))
         scale = 2.0 * math.sqrt(self.grid.dr)      # 2 m - psi moves twice as far as m
+        q_over_n = 0.25 * self.dt * abs(atilde)    # q = q_over_n N, N the window's bound
         solved = False      # m was solved for from w_prev, on this window
         with np.errstate(all="ignore"):     # a non-finite defect raises instead
+            self._grow(m, psi)
+            rows = self.rows
             for it in range(1, MAX_ITER + 1):
-                if self.blocks <= self.l_max:
-                    top = m[l_block(self.blocks - 1)]
-                    if np.vdot(top, top).real * self.grid.dr > REACH:
-                        self.blocks += 1
-                        m[rows:self.rows] = psi[rows:self.rows]
-                        rows = self.rows
-                        solved = False
                 self.apply_interaction(m[:rows], atilde, out=w[:rows])
                 if solved:
                     # m's residual -i dt/2 (w - w_prev) bounds the next update
@@ -654,7 +726,15 @@ class Propagator:
                 m, w, w_prev = w_prev, m, w
                 if self._converged(defect, it, step_index):
                     break
-                solved = True
+                solved = not self._grow(m, psi)
+                rows = self.rows
+                if solved:
+                    # the next residual test would read at most q defect
+                    bound = q_over_n * self._by_rows[rows][2] * defect
+                    if bound <= self.tol:
+                        defect = bound
+                        self.certified += 1
+                        break
             else:
                 raise PropagationError(defect, self.tol, step_index)
         # the rows above the window already hold psi's values
@@ -737,6 +817,7 @@ class PulseResult:
     max_iterations: int
     iterations_total: int
     solves_total: int           # LU solves, at most one per iteration
+    certified_steps: int        # steps the coupling's norm bound ended
     max_defect: float
     norm_initial: float
     norm_final: float
@@ -806,6 +887,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
         max_iterations=max_it,
         iterations_total=total_it,
         solves_total=prop.solves,
+        certified_steps=prop.certified,
         max_defect=max_defect,
         norm_initial=norm0,
         norm_final=state.norm(),

@@ -2,13 +2,16 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
+import tunnelqs
 from tunnelqs import cli
 from tunnelqs.cli import (
     CRIT_SPEC,
@@ -565,6 +568,13 @@ class TestTdse:
         assert sorted(timings) == ["propagate_s", "readout_s", "write_s"]
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings.values()) <= wall
+        versions = report["versions"]
+        assert list(versions) == ["python", "numpy", "scipy", "tunnelqs", "OPENBLAS_NUM_THREADS",
+                                  "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        assert versions["numpy"] == np.__version__
+        assert versions["tunnelqs"] == tunnelqs.__version__
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert versions[name] == os.environ.get(name)
         assert report["no_ionization"] is False
         assert report["norm_final"] == pytest.approx(1.0, abs=1e-6)
         assert report["max_defect"] <= 1e-10
@@ -599,7 +609,7 @@ class TestTdse:
         run = [f.name for f in dataclasses.fields(PulseResult) if f.name != "state"]
         assert list(report) == ["config", *run, "bound_removed", "total_ionized",
                                 "no_ionization", "theta", "tau_au", "tau_as", "phi_peak",
-                                "multimodal", "secondary_ratio", "timings"]
+                                "multimodal", "secondary_ratio", "timings", "versions"]
         assert len(report["populations_by_l"]) == 2
         # the plan's warning, then the run's own, each printed once
         plan_warning, run_warning = report["warnings"]

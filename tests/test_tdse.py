@@ -317,14 +317,14 @@ class TestInteraction:
     def test_zero_field_shortcut(self, prop, shape):
         psi = np.ones(shape, dtype=np.complex128)
         assert not prop.apply_interaction(psi, 0.0).any()
-        # without a field a step is one atomic half-step solve: the
-        # second iteration's coupling product is the first one, zero, so
-        # the step stops there without solving again
+        # without a field a step is one atomic half-step solve: q =
+        # dt |Atilde| N/4 is zero, so the first iteration's solve ends the
+        # step, with no second coupling product
         state, _ = build_ground_state(prop.system, prop.grid, prop.l_max)
         pulse = PulseParams(F0=0.5, omega=0.8)
         state.t = pulse.duration
         start = state.psi.copy()
-        assert prop.step(state, pulse) == (2, 0.0)
+        assert prop.step(state, pulse) == (1, 0.0)
         assert prop.solves == 1
         fresh = Propagator(prop.system, prop.grid, prop.l_max, prop.dt)
         assert state.psi.tobytes() == (fresh._solve_implicit(2.0 * start) - start).tobytes()
@@ -463,8 +463,8 @@ class TestCrankNicolsonOracle:
         one = np.eye(len(h))
         expect = np.linalg.solve(one + half, (one - half) @ psi.ravel()).reshape(shape)
         iterations, defect = prop.step(state, pulse)
-        if f0 == 0.0:
-            assert (iterations, defect) == (2, 0.0)
+        if f0 == 0.0:       # q = 0: the first solve is certified
+            assert (iterations, defect) == (1, 0.0)
         else:
             assert iterations > 1
         np.testing.assert_allclose(state.psi, expect, rtol=0.0, atol=10 * prop.tol)
@@ -513,6 +513,64 @@ class TestStoppingRule:
             atilde = complex(*vector_potential(pulse, t + 0.5 * prop.dt))
             moved = oracle._solve_implicit(psi - half * oracle.apply_interaction(m, atilde)) - m
             assert 2.0 * math.sqrt(np.vdot(moved, moved).real * prop.grid.dr) <= prop.tol
+
+
+class TestNormBound:
+    """After a solve that misses the tolerance, a step stops when
+    q = dt |Atilde| N/4 times the solve's change meets it, N a bound on
+    the coupling's norm: the next residual test would then have returned
+    the same iterate, so the bound saves a coupling product and no bit."""
+
+    @pytest.mark.parametrize("dr", [0.1, 0.2])
+    @pytest.mark.parametrize("l_max", [1, 2, 3, 4])
+    def test_bound_is_a_close_upper_bound(self, l_max, dr):
+        # above the norm, and within 2x of it: a bound without the 1/r or
+        # the edge-stencil terms falls below, a useless one above
+        prop = Propagator(make_system(1.0), RadialGrid(dr=dr, r_max=2.0), l_max, 0.02)
+        n = prop.grid.n_points
+        for blocks in range(1, l_max + 2):
+            rows = blocks * (blocks + 1) // 2
+            # H_int at Atilde = 1 is -(i/2) (D+ + D-)
+            h = TestCrankNicolsonOracle._dense(lambda u: prop.apply_interaction(u, 1.0),
+                                               (rows, n))
+            sigma = 2.0 * np.linalg.norm(h, 2)
+            assert sigma <= prop._by_rows[rows][2] <= 2.0 * sigma
+
+    def test_certified_steps_change_no_bits(self, monkeypatch):
+        # one stepper with the bound, one whose infinite N certifies no
+        # step, through most of a pulse and a field-free tail
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.1, r_max=20.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        bounded, unbounded = (Propagator(s, grid, 3, 0.02) for _ in range(2))
+        monkeypatch.setattr(unbounded, "_by_rows", {
+            rows: (couple, lu, math.inf) for rows, (couple, lu, _) in unbounded._by_rows.items()})
+        calls = {}
+        for prop in (bounded, unbounded):
+            for name in ("apply_interaction", "_solve_implicit"):
+                def counted(*args, kernel=getattr(prop, name), key=(prop, name), **kwargs):
+                    calls[key] = calls.get(key, 0) + 1
+                    return kernel(*args, **kwargs)
+                monkeypatch.setattr(prop, name, counted)
+        state, _ = build_ground_state(s, grid, 3)
+        # where |Atilde| is 3e-9, the fresh start's first solve misses tol
+        # and q times its change meets it, but the window grows: the step
+        # must go on
+        state.t = 0.1 * pulse.duration
+        twin = state.copy()
+        while state.t < pulse.duration:
+            bounded.step(state, pulse)
+            unbounded.step(twin, pulse)
+            assert state.psi.tobytes() == twin.psi.tobytes()
+        for _ in range(5):
+            assert bounded.step(state, pulse) == (1, 0.0)
+            assert unbounded.step(twin, pulse) == (2, 0.0)
+            assert state.psi.tobytes() == twin.psi.tobytes()
+        assert bounded.certified > 0 == unbounded.certified
+        assert (calls[bounded, "apply_interaction"]
+                < calls[unbounded, "apply_interaction"])
+        assert calls[bounded, "_solve_implicit"] == calls[unbounded, "_solve_implicit"]
+        assert bounded.solves == unbounded.solves == calls[bounded, "_solve_implicit"]
 
 
 class TestSelectionRules:
@@ -590,6 +648,22 @@ class TestPredictorHistory:
         assert prop.step(state, pulse) == expect
         np.testing.assert_allclose(state.psi, twin.psi, rtol=0.0, atol=10 * prop.tol)
 
+    def test_ownership_compares_as_complex(self):
+        # the float64 view of a C-contiguous psi and the complex compare of
+        # any other layout agree: -0 equals 0, NaN equals nothing
+        prop = Propagator(make_system(1.0), RadialGrid(dr=0.1, r_max=3.0), 2, 0.02)
+        head = prop.states[prop.head]
+        rng = np.random.default_rng(18)
+        head[:] = rng.standard_normal(head.shape) + 1j * rng.standard_normal(head.shape)
+        head[0, :3] = 0.0
+        psi = head.copy()
+        psi[0, :3] = complex(-0.0, -0.0)
+        for layout in (psi, np.asfortranarray(psi)):
+            assert prop._is_head(layout)
+        psi[1, 1] = head[1, 1] = complex(math.nan, 0.0)
+        for layout in (psi, np.asfortranarray(psi)):
+            assert not prop._is_head(layout)
+
     def test_continued_state_uses_history(self, setup):
         # the counterpart of the tests below: a continued step is no fresh
         # start, so it needs fewer iterations
@@ -632,10 +706,11 @@ class TestPredictorHistory:
 
     def test_field_free_step_continues(self, setup):
         # no special case without a field: the history carries on through
-        # the field-free step and the field step after it
+        # the field-free step, which its first solve ends, and the field
+        # step after it
         prop, pulse, state = setup
         idle = PulseParams(F0=0.0, omega=pulse.omega)
-        assert prop.step(state, idle) == (2, 0.0)
+        assert prop.step(state, idle) == (1, 0.0)
         assert prop.history == tdse.ORDER
         assert prop.states[prop.head].tobytes() == state.psi.tobytes()
         twin = state.copy()
@@ -748,10 +823,13 @@ class TestPropagation:
         assert abs(res.norm_final - res.norm_initial) <= 1e-6
         assert res.max_defect <= 1e-10
         assert res.max_iterations <= 50
-        # the order-4 start; the quadratic one took 2,001
-        assert res.steps <= res.iterations_total < 1600
+        # the order-4 start and the norm bound (1,071); the quadratic start
+        # took 2,001, and the order-4 start without the bound 1,440
+        assert res.steps <= res.iterations_total < 1200
         # the residual test ends most two-iteration steps without a second solve
         assert res.steps <= res.solves_total < res.iterations_total
+        # the norm bound ends 369 of the steps
+        assert res.certified_steps > 0
         assert res.tail_fraction < 1e-6
         assert res.warnings == []
         # the window leaves about a quarter of the row-steps out (0.761)
