@@ -35,6 +35,14 @@ __all__ = [
 ]
 
 
+class TdseConfigError(ValueError):
+    """Invalid or oversized solver configuration, config file or setting.
+
+    :mod:`tdse` raises and exports it; it is defined here, in a module
+    every CLI command loads, so the CLI can catch it (exit 2) without
+    loading the solver."""
+
+
 class BarrierSuppressionError(ValueError):
     """Raised when F exceeds the barrier-suppression field strength F_a."""
 

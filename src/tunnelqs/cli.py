@@ -22,6 +22,16 @@ and its text lines; ``print_report`` writes the payload to ``--out``
 and then prints either.  ``delays`` prints one row of ``scan.tabulate``,
 the evaluator ``scan`` uses; ``scan.emit_table`` writes any structured
 table, also tdse's CSVs of what ``spectra.attoclock_readout`` returns.
+``scan`` reports on stderr its rows, barrier-suppressed and band-inverted
+rows and elapsed time.
+
+The module imports only what parsing and every command need (``atomic``,
+``constants``, numpy); each ``cmd_*`` imports the modules it computes
+with, so ``zeta-qs`` and ``critical-fields`` load no ``scan``, ``tdse`` or
+``spectra``, ``delays`` and ``scan`` no ``tdse`` or ``spectra``, and
+``tdse --dry-run`` no ``spectra`` or ``scan``; ``json`` loads only where
+JSON is written or printed.  The imports read module attributes at call
+time, so a name patched on its module is the one a command calls.
 
 ``tdse`` checks all it can before propagating (``--dry-run`` stops there),
 then clears the last run's report and CSVs from its output directory; the
@@ -31,11 +41,11 @@ run's bytes depend on.
 
 Exit codes, one exception family each: 0 success; 1 stdout closed by its
 reader (``BrokenPipeError``), silently; 2 configuration error,
-``ConfigError`` (tdse's ``TdseConfigError``: also a key set twice, a tdse
-setting that fails a check before propagating, a setting that would change
-nothing: ``scan`` preset with Z/F/zeta/rel, ``zeta-qs`` thick without F,
-``tdse`` rel), ``OSError`` (an unwritable ``--out``) or ``MemoryError`` (a
-setting too big for memory); 3 domain error, any other ``ValueError``
+``ConfigError`` (tdse's ``TdseConfigError``, defined in ``atomic``: also
+a key set twice, a tdse setting that fails a check before propagating, a
+setting that would change nothing: ``scan`` preset with Z/F/zeta/rel,
+``zeta-qs`` thick without F, ``tdse`` rel), ``OSError`` (an unwritable
+``--out``) or ``MemoryError`` (a setting too big for memory); 3 domain error, any other ``ValueError``
 (invalid physical inputs, barrier suppression); 4 numerical failure,
 ``ArithmeticError`` (a failed TDSE step, a non-finite ionized probability).
 JSON reports write non-finite numbers as null (scan tables: inf as Infinity).
@@ -44,7 +54,6 @@ JSON reports write non-finite numbers as null (scan tables: inf as Infinity).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -53,26 +62,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import (
-    barrier_geometry,
-    keldysh_gamma,
-    make_system,
-    photon_absorption_delay,
-)
-from .constants import au_time_as, field_to_intensity
-from .scan import PRESET_NAMES, ScanGrid, emit_table, run_preset, run_scan, tabulate
-from .spectra import _band_edge, _wkb_window, attoclock_readout, default_phi_grid
-from .superluminal import critical_fields, q_imed_b, zeta_qs
-from .tdse import (
-    DEFAULT_MAX_CHANNELS,
-    DEFAULT_TOL,
-    PulseParams,
-    RadialGrid,
-    default_dt,
-    plan_run,
-    run_pulse,
-)
-from .tdse import TdseConfigError as ConfigError  # the library's and the CLI's exit 2
+from .atomic import TdseConfigError as ConfigError  # the library's and the CLI's exit 2
+from .atomic import make_system
+from .constants import DEFAULT_MAX_CHANNELS, DEFAULT_TOL, au_time_as, field_to_intensity
 
 EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
@@ -183,9 +175,15 @@ def _intensity_note(f: float) -> str:
     return f"{f:.6g} a.u. (~ {field_to_intensity(f):.3e} W/cm^2)"
 
 
+def _dumps(payload: dict) -> str:
+    import json
+
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    path.write_text(_dumps(payload) + "\n")
 
 
 def _jsonable(x):
@@ -215,7 +213,7 @@ def print_report(args, resolved: dict, payload: dict, lines: list[str]) -> int:
         _write_json(path, payload)
         print(f"wrote report to {path}", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        print(_dumps(payload))
     else:
         print("\n".join(lines))
     return EXIT_OK
@@ -245,6 +243,9 @@ CHANNELS = {"db": "q_db", "ad": "q_ad", "nad": "q_nad", "imed": "q_imed_b"}
 
 
 def cmd_delays(args, resolved: dict) -> int:
+    from .atomic import barrier_geometry, keldysh_gamma, photon_absorption_delay
+    from .scan import tabulate
+
     system = _system_from(resolved)
     f, zeta = resolved["F"], resolved["zeta"]
     # F > F_a is an error here, not a blanked row
@@ -297,6 +298,9 @@ POINT_KEYS = ("Z", "F", "zeta")
 
 
 def cmd_scan(args, resolved: dict) -> int:
+    from .scan import ScanGrid, emit_table, run_preset, run_scan
+
+    t_start = time.perf_counter()
     if resolved["preset"] is not None:
         # a preset fixes its whole grid, so a point setting would only
         # mislabel the table's provenance header
@@ -325,10 +329,13 @@ def cmd_scan(args, resolved: dict) -> int:
         path = resolve_out_path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         emit_table(table, dest=path, **emit)
-        print(f"wrote {len(table)} rows to {path}", file=sys.stderr)
+        done = f"wrote {len(table)} rows to {path}"
     else:
         sys.stdout.write(emit_table(table, **emit))
-        print(f"{len(table)} rows", file=sys.stderr)
+        done = f"{len(table)} rows"
+    print(f"{done} ({table['barrier_suppressed'].sum()} barrier-suppressed, "
+          f"{table['band_inverted'].sum()} band-inverted) in "
+          f"{time.perf_counter() - t_start:.3g} s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -352,6 +359,8 @@ def _window(system, fields) -> dict:
 
 
 def cmd_zeta_qs(args, resolved: dict) -> int:
+    from .superluminal import critical_fields, q_imed_b, zeta_qs
+
     f = resolved["F"]
     if resolved["thick"] and f is None:
         raise ConfigError("thick needs F: the small-field limit has no "
@@ -390,6 +399,8 @@ CRIT_SPEC = ATOM_SPEC
 
 
 def cmd_critical_fields(args, resolved: dict) -> int:
+    from .superluminal import critical_fields
+
     system = _system_from(resolved)
     fields = critical_fields(system)
     lines = [f"Z = {system.Z:g}  Zeff = {system.Zeff:g}  "
@@ -443,6 +454,8 @@ def _versions() -> dict:
 
 
 def cmd_tdse(args, resolved: dict) -> int:
+    from .tdse import PulseParams, RadialGrid, _band_edge, _wkb_window, default_dt, plan_run
+
     if resolved["rel"]:
         raise ConfigError("rel = true changes nothing here: the TDSE uses only "
                           "Zeff, not the relativistic ionization potential")
@@ -480,6 +493,10 @@ def cmd_tdse(args, resolved: dict) -> int:
         for line in config_lines(resolved):
             print(f"# {line}")
         return EXIT_OK
+    # only a run loads the readout and the table writer
+    from .scan import emit_table
+    from .spectra import attoclock_readout, default_phi_grid
+    from .tdse import run_pulse
 
     out_dir = resolve_out_path(args.out if args.out else ".")
     out_dir.mkdir(parents=True, exist_ok=True)

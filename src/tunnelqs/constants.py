@@ -2,6 +2,9 @@
 
 Everything in this package is in Hartree atomic units (hbar = m_e = e = 1)
 unless a name or docstring says otherwise.
+
+The TDSE solver's two defaults that the CLI's settings table shows live
+here too, so the CLI can build its parser without loading :mod:`tdse`.
 """
 
 __all__ = [
@@ -19,6 +22,9 @@ alpha_fs = 1.0 / c_au           # fine-structure constant
 au_time_as = 24.188843265857    # one au of time in attoseconds
 au_field_vcm = 5.14220674763e9  # one au of field strength in V/cm
 au_intensity_wcm2 = 3.50944758e16   # cycle-averaged intensity of a 1 au field, W/cm^2
+
+DEFAULT_TOL = 1e-10             # TDSE per-step fixed-point defect
+DEFAULT_MAX_CHANNELS = 16384    # TDSE memory guard on (l_max + 1)^2
 
 
 def field_to_intensity(f: float) -> float:

@@ -15,7 +15,6 @@ The writer works on columns too (see :func:`emit_table`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,19 +176,23 @@ def run_scan(grid: ScanGrid) -> np.ndarray:
 # memory while keeping its numpy calls per row few
 _BLOCK_ROWS = 4096
 
-# float and bool reprs that JSON spells differently
-_JSON_SPELLING = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity",
-                  "True": "true", "False": "false"}
+# the float reprs that JSON spells differently
+_JSON_SPELLING = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _column_cells(col: np.ndarray, fmt: str) -> list[str]:
     """The cell texts of one column of a block, in row order.  Each
     distinct bit pattern is formatted once: keyed on bits, -0.0 stays
-    apart from 0.0 and no two NaNs are merged wrongly."""
+    apart from 0.0 and no two NaNs are merged wrongly.  JSON respells
+    only the bools and the non-finite floats."""
     bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    texts = list(map(repr, bits.view(col.dtype).tolist()))
-    if fmt == "json":
-        texts = [_JSON_SPELLING.get(t, t) for t in texts]
+    values = bits.view(col.dtype)
+    texts = list(map(repr, values.tolist()))
+    if fmt == "json" and col.dtype.kind == "b":
+        texts = [t.lower() for t in texts]
+    elif fmt == "json" and col.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = _JSON_SPELLING[texts[i]]
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
@@ -224,6 +227,8 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
         head = "".join(f"# {c}\n" for c in header_comments) + ",".join(names) + "\n"
         row, sep, tail = ",".join(["%s"] * len(names)) + "\n", "", ""
     elif fmt == "json":
+        import json
+
         # the rows go where json.dumps puts the empty list, one level
         # deeper inside the config wrapper
         empty = json.dumps([] if config is None else {"config": config, "records": []},

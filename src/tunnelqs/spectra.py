@@ -35,14 +35,13 @@ loads no scipy module.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import au_time_as
-from .tdse import (RadialGrid, TdseConfigError, WavefunctionState, _bound_levels,
+from .tdse import (RadialGrid, WavefunctionState, _band_edge, _bound_levels, _wkb_window,
                    even_channels, l_block)
 
 __all__ = [
@@ -68,23 +67,6 @@ NO_IONIZATION_FLOOR = 1e-12  # ionized probability below which no angle is read
 
 _RENORM_LIMIT = 1e200       # Numerov under-barrier growth guard
 _GUARD_ROWS = 64            # Numerov rows per growth check
-
-
-def _wkb_window(grid: RadialGrid) -> range:
-    """Grid indices in [0.8, 0.9] r_max, each with a neighbour on either
-    side, where continuum waves are normalized; TdseConfigError if none.
-    Bisected on the radii's own expression dr (j + 1): none are built."""
-    def radius(j):
-        return grid.dr * (j + 1)
-
-    js = range(grid.n_points)
-    lo = max(1, bisect.bisect_left(js, 0.80 * grid.r_max, key=radius))
-    hi = min(grid.n_points - 1, bisect.bisect_right(js, 0.90 * grid.r_max, key=radius))
-    if lo >= hi:
-        raise TdseConfigError(
-            f"the radial grid (dr = {grid.dr:g}, r_max = {grid.r_max:g}) has no interior point "
-            "in [0.8, 0.9] r_max, where continuum waves are normalized; use more radial points")
-    return range(lo, hi)
 
 
 def coulomb_phase(l: int, eta) -> np.ndarray:
@@ -116,12 +98,6 @@ def _check_phi_grid(phi: np.ndarray) -> None:
     if np.max(np.abs(np.diff(phi) - dphi)) > 1e-9 * dphi:
         raise ValueError("phi must be increasing with spacing 2 pi / len(phi), "
                          "as from default_phi_grid")
-
-
-def _band_edge(grid: RadialGrid) -> float:
-    """2/dr, the momentum at the top of the lattice's free band
-    (1 - cos(k dr))/dr^2 <= 2/dr^2: the grid carries no wave at or above it."""
-    return 2.0 / grid.dr
 
 
 def _check_momenta(p, grid: RadialGrid, as_grid: bool) -> np.ndarray:

@@ -65,7 +65,10 @@ operators, so the step loop allocates no large temporaries.
 A run starts from the lowest E < 0 level for l = 0.  One solver finds
 the box's bound levels, for that start and for the bound content
 :mod:`spectra` removes; a box with no bound s level is refused with
-:class:`TdseConfigError`.
+:class:`TdseConfigError`, which :mod:`atomic` defines and this module
+exports.  The grid checks of the readout, the WKB window and the band
+edge, sit beside :class:`RadialGrid`, so a dry run makes them without
+loading :mod:`spectra`.
 
 Importing this module loads no scipy module: the bound levels'
 eigensolver and the coupling matrix import theirs when called, and a
@@ -75,12 +78,16 @@ construction, so a CLI call that never propagates loads only numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import TdseConfigError, make_system
+from .constants import DEFAULT_MAX_CHANNELS, DEFAULT_TOL
 
 __all__ = [
     "PropagationError",
@@ -108,7 +115,6 @@ __all__ = [
 
 CHECKPOINT_VERSION = 2      # 1: psi in the full channel_index layout
 
-DEFAULT_TOL = 1e-10       # per-step fixed-point defect
 MAX_ITER = 50             # fixed-point iterations per step before PropagationError
 ORDER = 4                 # polynomial order of the iteration's start
 # population of an l block above which a step propagates the block after
@@ -118,7 +124,6 @@ ORDER = 4                 # polynomial order of the iteration's start
 # 1e-15, far below the defect tolerance and the round-off of a unit norm,
 # so the blocks left unpropagated change the result at round-off level.
 REACH = 1e-30
-DEFAULT_MAX_CHANNELS = 16384
 
 # above these the run is accepted but flagged as beyond desk scale
 DESK_CHANNELS = 1500
@@ -130,10 +135,6 @@ DESK_STEPS = 100_000
 # about 1e-3 rad of dr -> 0, while dr 1 is 2.4% off in E0 and 0.056 rad
 # in theta.
 MAX_ZEFF_DR = 0.2
-
-
-class TdseConfigError(ValueError):
-    """Invalid or oversized solver configuration, config file or setting."""
 
 
 def _require_finite(**values: float) -> None:
@@ -201,6 +202,29 @@ class RadialGrid:
 
     def radii(self) -> np.ndarray:
         return self.dr * np.arange(1, self.n_points + 1)
+
+
+def _wkb_window(grid: RadialGrid) -> range:
+    """Grid indices in [0.8, 0.9] r_max, each with a neighbour on either
+    side, where :mod:`spectra` normalizes continuum waves; TdseConfigError
+    if none.  Bisected on the radii's own expression dr (j + 1): none are built."""
+    def radius(j):
+        return grid.dr * (j + 1)
+
+    js = range(grid.n_points)
+    lo = max(1, bisect.bisect_left(js, 0.80 * grid.r_max, key=radius))
+    hi = min(grid.n_points - 1, bisect.bisect_right(js, 0.90 * grid.r_max, key=radius))
+    if lo >= hi:
+        raise TdseConfigError(
+            f"the radial grid (dr = {grid.dr:g}, r_max = {grid.r_max:g}) has no interior point "
+            "in [0.8, 0.9] r_max, where continuum waves are normalized; use more radial points")
+    return range(lo, hi)
+
+
+def _band_edge(grid: RadialGrid) -> float:
+    """2/dr, the momentum at the top of the lattice's free band
+    (1 - cos(k dr))/dr^2 <= 2/dr^2: the grid carries no wave at or above it."""
+    return 2.0 / grid.dr
 
 
 def channel_index(l: int, m: int) -> int:
@@ -926,8 +950,6 @@ def load_checkpoint(path):
     psi); returns (state, system).  Raises ValueError unless the file
     holds every checkpoint field, psi and t are finite and ``make_system``
     accepts Z, Zeff and Ip."""
-    from .atomic import make_system
-
     with np.load(path) as data:
         missing = {"version", "dr", "r_max", "l_max", "t", "psi", "Z", "Zeff", "Ip",
                    "relativistic"}.difference(data.files)

@@ -344,6 +344,20 @@ class TestScan:
         assert len(data) == 2001  # header + rows
         assert data[0].startswith("Z,Zeff,relativistic,F,")
 
+    def test_stderr_counts_flagged_rows(self, tmp_path, capsys):
+        # fig6b runs past F_a; stdout and the file stay free of the counts
+        dest = tmp_path / "fig6b.csv"
+        assert main(["scan", "--preset", "fig6b", "--out", str(dest)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith(f"wrote 1600 rows to {dest} (268 barrier-suppressed, "
+                              "268 band-inverted) in ")
+        assert err.endswith(" s\n") and float(err.split()[-2]) >= 0.0
+        assert "barrier-suppressed" not in dest.read_text()
+        assert main(["scan", "--Z", "1", "--F", "0.05"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("1 rows (0 barrier-suppressed, 1 band-inverted) in ")
+        assert "barrier-suppressed" not in captured.out
+
     def test_preset_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["scan", "--preset", "fig2a", "--out", str(a)])
@@ -767,7 +781,7 @@ class TestTdse:
         def run_pulse(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.00 TiB")
 
-        monkeypatch.setattr(cli, "run_pulse", run_pulse)
+        monkeypatch.setattr("tunnelqs.tdse.run_pulse", run_pulse)
         cfg = write_cfg(tmp_path, "Z = 1\nF0 = 0.5\nomega = 0.8\n")
         assert main(["tdse", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: Unable to allocate 1.00 TiB\n"
@@ -998,6 +1012,41 @@ def test_light_commands_load_no_scipy():
     proc = _fresh_python("-c", child)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
+
+
+# the tunnelqs modules a one-shot command never loads
+NOT_LOADED = {
+    "zeta-qs --Z 10": {"scan", "tdse", "spectra"},
+    "critical-fields --Z 7": {"scan", "tdse", "spectra"},
+    "delays --Z 1 --F 0.05": {"tdse", "spectra"},
+    "scan --Z 1 --F 0.05 --zeta 0.5": {"tdse", "spectra"},
+    "tdse --Z 1 --F 0.5 --omega 0.8 --dry-run": {"spectra", "scan"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NOT_LOADED))
+def test_each_command_loads_only_its_modules(argv):
+    # the package and the CLI import on demand: a call loads the tunnelqs
+    # modules it computes with, and none that only another command needs
+    child = (
+        "import sys\n"
+        "def report():\n"
+        "    print('loaded:', *sorted(m.split('.')[1] for m in sys.modules\n"
+        "                             if m.startswith('tunnelqs.')), file=sys.stderr)\n"
+        "import tunnelqs\n"
+        "report()\n"
+        "from tunnelqs.cli import main\n"
+        "report()\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "report()\n"
+    )
+    proc = _fresh_python("-c", child, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    package, cli_import, command = (set(line.split()[1:]) for line in proc.stderr.splitlines()
+                                    if line.startswith("loaded:"))
+    assert package == set()
+    assert cli_import & {"scan", "tdse", "spectra"} == set()
+    assert command & NOT_LOADED[argv] == set()
 
 
 def test_tdse_run_in_a_fresh_process(tmp_path):
