@@ -456,15 +456,13 @@ class OffsetResult:
         return self.tau * au_time_as
 
 
-def offset_angle_and_delay(ang: AngularDistribution, pulse) -> OffsetResult:
-    """Locate the angular maximum and convert it to a time delay.
-
-    ``pulse`` may be a PulseParams or a bare carrier frequency.  The
-    maximum is refined by a parabola through the three points around the
-    discrete argmax (cyclic).  A second local maximum within 5% of the
-    top flags the result as multimodal rather than silently picking one.
+def offset_angle_and_delay(ang: AngularDistribution, omega: float) -> OffsetResult:
+    """Locate the angular maximum and convert it to a time delay at the
+    carrier frequency ``omega``.  The maximum is refined by a parabola
+    through the three points around the discrete argmax (cyclic).  A
+    second local maximum within 5% of the top flags the result as
+    multimodal rather than silently picking one.
     """
-    omega = pulse.omega if hasattr(pulse, "omega") else float(pulse)
     if not omega > 0.0:
         raise ValueError(f"carrier frequency must be positive, got {omega}")
     _check_phi_grid(np.asarray(ang.phi, dtype=float))
@@ -505,4 +503,4 @@ def attoclock_readout(state: WavefunctionState, system, pulse, p, phi) -> tuple:
         return amps, None, None, None
     dist = momentum_distribution(amps, p, phi)
     ang = radial_integrate(dist)
-    return amps, dist, ang, offset_angle_and_delay(ang, pulse)
+    return amps, dist, ang, offset_angle_and_delay(ang, pulse.omega)

@@ -113,7 +113,7 @@ __all__ = [
     "vector_potential",
 ]
 
-CHECKPOINT_VERSION = 2      # 1: psi in the full channel_index layout
+CHECKPOINT_VERSION = 2
 
 MAX_ITER = 50             # fixed-point iterations per step before PropagationError
 ORDER = 4                 # polynomial order of the iteration's start
@@ -570,8 +570,9 @@ class Propagator:
     coupling product.  A field-free step is no special case: q = 0, so
     its first solve ends it.  A defect that is not finite, or one still
     above ``tol`` after ``MAX_ITER`` (50) iterations, raises
-    :class:`PropagationError`.  ``solves`` counts the LU solves of all
-    steps and ``certified`` the steps the bound ended.
+    :class:`PropagationError` for step ``steps``, the count of steps
+    completed; ``solves`` counts the LU solves of all steps and
+    ``certified`` the steps the bound ended.
     """
 
     def __init__(self, system, grid: RadialGrid, l_max: int, dt: float,
@@ -587,6 +588,7 @@ class Propagator:
         self.dt = dt
         self.tol = tol
         self._t_end = None      # where the last step ended, if it succeeded
+        self.steps = 0          # steps completed
         self.solves = 0         # LU solves taken by all steps
         self.certified = 0      # steps that the norm bound ended
         self.history = 0
@@ -670,11 +672,11 @@ class Propagator:
         x, _ = self._zgttrs(*self._by_rows[len(rhs)][1], rhs.reshape(-1, 1), overwrite_b=1)
         return x.reshape(rhs.shape)
 
-    def _converged(self, defect: float, iteration: int, step_index: int) -> bool:
+    def _converged(self, defect: float, iteration: int) -> bool:
         """Whether a defect is within ``tol``; a non-finite one raises
         :class:`PropagationError` at once."""
         if not math.isfinite(defect):
-            raise PropagationError(defect, self.tol, step_index, iteration=iteration)
+            raise PropagationError(defect, self.tol, self.steps, iteration=iteration)
         return defect <= self.tol
 
     def _is_head(self, psi: np.ndarray) -> bool:
@@ -699,8 +701,7 @@ class Propagator:
         m[rows:self.rows] = psi[rows:self.rows]
         return True
 
-    def step(self, state: WavefunctionState, pulse: PulseParams,
-             step_index: int = 0) -> tuple[int, float]:
+    def step(self, state: WavefunctionState, pulse: PulseParams) -> tuple[int, float]:
         """Advance the state by dt in place; returns (iterations, defect).
         A state of another grid or l_max raises ValueError."""
         if state.grid != self.grid or state.l_max != self.l_max:
@@ -739,7 +740,7 @@ class Propagator:
                     # m's residual -i dt/2 (w - w_prev) bounds the next update
                     diff = np.subtract(w[:rows], w_prev[:rows], out=w_prev[:rows])
                     defect = math.sqrt(np.vdot(diff, diff).real) * scale * 0.5 * self.dt
-                    if self._converged(defect, it, step_index):
+                    if self._converged(defect, it):
                         break
                 rhs = np.multiply(half, w[:rows], out=w_prev[:rows])
                 np.subtract(psi[:rows], rhs, out=rhs)
@@ -748,7 +749,7 @@ class Propagator:
                 diff = np.subtract(rhs, m[:rows], out=m[:rows])   # m is not needed again
                 defect = math.sqrt(np.vdot(diff, diff).real) * scale
                 m, w, w_prev = w_prev, m, w
-                if self._converged(defect, it, step_index):
+                if self._converged(defect, it):
                     break
                 solved = not self._grow(m, psi)
                 rows = self.rows
@@ -760,13 +761,14 @@ class Propagator:
                         self.certified += 1
                         break
             else:
-                raise PropagationError(defect, self.tol, step_index)
+                raise PropagationError(defect, self.tol, self.steps)
         # the rows above the window already hold psi's values
         m[:rows] *= 2.0
         np.subtract(m[:rows], psi[:rows], out=state.psi[:rows])
         self.head = (self.head + 1) % (ORDER + 1)
         np.copyto(self.states[self.head], state.psi)
         self.history = min(self.history + 1, ORDER)
+        self.steps += 1
         state.t += self.dt
         self._t_end = state.t
         return it, defect
@@ -777,10 +779,9 @@ def default_dt(zeff: float) -> float:
     return min(0.02, 0.02 / (zeff * zeff))
 
 
-def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
-             dt: float | None = None,
+def plan_run(system, grid: RadialGrid, pulse: PulseParams, l_max: int, *,
+             dt: float | None = None, tol: float = DEFAULT_TOL,
              max_channels: int = DEFAULT_MAX_CHANNELS,
-             tol: float = DEFAULT_TOL,
              checkpoint_every: int = 0) -> tuple[int, int, list[str]]:
     """Validate a run and report (n_steps, n_channels, warnings).
 
@@ -852,10 +853,10 @@ class PulseResult:
     warnings: list = field(default_factory=list)
 
 
-def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
+def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int, *,
               dt: float | None = None, tol: float = DEFAULT_TOL,
-              max_channels: int = DEFAULT_MAX_CHANNELS,
-              checkpoint_path=None, checkpoint_every: int = 0) -> PulseResult:
+              max_channels: int = DEFAULT_MAX_CHANNELS, checkpoint_every: int = 0,
+              checkpoint_path=None) -> PulseResult:
     """Propagate the field-free ground state through the whole pulse.
 
     The run takes the n steps :func:`plan_run` counts, all of length
@@ -866,8 +867,8 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     was large enough for the chosen intensity.  ``checkpoint_every`` > 0
     needs ``checkpoint_path``.
     """
-    n_steps, _, warnings = plan_run(system, grid, pulse, l_max, dt, max_channels, tol,
-                                    checkpoint_every)
+    n_steps, _, warnings = plan_run(system, grid, pulse, l_max, dt=dt, tol=tol,
+                                    max_channels=max_channels, checkpoint_every=checkpoint_every)
     if checkpoint_every and not checkpoint_path:
         raise TdseConfigError(f"checkpoint_every = {checkpoint_every} needs a checkpoint_path")
     state, energy0 = build_ground_state(system, grid, l_max)
@@ -877,8 +878,8 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
     max_it, total_it, max_defect, max_drift, prev_norm = 0, 0, 0.0, 0.0, norm0
     row_steps = 0
     try:
-        for k in range(n_steps):
-            it, defect = prop.step(state, pulse, step_index=k)
+        for _ in range(n_steps):
+            it, defect = prop.step(state, pulse)
             row_steps += prop.rows
             max_it = max(max_it, it)
             total_it += it
@@ -886,7 +887,7 @@ def run_pulse(system, grid: RadialGrid, pulse: PulseParams, l_max: int,
             norm = state.norm()
             max_drift = max(max_drift, abs(norm - prev_norm))
             prev_norm = norm
-            if checkpoint_every and (k + 1) % checkpoint_every == 0:
+            if checkpoint_every and prop.steps % checkpoint_every == 0:
                 save_checkpoint(checkpoint_path, state, system)
     except PropagationError as exc:
         if checkpoint_path:
@@ -946,9 +947,9 @@ def save_checkpoint(path, state: WavefunctionState, system) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`, also of version 1 (full-layout
-    psi); returns (state, system).  Raises ValueError unless the file
-    holds every checkpoint field, psi and t are finite and ``make_system``
+    """Inverse of :func:`save_checkpoint`; returns (state, system).  Raises
+    ValueError unless the file is of version ``CHECKPOINT_VERSION``, holds
+    every checkpoint field, psi and t are finite and ``make_system``
     accepts Z, Zeff and Ip."""
     with np.load(path) as data:
         missing = {"version", "dr", "r_max", "l_max", "t", "psi", "Z", "Zeff", "Ip",
@@ -956,7 +957,7 @@ def load_checkpoint(path):
         if missing:
             raise ValueError(f"{path} is not a checkpoint: it lacks {', '.join(sorted(missing))}")
         version = int(data["version"])
-        if version not in (1, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         grid = RadialGrid(dr=float(data["dr"]), r_max=float(data["r_max"]))
         state = WavefunctionState(

@@ -1,10 +1,10 @@
 """Shared fixtures.
 
-The TDSE smoke run (Z=1, F0=0.5, omega=0.8 on the desk grid) takes about
-15 s, so it is session-scoped and shared between the solver tests, the
-spectra tests and the acceptance gate.  Everything derived from it
-(scattering-state amplitudes, the rotated twin run, the half-step run)
-is session-scoped too.
+The TDSE smoke run (Z=1, F0=0.5, omega=0.8 on the desk grid) takes
+1.1-1.6 s on a 2-vCPU machine, so it is session-scoped and shared
+between the solver tests, the spectra tests and the acceptance gate.
+Everything derived from it (scattering-state amplitudes, the rotated
+twin run, the half-step run) is session-scoped too.
 
 ``pythonpath`` in pyproject.toml puts ``src`` on this process's path;
 the tests that start a new ``python -m tunnelqs.cli`` need it on the

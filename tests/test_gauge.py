@@ -52,9 +52,9 @@ class LengthGauge(Propagator):
         # the norm-bound stop bounds A . p through |A|, which does not bound E . r
         self._by_rows = {rows: (c, lu, math.inf) for rows, (c, lu, _) in self._by_rows.items()}
 
-    def step(self, state, pulse, step_index=0):
+    def step(self, state, pulse):
         self.etilde = electric_field(pulse, state.t + 0.5 * self.dt)
-        return super().step(state, pulse, step_index)
+        return super().step(state, pulse)
 
     def apply_interaction(self, psi, atilde, out=None):
         p = self.p_plus[:len(psi), :len(psi)]

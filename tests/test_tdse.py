@@ -1032,6 +1032,16 @@ class TestPlanning:
             with pytest.raises(TdseConfigError, match="tol must be positive"):
                 call()
 
+    def test_settings_after_l_max_are_keyword_only(self):
+        # run_pulse read a sixth positional argument as tol and plan_run as
+        # max_channels, so (..., 2, 0.05, 16384) ran with tol = 16384
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=20.0)
+        pulse = PulseParams(F0=0.5, omega=0.8)
+        for entry in (plan_run, run_pulse):
+            with pytest.raises(TypeError, match="positional argument"):
+                entry(s, grid, pulse, 2, 0.05, 16384)
+
     def test_published_scale_warns(self):
         s = make_system(18.0)
         grid = RadialGrid(dr=0.1, r_max=400.0)
@@ -1108,54 +1118,12 @@ class TestCheckpoint:
         path = tmp_path / "state.npz"
         save_checkpoint(path, state, s)
         data = dict(np.load(path))
-        for version in (0, 3, 99):
+        # version 1 held psi in the full (l_max + 1)^2 layout; no writer makes it now
+        for version in (0, 1, 3, 99):
             data["version"] = np.int64(version)
             np.savez(path, **data)
-            with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$"):
                 load_checkpoint(path)
-
-    @staticmethod
-    def _version_1_file(path, state, system):
-        """The state as the version-1 format stored it: every channel of
-        channel_index, the odd ones zero; returns that full psi."""
-        full = np.zeros(((state.l_max + 1) ** 2, state.grid.n_points), dtype=np.complex128)
-        full[channel_index(*even_channels(state.l_max))] = state.psi
-        np.savez(path, version=np.int64(1), dr=state.grid.dr, r_max=state.grid.r_max,
-                 l_max=np.int64(state.l_max), t=state.t, psi=full, Z=system.Z,
-                 Zeff=system.Zeff, Ip=system.Ip, relativistic=np.int64(0))
-        return full
-
-    @pytest.fixture()
-    def stepped(self):
-        s = make_system(1.0)
-        grid = RadialGrid(dr=0.2, r_max=10.0)
-        pulse = PulseParams(F0=0.5, omega=0.8)
-        state, _ = build_ground_state(s, grid, l_max=3)
-        state.t = 0.45 * pulse.duration
-        prop = Propagator(s, grid, 3, 0.02)
-        for _ in range(3):
-            prop.step(state, pulse)
-        return state, s
-
-    def test_version_1_loads_into_the_even_rows(self, tmp_path, stepped):
-        state, s = stepped
-        path = tmp_path / "v1.npz"
-        self._version_1_file(path, state, s)
-        loaded, sys2 = load_checkpoint(path)
-        assert sys2 == s
-        assert loaded.t == state.t
-        assert np.array_equal(loaded.psi, state.psi)
-
-    def test_version_1_odd_amplitude_rejected(self, tmp_path, stepped):
-        state, s = stepped
-        path = tmp_path / "v1.npz"
-        full = self._version_1_file(path, state, s)
-        full[channel_index(1, 0)] = 1e-3 * full[channel_index(0, 0)]
-        data = dict(np.load(path))
-        data["psi"] = full
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="odd l \\+ m"):
-            load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value,match", [
         ("psi", None, "psi and t must be finite"),
@@ -1278,6 +1246,23 @@ class TestCheckpoint:
         assert (err.step, err.iteration, err.t_last) == (0, 1, 0.0)
         assert "is not finite at iteration 1" in str(err)
         assert load_checkpoint(path)[0].t == 0.0
+
+    def test_direct_step_failure_numbers_the_step(self):
+        # a Propagator numbers the steps it completes; a direct step used
+        # to report step 0 whatever came before it
+        s = make_system(1.0)
+        grid = RadialGrid(dr=0.2, r_max=20.0)
+        state, _ = build_ground_state(s, grid, l_max=2)
+        idle = PulseParams(F0=0.0, omega=0.8)
+        state.t = 0.45 * idle.duration
+        prop = Propagator(s, grid, 2, 0.05)
+        for _ in range(2):
+            prop.step(state, idle)
+        with pytest.raises(PropagationError) as exc:
+            prop.step(state, PulseParams(F0=1e200, omega=0.8))
+        assert (exc.value.step, exc.value.iteration) == (2, 1)
+        assert str(exc.value).startswith("step 2: ")
+        assert prop.steps == 2
 
     def test_checkpoint_on_failure(self, tmp_path):
         s = make_system(1.0)
