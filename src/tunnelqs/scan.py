@@ -10,7 +10,7 @@ or any other table of numeric fields, as CSV or JSON.  Quantities that do not
 apply at a point (no zeta given, or F beyond the barrier-suppression
 threshold) are NaN, and out-of-domain points are kept and flagged
 instead of being dropped.  Identical grids give byte-identical tables.
-The writer works on columns too (see :func:`emit_table`).
+The writer works a block of rows at a time (see :func:`emit_table`).
 """
 
 from __future__ import annotations
@@ -172,28 +172,12 @@ def run_scan(grid: ScanGrid) -> np.ndarray:
                     cols["F"], cols.get("zeta"))
 
 
-# rows formatted and written at a time: bounds the writer's transient
-# memory while keeping its numpy calls per row few
+# rows formatted at a time: bounds the writer's memory, keeps its calls per row few
 _BLOCK_ROWS = 4096
 
-# the float reprs that JSON spells differently
-_JSON_SPELLING = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _column_cells(col: np.ndarray, fmt: str) -> list[str]:
-    """The cell texts of one column of a block, in row order.  Each
-    distinct bit pattern is formatted once: keyed on bits, -0.0 stays
-    apart from 0.0 and no two NaNs are merged wrongly.  JSON respells
-    only the bools and the non-finite floats."""
-    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    values = bits.view(col.dtype)
-    texts = list(map(repr, values.tolist()))
-    if fmt == "json" and col.dtype.kind == "b":
-        texts = [t.lower() for t in texts]
-    elif fmt == "json" and col.dtype.kind == "f":
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            texts[i] = _JSON_SPELLING[texts[i]]
-    return np.array(texts, dtype=object)[inverse].tolist()
+# the reprs that JSON spells differently: bools and non-finite floats
+_JSON_SPELLING = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity",
+                  "True": "true", "False": "false"}
 
 
 def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=None):
@@ -210,10 +194,10 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
     ``config`` given, a wrapper object {"config": ..., "records": [...]}
     so the file carries its own provenance.
 
-    The writer is column-wise and streams blocks of ``_BLOCK_ROWS`` rows.
-    Each column of a block is formatted into its cell texts, each
-    distinct value once, and one row template per table joins them into
-    lines.  The bytes are those of ``",".join(map(repr, row))`` per CSV
+    The writer streams blocks of ``_BLOCK_ROWS`` rows.  In a block, the
+    fields of one dtype are formatted together, each distinct bit pattern
+    once (-0.0 apart from 0.0), and joined with the text between them.
+    The bytes are those of ``",".join(map(repr, row))`` per CSV
     row and of ``json.dumps`` of a list of row dicts.  The blocks are
     written to path ``dest``, or joined and returned when it is None.
     """
@@ -223,9 +207,11 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
     if refused:
         raise ValueError("emit_table writes scalar bool, int, uint or float fields of at most "
                          f"8 bytes; refused: {', '.join(map(repr, refused))}")
+    if not names:
+        raise ValueError("emit_table writes tables of at least one field")
     if fmt == "csv":
         head = "".join(f"# {c}\n" for c in header_comments) + ",".join(names) + "\n"
-        row, sep, tail = ",".join(["%s"] * len(names)) + "\n", "", ""
+        leads, sep, tail = [""] + [","] * (len(names) - 1) + ["\n"], "", ""
     elif fmt == "json":
         import json
 
@@ -238,8 +224,8 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
         head, tail, sep = empty[:at] + "[\n", f"\n{pad[1:]}]{empty[at + 2:]}\n", ",\n"
         if len(table) == 0:
             head, tail = empty + "\n", ""
-        keys = (json.dumps(c).replace("%", "%%") for c in names)
-        row = f"{pad}{{\n" + ",\n".join(f"{pad} {k}: %s" for k in keys) + f"\n{pad}}}"
+        leads = [f"{sep}{pad} {json.dumps(c)}: " for c in names] + [f"\n{pad}}}"]
+        leads[0] = f"{sep}{pad}{{\n{leads[0][len(sep):]}"
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -247,8 +233,21 @@ def emit_table(table, fmt: str = "csv", dest=None, header_comments=(), config=No
         yield head
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            cells = [_column_cells(block[c], fmt) for c in names]
-            yield (sep if start else "") + sep.join(map(row.__mod__, zip(*cells)))
+            rows = np.empty((len(block), 2 * len(names) + 1), dtype=object)
+            rows[:, ::2] = leads  # the text before each cell, then the row's end
+            for dtype in dict.fromkeys(table.dtype[c] for c in names):
+                cols = [j for j, c in enumerate(names) if table.dtype[c] == dtype]
+                bits = np.stack([block[names[j]].view(f"u{dtype.itemsize}") for j in cols], 1)
+                bits, inverse = np.unique(bits, return_inverse=True)
+                values = bits.view(dtype)
+                texts = list(map(repr, values.tolist()))
+                if fmt == "json":
+                    for i in np.flatnonzero(~np.isfinite(values) | (dtype.kind == "b")).tolist():
+                        texts[i] = _JSON_SPELLING[texts[i]]
+                rows[:, 2 * np.array(cols) + 1] = np.array(texts, dtype=object)[inverse]
+            # the table's first row follows the head, not a row separator
+            rows[0, 0] = leads[0] if start else leads[0][len(sep):]
+            yield "".join(rows.ravel().tolist())
         yield tail
 
     if dest is None:

@@ -461,12 +461,18 @@ def offset_angle_and_delay(ang: AngularDistribution, omega: float) -> OffsetResu
     carrier frequency ``omega``.  The maximum is refined by a parabola
     through the three points around the discrete argmax (cyclic).  A
     second local maximum within 5% of the top flags the result as
-    multimodal rather than silently picking one.
+    multimodal rather than silently picking one.  A carrier frequency
+    that is not positive and finite, or a non-finite value in ``ang``,
+    raises ValueError.
     """
-    if not omega > 0.0:
-        raise ValueError(f"carrier frequency must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"carrier frequency must be positive and finite, got {omega}")
     _check_phi_grid(np.asarray(ang.phi, dtype=float))
     v = ang.values
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"angular distribution values must be finite; {bad.size} are not, "
+                         f"the first {v[bad[0]]} at index {bad[0]}")
     n = len(v)
     i = int(np.argmax(v))
     ym, y0, yp = v[i - 1], v[i], v[(i + 1) % n]
@@ -474,7 +480,8 @@ def offset_angle_and_delay(ang: AngularDistribution, omega: float) -> OffsetResu
     delta = 0.0 if abs(denom) < 1e-300 else 0.5 * (ym - yp) / denom
     delta = min(0.5, max(-0.5, delta))
     dphi = 2.0 * math.pi / n
-    phi_peak = (ang.phi[i] + delta * dphi) % (2.0 * math.pi)
+    phi_peak = float((ang.phi[i] + delta * dphi) % (2.0 * math.pi))
+    theta = wrap_angle(phi_peak + math.pi / 2.0)
 
     left = np.roll(v, 1)
     right = np.roll(v, -1)
@@ -483,9 +490,9 @@ def offset_angle_and_delay(ang: AngularDistribution, omega: float) -> OffsetResu
     secondary_ratio = float(v[is_max].max() / y0) if is_max.any() and y0 > 0.0 else 0.0
 
     return OffsetResult(
-        phi_peak=float(phi_peak),
-        theta=wrap_angle(phi_peak + math.pi / 2.0),
-        tau=wrap_angle(phi_peak + math.pi / 2.0) / omega,
+        phi_peak=phi_peak,
+        theta=theta,
+        tau=theta / float(omega),
         multimodal=secondary_ratio >= MULTIMODAL_RATIO,
         secondary_ratio=secondary_ratio,
     )

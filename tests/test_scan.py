@@ -304,8 +304,11 @@ SPECIAL_FLOATS = [
 COLUMN_POOLS = {
     "f8": st.lists(st.floats(), max_size=4).map(SPECIAL_FLOATS.__add__),
     "f4": st.lists(st.floats(width=32), max_size=4).map(SPECIAL_FLOATS[:7].__add__),
+    ">f8": st.lists(st.floats(), max_size=4).map(SPECIAL_FLOATS.__add__),
     "i8": st.lists(st.sampled_from([0, 1]) | st.integers(-2 ** 63, 2 ** 63 - 1),
                    min_size=1, max_size=4),
+    "i4": st.lists(st.integers(-2 ** 31, 2 ** 31 - 1), min_size=1, max_size=4),
+    "u8": st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4),
     "?": st.lists(st.booleans(), min_size=1, max_size=2),
 }
 
@@ -404,6 +407,49 @@ class TestEmitTableOracle:
         finally:
             tracemalloc.stop()
         assert peak < 3e6   # the whole-table formulation peaked at 13.9 MB
+
+    def test_blocks_bound_the_json_writer_memory(self, tmp_path):
+        # a scan-shaped table of three blocks, every float cell distinct:
+        # JSON's transient memory is about one block's texts and text
+        n = 2 * _BLOCK_ROWS + 1
+        rng = np.random.default_rng(0)
+        table = np.empty(n, dtype=scan.TABLE_DTYPE)
+        for c in COLUMNS:
+            table[c] = rng.integers(0, 2, n) if c in FLAG_COLUMNS else rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            emit_table(table, "json", dest=tmp_path / "scan.json", config={"preset": "demo"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 28.2 MB measured for the 13 MB file; a grid kept across blocks
+        # held the last block's texts too and peaked at 36.9 MB
+        assert peak < 32e6
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_equal_bits_of_other_dtypes_stay_apart(self, block):
+        # the fields of one dtype share their formatted texts; equal bit
+        # patterns under another dtype or byte order are other values
+        one, payload = 4607182418800017408, 0x7FF8000000000001  # 1.0, a NaN
+        swapped_one = np.array(1.0, ">f8").view("<f8").item()
+        table = np.zeros(4, dtype=[("n", "i8"), ("x", "f8"), ("big", ">f8"),
+                                   ("y", "<f8"), ("ok", "?"), ("u", "u1")])
+        table["n"] = [0, one, payload, -1]
+        table["x"] = [0.0, 1.0, np.uint64(payload).view(np.float64), -0.0]
+        table["big"] = [1.0, 1.0, -0.0, 2.5]
+        table["y"] = [1.0, swapped_one, 0.0, 2.5]
+        table["ok"] = [True, False, True, False]
+        table["u"] = [1, 0, 1, 255]
+        with mock.patch.object(scan, "_BLOCK_ROWS", block):
+            for fmt in ("csv", "json"):
+                for cfg in (None, {"block": block}):
+                    assert emit_table(table, fmt, config=cfg) == old_emit_table(
+                        table, fmt, config=cfg)
+
+    def test_refuses_a_table_without_fields(self):
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match="at least one field"):
+                emit_table(np.zeros(2, dtype=[]), fmt)
 
 
 class TestPresets:

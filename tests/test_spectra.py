@@ -743,6 +743,32 @@ class TestOffsetReadout:
         with pytest.raises(ValueError):
             offset_angle_and_delay(ang, 0.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, -1.0])
+    def test_omega_must_be_positive_and_finite(self, omega):
+        # an infinite carrier frequency once gave tau = 0 with no error
+        phi = default_phi_grid(720)
+        ang = AngularDistribution(phi=phi, values=ridge(phi, 0.5))
+        with pytest.raises(ValueError, match=f"positive and finite, got {omega}"):
+            offset_angle_and_delay(ang, omega)
+
+    @pytest.mark.parametrize("bad, first", [([100], 100), (range(720), 0)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad, first, value):
+        # one NaN at index 100 once won the argmax and read theta = 2.439
+        # rad; an all-NaN ridge read 1.566
+        phi = default_phi_grid(720)
+        values = ridge(phi, -math.pi / 2 + 0.1)
+        values[list(bad)] = value
+        with pytest.raises(ValueError, match=f"{len(bad)} are not, the first {value} "
+                                             f"at index {first}$"):
+            offset_angle_and_delay(AngularDistribution(phi, values), 1.0)
+
+    def test_returns_python_floats(self):
+        phi = default_phi_grid(720)
+        ang = AngularDistribution(phi=phi, values=ridge(phi, -math.pi / 2 + 0.1))
+        res = offset_angle_and_delay(ang, np.float64(3.0))
+        assert [type(x) for x in (res.phi_peak, res.theta, res.tau)] == [float] * 3
+
 
 class TestAttoclockReadout:
     def test_is_the_chain(self):
